@@ -10,7 +10,7 @@ which are the units the allocation algorithms operate on.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from ..graphs import Graph, connected_components, maximal_cliques
 from ..obs.registry import incr, phase_timer
@@ -113,17 +113,22 @@ def contending_flow_groups(
 
 
 def flow_groups_from_graph(
-    graph: Graph, flows: Sequence[Flow]
+    graph: Graph,
+    flows: Sequence[Flow],
+    components: Optional[List[Set[SubflowId]]] = None,
 ) -> List[List[Flow]]:
     """Contending flow groups induced by a subflow contention graph.
 
     Two flows are grouped when their subflow vertices share a connected
     component of ``graph``.  Covers the explicit-graph scenarios where no
-    geometry exists.
+    geometry exists.  ``components`` may pass ``connected_components(graph)``
+    when the caller already has it.
     """
+    if components is None:
+        components = connected_components(graph)
     by_id = {f.flow_id: f for f in flows}
     comp_of: Dict[str, int] = {}
-    for idx, comp in enumerate(connected_components(graph)):
+    for idx, comp in enumerate(components):
         for sid in comp:
             flow_id = graph.attr(sid, "flow")
             if flow_id in comp_of and comp_of[flow_id] != idx:
@@ -151,7 +156,8 @@ class ContentionAnalysis:
     :class:`repro.perf.incremental.IncrementalContention`, which maintains
     both across flow churn); when given they must describe exactly the
     scenario's flows — the constructor then skips the corresponding
-    rebuild phases.
+    rebuild phases.  ``components`` (the connected components of the
+    given ``graph``) likewise spares the flow grouping its own pass.
     """
 
     def __init__(
@@ -159,6 +165,7 @@ class ContentionAnalysis:
         scenario: Scenario,
         graph: Graph = None,
         cliques: List[FrozenSet[SubflowId]] = None,
+        components: Optional[List[Set[SubflowId]]] = None,
     ) -> None:
         self.scenario = scenario
         if graph is not None:
@@ -175,7 +182,9 @@ class ContentionAnalysis:
             with phase_timer("contention.clique_enumeration"):
                 self.cliques = maximal_cliques(self.graph)
         with phase_timer("contention.flow_grouping"):
-            self.groups = flow_groups_from_graph(self.graph, scenario.flows)
+            self.groups = flow_groups_from_graph(
+                self.graph, scenario.flows, components
+            )
         incr("contention.analyses")
         incr("contention.cliques_found", len(self.cliques))
         incr("contention.subflow_vertices", self.graph.num_vertices())

@@ -27,16 +27,15 @@ layers exploit that:
   ``BandwidthAllocator`` family: campaigns push whole lists of flows
   through admission control (per-component batch feasibility with a
   greedy per-flow fallback) and solve one epoch over 100k+ concurrent
-  flows.
+  flows.  A persistent store keyed by universe contention component
+  makes each epoch's cost follow the churn, not the universe.
 
-Fingerprints hash the LP *structure in insertion order* (column order
-affects simplex pivoting, hence bitwise results), excluding constraint
-labels — labels embed the global clique index, which shifts when other
-components churn.  Frozenset iteration order is hash-seed dependent, so
-fingerprints are stable within a process but may differ across
-processes; a restored cache in a new interpreter can therefore miss
-where the original would hit, which costs a re-solve and never changes
-a result (the memo is value-neutral by construction).
+Fingerprints hash the LP *structure* in solver-visible order (column
+order affects simplex pivoting, hence bitwise results), with each
+constraint's coefficients in column order and constraint labels left
+out — labels embed the analysis-local clique index, which shifts when
+other components churn.  Nothing in a fingerprint depends on the hash
+seed, so a memo dumped by one interpreter is fully served in another.
 """
 
 from __future__ import annotations
@@ -117,18 +116,24 @@ def component_fingerprint(
 
     Everything that can influence the solved shares participates, in
     the order it will reach the solver: variable registration order,
-    objective terms, constraint coefficient pairs in insertion order
-    with their bounds (capacity rides in the bounds), lower bounds, the
-    max-min weights, and the backend.  Constraint labels are excluded
-    on purpose — they carry the *global* clique index, which changes
-    when unrelated components churn.
+    objective terms, each constraint's coefficient pairs in variable
+    registration order with its bound (capacity rides in the bounds),
+    lower bounds, the max-min weights, and the backend.  A constraint's
+    coefficient *insertion* order is left out: it follows clique
+    frozenset iteration, which varies with the hash seed, and
+    ``to_dense`` ignores it.  Constraint labels are excluded on purpose
+    — they carry the clique index within the analysis the problem was
+    split from, which changes when unrelated components churn.
     """
+    column = {v: j for j, v in enumerate(lp.variables)}
     doc = [
         backend,
         lp.variables,
         [[v, c] for v, c in lp.objective.items()],
         [
-            [[[v, c] for v, c in con.coeffs.items()], con.bound]
+            [sorted(([v, c] for v, c in con.coeffs.items()),
+                    key=lambda pair: column[pair[0]]),
+             con.bound]
             for con in lp.constraints
         ],
         [[v, b] for v, b in lp.lower_bounds.items()],
@@ -316,98 +321,115 @@ class ShardedSolver:
         capacity: Optional[float] = None,
     ) -> Dict[str, float]:
         """Sharded equivalent of the monolithic phase-1 allocation."""
+        problems = component_problems(
+            analysis, capacity, backend=self.backend
+        )
+        shares: Dict[str, float] = {}
+        for result in self.solve_problems(problems):
+            shares.update(result)
+        return shares
+
+    def solve_problems(
+        self, problems: Sequence[ComponentProblem], held: int = 0
+    ) -> List[Dict[str, float]]:
+        """Shares of each of ``problems``, in order.
+
+        Memo hits are reused; the misses — the dirty components — are
+        solved in one fan-out.  ``held`` counts components the caller
+        serves from its own store without asking (the batch engine's
+        clean entries): they enter the stats as components and reused,
+        so the stats always describe the caller's whole active set.
+        """
         with phase_timer("runtime.shard.solve"), \
                 span("runtime.shard") as shard_span:
-            problems = component_problems(
-                analysis, capacity, backend=self.backend
-            )
-            cached: Dict[int, Dict[str, float]] = {}
-            dirty: List[ComponentProblem] = []
-            for p in problems:
+            results: List[Dict[str, float]] = []
+            misses: List[int] = []
+            for i, p in enumerate(problems):
                 if self._memo is not None and p.fingerprint in self._memo:
-                    cached[p.index] = self._memo[p.fingerprint]
+                    results.append(self._memo[p.fingerprint])
                     self._memo.move_to_end(p.fingerprint)
                 else:
-                    dirty.append(p)
+                    results.append({})
+                    misses.append(i)
+            dirty = [problems[i] for i in misses]
             t0 = time.perf_counter()
-            if dirty:
-                guarded = (self.task_timeout is not None
-                           or self.task_retries > 0
-                           or self.fault_injector is not None)
-                sweep = ParallelSweep(
-                    self.jobs,
-                    task_timeout=self.task_timeout,
-                    task_retries=self.task_retries,
-                    retry_backoff_s=self.retry_backoff_s,
-                )
-                try:
-                    if (self._warm is not None
-                            and (sweep.jobs <= 1 or len(dirty) <= 1)):
-                        # The sweep would run serial anyway: solve
-                        # in-process with warm-started bases instead of
-                        # cold (worker faults can't reach in-process
-                        # solves, so the injector is moot here).
-                        solved = [
-                            _solve_component_with(p, self._warm.solver)
-                            for p in dirty
-                        ]
-                    elif guarded:
-                        injector = self.fault_injector
-                        payloads = [
-                            (p,
-                             injector.spec_for(pos, len(dirty))
-                             if injector is not None else None)
-                            for pos, p in enumerate(dirty)
-                        ]
-                        solved = sweep.map(
-                            _solve_component_guarded, payloads,
-                            serial_fn=_solve_component_unguarded,
-                        )
-                    else:
-                        solved = sweep.map(_solve_component, dirty)
-                except ShardResultError as exc:
-                    incr("runtime.shard.worker_errors")
-                    if exc.span_id is None:
-                        exc.span_id = current_span_id()
-                    raise
-                except Exception as exc:
-                    # Never let a bare worker exception escape the
-                    # sharded path: wrap it with the span id so the
-                    # failure correlates with the trace.
-                    incr("runtime.shard.worker_errors")
-                    raise ShardResultError(
-                        f"sharded component solve failed: "
-                        f"{type(exc).__name__}: {exc}",
-                        span_id=current_span_id(),
-                    ) from exc
-            else:
-                solved = []
+            solved = self._solve_dirty(dirty) if dirty else []
             parallel_ms = (time.perf_counter() - t0) * 1e3
-            for p, result in zip(dirty, solved):
-                cached[p.index] = result
+            for i, result in zip(misses, solved):
+                results[i] = result
                 if self._memo is not None:
-                    self._memo[p.fingerprint] = result
+                    self._memo[problems[i].fingerprint] = result
                     while len(self._memo) > self.max_entries:
                         self._memo.popitem(last=False)
-            shares: Dict[str, float] = {}
-            for p in problems:
-                shares.update(cached[p.index])
-            reused = len(problems) - len(dirty)
-            incr("runtime.shard.components", len(problems))
+            components = len(problems) + held
+            reused = components - len(dirty)
+            incr("runtime.shard.components", components)
             incr("runtime.shard.dirty", len(dirty))
             incr("runtime.shard.reused", reused)
             observe("runtime.shard.parallel_ms", parallel_ms)
             shard_span.tag(
-                components=len(problems), dirty=len(dirty),
-                reused=reused,
+                components=components, dirty=len(dirty), reused=reused,
             )
             self.last_stats = {
-                "components": len(problems),
+                "components": components,
                 "dirty": len(dirty),
                 "reused": reused,
                 "parallel_ms": parallel_ms,
             }
-        return shares
+        return results
+
+    def _solve_dirty(
+        self, dirty: List[ComponentProblem]
+    ) -> List[Dict[str, float]]:
+        """Solve the memo misses, in-process or across the pool."""
+        guarded = (self.task_timeout is not None
+                   or self.task_retries > 0
+                   or self.fault_injector is not None)
+        sweep = ParallelSweep(
+            self.jobs,
+            task_timeout=self.task_timeout,
+            task_retries=self.task_retries,
+            retry_backoff_s=self.retry_backoff_s,
+        )
+        try:
+            if (self._warm is not None
+                    and (sweep.jobs <= 1 or len(dirty) <= 1)):
+                # The sweep would run serial anyway: solve in-process
+                # with warm-started bases instead of cold (worker faults
+                # can't reach in-process solves, so the injector is moot
+                # here).
+                return [
+                    _solve_component_with(p, self._warm.solver)
+                    for p in dirty
+                ]
+            if guarded:
+                injector = self.fault_injector
+                payloads = [
+                    (p,
+                     injector.spec_for(pos, len(dirty))
+                     if injector is not None else None)
+                    for pos, p in enumerate(dirty)
+                ]
+                return sweep.map(
+                    _solve_component_guarded, payloads,
+                    serial_fn=_solve_component_unguarded,
+                )
+            return sweep.map(_solve_component, dirty)
+        except ShardResultError as exc:
+            incr("runtime.shard.worker_errors")
+            if exc.span_id is None:
+                exc.span_id = current_span_id()
+            raise
+        except Exception as exc:
+            # Never let a bare worker exception escape the sharded path:
+            # wrap it with the span id so the failure correlates with the
+            # trace.
+            incr("runtime.shard.worker_errors")
+            raise ShardResultError(
+                f"sharded component solve failed: "
+                f"{type(exc).__name__}: {exc}",
+                span_id=current_span_id(),
+            ) from exc
 
     # ------------------------------------------------------------------
     # Checkpoint support (repro.resilience.checkpoint)
@@ -440,6 +462,29 @@ class ShardedSolver:
                 self._memo.popitem(last=False)
 
 
+@dataclass
+class _Part:
+    """One active contention component held by the batch store.
+
+    ``first`` is the universe position of the component's first subflow
+    vertex: the order in which a cold analysis of the whole active set
+    would list it, hence the merge key.
+    """
+
+    first: int
+    problem: ComponentProblem
+    shares: Dict[str, float]
+
+
+@dataclass
+class _Entry:
+    """One universe contention component in the batch store: its flows
+    in universe order and the active parts they currently form."""
+
+    flows: List[str]
+    parts: List[_Part]
+
+
 class BatchAllocationEngine:
     """Batch register / allocate / release over a fixed flow universe.
 
@@ -448,21 +493,37 @@ class BatchAllocationEngine:
     ``analysis`` handed to the constructor (build it once; for very
     large synthetic universes pass a precomputed graph and clique list
     to :class:`ContentionAnalysis` to skip the geometric rebuild).
-    Campaigns then drive epochs with flow-id *lists*:
+    Active flows only ever contend within one connected component of
+    that graph, so the constructor splits it once into a persistent
+    *store*: one entry per universe component, holding the active parts
+    (connected components of the active flows) the entry currently
+    splits into, each with its :class:`ComponentProblem` and last
+    shares.  Campaigns then drive epochs with flow-id *lists*, and each
+    call costs what its flows touch, not the universe:
 
     * :meth:`register` admission-gates a batch.  Candidates are grouped
-      by connected component of the trial graph; a component whose
-      whole batch keeps every floor feasible (Eq. 6) admits in one
-      check, otherwise the engine falls back to greedy per-flow FIFO
-      within that component.  Every verdict flows through the standard
+      by connected component of the trial graph, built only inside the
+      universe components they fall in; a component whose whole batch
+      keeps every floor feasible (Eq. 6) admits in one check, otherwise
+      the engine falls back to greedy per-flow FIFO within that
+      component.  Every verdict flows through the standard
       :class:`~repro.resilience.admission.AdmissionController`, so the
       decision log and ``admission.*`` counters match the runtime's.
-    * :meth:`allocate` advances one epoch: analyze the active subset
-      (induced subgraph + per-component clique cache), solve it with
-      the :class:`ShardedSolver`, and record the epoch wall latency in
-      ``runtime.epoch.latency_ms`` — the histogram the SLO report
-      summarizes into p50/p95/p99.
-    * :meth:`release` retires flows; their component alone goes dirty.
+      Admitted flows mark their store entry dirty.
+    * :meth:`allocate` advances one epoch: one analysis and split over
+      the active flows of the dirty entries (the :meth:`active_analysis`
+      recipe), one :meth:`ShardedSolver.solve_problems` call for the
+      resulting problems, then every held part's shares merged in
+      global component order — the same dict, key order included, as
+      ``ShardedSolver().solve(engine.active_analysis())``.  The epoch
+      wall latency lands in ``runtime.epoch.latency_ms``, the histogram
+      the SLO report summarizes into p50/p95/p99.
+    * :meth:`release` retires flows, marking their entries dirty.
+
+    :attr:`active` is read by callers but changed only through
+    :meth:`register` and :meth:`release`; the one exception is rolling
+    back flows admitted since the last successful :meth:`allocate`,
+    whose entries are still marked dirty.
     """
 
     def __init__(
@@ -511,6 +572,20 @@ class BatchAllocationEngine:
         self._component_cliques: "OrderedDict[Clique, List[Clique]]" = (
             OrderedDict()
         )
+        # The store, split once from the universe graph.
+        self._position: Dict[SubflowId, int] = {
+            v: i for i, v in enumerate(analysis.graph)
+        }
+        self._entry_of: Dict[str, int] = {}
+        universe = connected_components(analysis.graph)
+        for idx, comp in enumerate(universe):
+            for sid in comp:
+                self._entry_of[sid.flow] = idx
+        self._entries: List[_Entry] = [_Entry([], []) for _ in universe]
+        for fid in self._flows:
+            self._entries[self._entry_of[fid]].flows.append(fid)
+        self._held: Dict[int, _Part] = {}  # every entry's parts by first
+        self._dirty: Set[int] = set()
 
     # ------------------------------------------------------------------
     # Batch admission
@@ -553,6 +628,7 @@ class BatchAllocationEngine:
                 decisions.append(decision)
                 if decision.action == ADMIT:
                     self.active.add(fid)
+                    self._dirty.add(self._entry_of[fid])
             reg_span.tag(
                 requested=len(candidates),
                 admitted=sum(1 for d in decisions if d.action == ADMIT),
@@ -564,52 +640,56 @@ class BatchAllocationEngine:
     ) -> Dict[str, Tuple[str, str]]:
         """Per-candidate admission reasons, component-batched.
 
-        One Eq. (6) feasibility probe covers a whole component's batch;
-        only a failing component degrades to greedy per-flow checks in
-        request order (FIFO fairness within the batch).
+        A trial component (active flows plus candidates, connected) never
+        leaves its universe component, so only the store entries the
+        candidates fall in are probed.  One Eq. (6) feasibility probe
+        covers a whole trial component's batch; only a failing component
+        degrades to greedy per-flow checks in request order (FIFO
+        fairness within the batch).
         """
         from ..resilience.admission import REASON_FLOOR, REASON_OK
 
-        trial = self.active | set(candidates)
-        keep = {
-            sid for fid in trial for sid in self._subflows[fid]
-        }
-        graph = self.analysis.graph.subgraph(keep)
-        comp_of: Dict[str, int] = {}
-        comps = connected_components(graph)
-        for idx, comp in enumerate(comps):
-            for sid in comp:
-                comp_of[sid.flow] = idx
-        by_comp: Dict[int, List[str]] = {}
+        by_entry: Dict[int, List[str]] = {}
         for fid in candidates:
-            by_comp.setdefault(comp_of[fid], []).append(fid)
-        # One pass over the universe (FIFO order) keeps 100k-flow
-        # batches linear; a per-component rescan would be quadratic.
-        active_by_comp: Dict[int, List[str]] = {}
-        for fid in self._flows:
-            if fid in self.active:
-                idx = comp_of.get(fid)
-                if idx is not None:
-                    active_by_comp.setdefault(idx, []).append(fid)
+            by_entry.setdefault(self._entry_of[fid], []).append(fid)
         verdicts: Dict[str, Tuple[str, str]] = {}
-        for idx, comp_candidates in by_comp.items():
-            active_here = active_by_comp.get(idx, [])
-            if self._floors_feasible(active_here + comp_candidates):
+        for idx, entry_candidates in by_entry.items():
+            active_here = [
+                fid for fid in self._entries[idx].flows if fid in self.active
+            ]
+            keep = [
+                sid for fid in active_here + entry_candidates
+                for sid in self._subflows[fid]
+            ]
+            comp_of: Dict[str, int] = {}
+            trial = self.analysis.graph.induced_subgraph(keep)
+            for c, comp in enumerate(connected_components(trial)):
+                for sid in comp:
+                    comp_of[sid.flow] = c
+            by_comp: Dict[int, List[str]] = {}
+            for fid in entry_candidates:
+                by_comp.setdefault(comp_of[fid], []).append(fid)
+            active_by_comp: Dict[int, List[str]] = {}
+            for fid in active_here:
+                active_by_comp.setdefault(comp_of[fid], []).append(fid)
+            for c, comp_candidates in by_comp.items():
+                active_comp = active_by_comp.get(c, [])
+                if self._floors_feasible(active_comp + comp_candidates):
+                    for fid in comp_candidates:
+                        verdicts[fid] = (REASON_OK, details)
+                    continue
+                incr("batch.register.greedy_fallbacks")
+                accepted = list(active_comp)
                 for fid in comp_candidates:
-                    verdicts[fid] = (REASON_OK, details)
-                continue
-            incr("batch.register.greedy_fallbacks")
-            accepted = list(active_here)
-            for fid in comp_candidates:
-                if self._floors_feasible(accepted + [fid]):
-                    verdicts[fid] = (REASON_OK, details)
-                    accepted.append(fid)
-                else:
-                    verdicts[fid] = (
-                        REASON_FLOOR,
-                        "Eq. (6) fails with every active flow at its "
-                        "basic share",
-                    )
+                    if self._floors_feasible(accepted + [fid]):
+                        verdicts[fid] = (REASON_OK, details)
+                        accepted.append(fid)
+                    else:
+                        verdicts[fid] = (
+                            REASON_FLOOR,
+                            "Eq. (6) fails with every active flow at its "
+                            "basic share",
+                        )
         return verdicts
 
     def _floors_feasible(self, flow_ids: Sequence[str]) -> bool:
@@ -624,11 +704,11 @@ class BatchAllocationEngine:
         # — at 100k flows a batch runs ~10k probes.
         keep = [sid for fid in flow_ids for sid in self._subflows[fid]]
         graph = self.analysis.graph.induced_subgraph(keep)
-        cliques = self._cliques_of(graph)
+        components = connected_components(graph)
         floors: Dict[str, float] = {}
         comp_of: Dict[str, int] = {}
         groups: Dict[int, List[Flow]] = {}
-        for idx, comp in enumerate(connected_components(graph)):
+        for idx, comp in enumerate(components):
             for sid in comp:
                 comp_of[sid.flow] = idx
         for fid in flow_ids:
@@ -636,7 +716,7 @@ class BatchAllocationEngine:
         for members in groups.values():
             floors.update(basic_shares(members, self.capacity))
         tol = 1e-9
-        for clique in cliques:
+        for clique in self._cliques_of(graph, components):
             load: Dict[str, int] = {}
             for sid in clique:
                 load[sid.flow] = load.get(sid.flow, 0) + 1
@@ -651,16 +731,47 @@ class BatchAllocationEngine:
     # Epochs
     # ------------------------------------------------------------------
     def allocate(self) -> Dict[str, float]:
-        """Solve one epoch over the active set; returns flow -> rate."""
+        """Solve one epoch over the active set; returns flow -> rate.
+
+        Only the store entries dirtied since the last epoch are rebuilt,
+        and all their problems go through one solver call; the clean
+        entries' parts count as reused in the solver's stats.  An epoch
+        that raises keeps its entries dirty for the next one.
+        """
         t0 = time.perf_counter()
         with phase_timer("batch.allocate"), \
                 span("runtime.batch.allocate") as alloc_span:
             self.epoch += 1
-            if self.active:
-                analysis = self.active_analysis()
-                self.rates = self.solver.solve(analysis, self.capacity)
-            else:
-                self.rates = {}
+            dirty = sorted(self._dirty)
+            flows = [
+                self._flows[fid] for idx in dirty
+                for fid in self._entries[idx].flows if fid in self.active
+            ]
+            problems = component_problems(
+                self.active_analysis(flows), self.capacity,
+                backend=self.solver.backend,
+            ) if flows else []
+            rebuilt = sum(len(self._entries[idx].parts) for idx in dirty)
+            results = self.solver.solve_problems(
+                problems, held=len(self._held) - rebuilt
+            )
+            for idx in dirty:
+                for part in self._entries[idx].parts:
+                    del self._held[part.first]
+                self._entries[idx].parts = []
+            for problem, shares in zip(problems, results):
+                first = min(
+                    self._position[sid] for fid in problem.group_ids
+                    for sid in self._subflows[fid]
+                )
+                part = _Part(first, problem, shares)
+                self._entries[self._entry_of[problem.group_ids[0]]] \
+                    .parts.append(part)
+                self._held[first] = part
+            self._dirty.clear()
+            self.rates = {}
+            for first in sorted(self._held):
+                self.rates.update(self._held[first].shares)
             alloc_span.tag(epoch=self.epoch, flows=len(self.rates))
         incr("batch.epochs")
         observe(
@@ -668,13 +779,17 @@ class BatchAllocationEngine:
         )
         return dict(self.rates)
 
-    def release(self, flow_ids: Sequence[str]) -> None:
+    def release(self, flow_ids: Iterable[str]) -> None:
         """Retire a batch of flows (unknown/inactive ids are ignored)."""
+        retired = 0
         for fid in flow_ids:
-            self.active.discard(fid)
+            if fid in self.active:
+                self.active.discard(fid)
+                self._dirty.add(self._entry_of[fid])
+                retired += 1
             self.rates.pop(fid, None)
             self.admission.drop_waiting(fid)
-        incr("batch.release.flows", len(list(flow_ids)))
+        incr("batch.release.flows", retired)
 
     def rate_of(self, flow_id: str) -> float:
         """Last committed rate of ``flow_id`` (0.0 when not allocated)."""
@@ -683,35 +798,51 @@ class BatchAllocationEngine:
     # ------------------------------------------------------------------
     # Analysis plumbing
     # ------------------------------------------------------------------
-    def active_analysis(self) -> ContentionAnalysis:
-        """Cold-rebuild-identical analysis of the active subset.
+    def active_analysis(
+        self, flows: Optional[Sequence[Flow]] = None
+    ) -> ContentionAnalysis:
+        """Cold-rebuild-identical analysis of ``flows`` (default: every
+        active flow, in universe order).
 
-        Same recipe as
+        The engine's one analysis recipe, the same as
         :meth:`~repro.perf.incremental.IncrementalContention.analysis`:
-        induced subgraph in universe insertion order, cliques from the
-        per-component cache, canonical re-sort.  The monolithic
+        induced subgraph in universe insertion order, one
+        connected-components pass shared by the per-component clique
+        cache and the flow grouping, canonical clique re-sort.
+        :meth:`allocate` runs it over the active flows of its dirty
+        store entries; the default is the cold reference the monolithic
         differential tests run
-        :func:`~repro.core.allocation.basic_fairness_lp_allocation`
-        over exactly this object.
+        :func:`~repro.core.allocation.basic_fairness_lp_allocation` over.
         """
-        active_flows = [
-            f for fid, f in self._flows.items() if fid in self.active
-        ]
-        keep = {s.sid for f in active_flows for s in f.subflows}
-        graph = self.analysis.graph.subgraph(keep)
-        cliques = self._cliques_of(graph)
+        if flows is None:
+            flows = [
+                f for fid, f in self._flows.items() if fid in self.active
+            ]
+        keep = sorted(
+            (sid for f in flows for sid in self._subflows[f.flow_id]),
+            key=self._position.__getitem__,
+        )
+        graph = self.analysis.graph.induced_subgraph(keep)
+        components = connected_components(graph)
+        rank = {v: i for i, v in enumerate(clique_vertex_order(graph))}
+        cliques = sort_cliques(self._cliques_of(graph, components), rank)
         sub = Scenario(
             self.analysis.scenario.network,
-            active_flows,
+            list(flows),
             name=f"{self.analysis.scenario.name}-batch",
             capacity=self.capacity,
         )
-        return ContentionAnalysis(sub, graph=graph, cliques=cliques)
+        return ContentionAnalysis(
+            sub, graph=graph, cliques=cliques, components=components
+        )
 
-    def _cliques_of(self, graph: Graph) -> List[Clique]:
-        """Maximal cliques of ``graph`` via the per-component cache."""
+    def _cliques_of(
+        self, graph: Graph, components: List[Set[SubflowId]]
+    ) -> List[Clique]:
+        """Maximal cliques of ``graph``, whose connected components are
+        ``components``, via the per-component cache (unsorted)."""
         cliques: List[Clique] = []
-        for comp in connected_components(graph):
+        for comp in components:
             key = frozenset(comp)
             cached = self._component_cliques.get(key)
             if cached is None:
@@ -725,5 +856,4 @@ class BatchAllocationEngine:
                 incr("batch.component_hits")
                 self._component_cliques.move_to_end(key)
             cliques.extend(cached)
-        rank = {v: i for i, v in enumerate(clique_vertex_order(graph))}
-        return sort_cliques(cliques, rank)
+        return cliques

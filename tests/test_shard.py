@@ -11,6 +11,12 @@ tracking (churn touching one island re-solves only that island), memo
 dump/load round-trips, the batch admission API, and the runtime seam.
 """
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.core.allocation import (
@@ -286,3 +292,54 @@ class TestRuntimeShardSeam:
         counters = registry.snapshot()["counters"]
         assert counters["runtime.alloc.memo_hits"] >= 1
         assert counters["runtime.shard.reused"] >= 2
+
+
+#: Runs in a fresh interpreter: ``dump`` solves the star islands cold
+#: and prints fingerprints, shares and the memo dump; ``load PATH``
+#: restores a dump first.
+_HASH_SEED_SCRIPT = """
+import json, sys
+from repro.perf.shard import ShardedSolver, component_problems
+from tests.test_batch_store import star_islands
+
+analysis = star_islands([4, 3, 5, 2, 1])
+solver = ShardedSolver()
+if sys.argv[1] == "load":
+    with open(sys.argv[2]) as fh:
+        solver.load_state(json.load(fh))
+shares = solver.solve(analysis)
+print(json.dumps({
+    "fingerprints": [p.fingerprint for p in component_problems(analysis)],
+    "shares": list(shares.items()),
+    "stats": solver.last_stats,
+    "memo": solver.dump_state(),
+}))
+"""
+
+
+class TestCanonicalFingerprints:
+    @staticmethod
+    def _run(hash_seed, *args):
+        root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONHASHSEED=str(hash_seed),
+                   PYTHONPATH=os.pathsep.join([str(root / "src"),
+                                               str(root)]))
+        out = subprocess.run(
+            [sys.executable, "-c", _HASH_SEED_SCRIPT, *args],
+            env=env, cwd=root, capture_output=True, text=True, check=True,
+        )
+        return json.loads(out.stdout)
+
+    def test_fingerprints_and_memo_survive_a_hash_seed_change(
+        self, tmp_path
+    ):
+        first = self._run(1, "dump")
+        memo = tmp_path / "memo.json"
+        memo.write_text(json.dumps(first["memo"]))
+        second = self._run(2, "load", str(memo))
+        assert second["fingerprints"] == first["fingerprints"]
+        # The memo dumped under one seed serves every component under
+        # the other, with the same shares.
+        assert second["stats"]["dirty"] == 0
+        assert second["stats"]["reused"] == len(first["fingerprints"])
+        assert second["shares"] == first["shares"]
