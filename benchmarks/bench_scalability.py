@@ -412,11 +412,14 @@ def test_emit_perf_sharded_alloc(perf_section):
     Two measurements:
 
     * ``churn``: the k=8 island family under churn that touches island 0
-      only, sharded (jobs=8) vs the monolithic reference runtime.  The
-      committed journals are asserted bitwise equal before any timing is
-      recorded, and the ``runtime.shard.reused`` counter proves only the
-      dirty component was re-solved.  Gate (full mode): the sharded
-      epoch at least 3x faster end to end.
+      only, the sharded runtime (jobs=8) vs a monolithic reference loop —
+      ``bench_incremental._fast_sequence``'s recipe: incremental
+      contention, one whole-network LP per new active set on warm bases,
+      an active-set memo.  The runtime's committed shares are asserted
+      bitwise equal to the reference's before any timing is recorded,
+      and the ``runtime.shard.reused`` counter proves only the dirty
+      component was re-solved.  Gate (full mode): the sharded epoch at
+      least 3x faster end to end.
     * ``batch_100k`` (full mode only): 100,000 one-hop flows over 12,500
       star islands registered and allocated through
       :class:`BatchAllocationEngine` in one epoch, then one
@@ -431,7 +434,9 @@ def test_emit_perf_sharded_alloc(perf_section):
     import time
 
     from repro.obs.slo import slo_report, validate_slo
+    from repro.perf.incremental import IncrementalContention
     from repro.perf.shard import BatchAllocationEngine
+    from repro.perf.warm import WarmLPCache
     from repro.resilience.admission import ADMIT
     from repro.resilience.runtime import AllocatorRuntime, RuntimeConfig
 
@@ -439,24 +444,45 @@ def test_emit_perf_sharded_alloc(perf_section):
     epochs = 3 if quick else 8
     scenario = ladder_islands()
     ids = [f.flow_id for f in scenario.flows]
+    steps = [[f for f in ids if f != f"f0_{e}"] for e in range(epochs)]
 
-    def churn_run(sharded):
+    def sharded_run():
         with obs.using_registry() as reg:
             runtime = AllocatorRuntime(scenario, RuntimeConfig(
-                sharded=sharded, jobs=8 if sharded else 1,
-                admission=False,
+                jobs=8, admission=False,
             ))
             runtime.set_active(ids)  # prime: the steady state under test
             gc.collect()
             t0 = time.perf_counter()
-            for e in range(epochs):
-                runtime.set_active([f for f in ids if f != f"f0_{e}"])
+            for active in steps:
+                runtime.set_active(active)
             elapsed = time.perf_counter() - t0
-        journal = [r.to_dict() for r in runtime.journal]
+        journal = [r.shares for r in runtime.journal]
         return journal, elapsed, reg.snapshot()["counters"]
 
-    sharded_journal, sharded_s, counters = churn_run(True)
-    mono_journal, mono_s, _ = churn_run(False)
+    def reference_run():
+        inc = IncrementalContention(scenario)
+        warm = WarmLPCache()
+        memo = {}
+
+        def solve(active):
+            key = frozenset(active)
+            if key not in memo:
+                analysis = inc.analysis_for(active, name="bench-active")
+                memo[key] = dict(basic_fairness_lp_allocation(
+                    analysis, backend=warm.solver
+                ).shares)
+            return memo[key]
+
+        journal = [solve(ids)]  # prime, as the runtime does
+        gc.collect()
+        t0 = time.perf_counter()
+        for active in steps:
+            journal.append(solve(active))
+        return journal, time.perf_counter() - t0
+
+    sharded_journal, sharded_s, counters = sharded_run()
+    mono_journal, mono_s = reference_run()
     assert sharded_journal == mono_journal  # bitwise, before any timing
     # Each churn epoch re-solved island 0 alone and reused the other 7.
     assert counters["runtime.shard.reused"] == epochs * 7
@@ -465,7 +491,7 @@ def test_emit_perf_sharded_alloc(perf_section):
 
     payload = {
         "kernel": "component-sharded allocation (per-component memo + "
-                  "dirty tracking) vs monolithic warm runtime",
+                  "dirty tracking) vs monolithic warm reference loop",
         "churn": {
             "islands": 8,
             "flows": len(ids),

@@ -16,12 +16,10 @@ losing queued packets.
 Re-allocation is delegated to the long-lived
 :class:`~repro.resilience.runtime.AllocatorRuntime`: each membership
 change becomes one epoch (diffed into flow-up/flow-down events by
-:meth:`AllocatorRuntime.set_active`), which carries the same fast paths
-this experiment used to wire by hand — incremental contention, warm LP
-starts, per-active-set memoization — plus per-epoch Eq. (6)/basic-floor
-validation.  Allocations are bit-identical to the old ad-hoc loop: the
-runtime solves the same LP on the same incremental analysis in the same
-order.
+:meth:`AllocatorRuntime.set_active`), solved on incremental contention
+by the component-sharded LP with per-epoch Eq. (6)/basic-floor
+validation.  Allocations are bit-identical to a cold phase-1 solve of
+each epoch's active flows (asserted in ``tests/test_perf_incremental.py``).
 """
 
 from __future__ import annotations
@@ -76,9 +74,6 @@ class DynamicAllocationExperiment:
         alpha: float = 0.001,
         timings: Optional[MacTimings] = None,
         traffic: Optional[TrafficConfig] = None,
-        incremental: bool = True,
-        warm_lp: bool = True,
-        memo_allocations: bool = True,
     ) -> None:
         by_id = {s.flow_id: s for s in schedules}
         missing = set(scenario.flow_ids) - set(by_id)
@@ -87,18 +82,11 @@ class DynamicAllocationExperiment:
         self.scenario = scenario
         self.schedules = by_id
         self.alpha = alpha
-        # Re-allocation fast paths (incremental contention, warm LP
-        # starts, per-active-set memoization) live inside the runtime;
-        # both paths produce bit-identical allocations to a cold rebuild
-        # (asserted in tests/test_perf_incremental.py), so they default
-        # on and the flags exist for A/B benchmarking.  Admission is off:
-        # the schedule decides membership, not the controller.
+        # The runtime's shares are bit-identical to a cold phase-1 solve
+        # of each active set.  Admission is off: the schedule decides
+        # membership, not the controller.
         self.runtime = AllocatorRuntime(scenario, RuntimeConfig(
-            seed=seed,
-            admission=False,
-            incremental=incremental,
-            warm_lp=warm_lp,
-            memo=memo_allocations,
+            seed=seed, admission=False,
         ))
 
         # All queues exist up front; shares start from the full-set

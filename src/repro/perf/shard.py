@@ -71,6 +71,9 @@ __all__ = [
 
 Clique = FrozenSet[SubflowId]
 
+#: LRU bound of the batch engine's per-component clique cache.
+_COMPONENT_CLIQUE_ENTRIES = 65536
+
 
 class ShardResultError(RuntimeError):
     """A component solve failed inside the sharded path.
@@ -282,7 +285,6 @@ class ShardedSolver:
         jobs: Optional[int] = 1,
         memo: bool = True,
         max_entries: int = 65536,
-        warm: bool = True,
         task_timeout: Optional[float] = None,
         task_retries: int = 0,
         retry_backoff_s: float = 0.05,
@@ -310,7 +312,7 @@ class ShardedSolver:
         # workers solve cold because the cache can't cross processes.
         self._warm: Optional[WarmLPCache] = (
             WarmLPCache(max_entries=self.max_entries)
-            if warm and backend == "simplex" else None
+            if backend == "simplex" else None
         )
         self.last_stats: Dict[str, float] = {}
 
@@ -526,38 +528,17 @@ class BatchAllocationEngine:
     whose entries are still marked dirty.
     """
 
-    def __init__(
-        self,
-        analysis: ContentionAnalysis,
-        capacity: Optional[float] = None,
-        backend: str = "simplex",
-        jobs: Optional[int] = 1,
-        admission: bool = True,
-        queue_rejected: bool = False,
-        max_queue: int = 0,
-        memo: bool = True,
-        max_cached_components: int = 65536,
-        warm: bool = True,
-    ) -> None:
+    def __init__(self, analysis: ContentionAnalysis) -> None:
         # Deferred import: repro.resilience.runtime imports this module,
         # and importing repro.resilience.admission initializes the whole
         # resilience package.
         from ..resilience.admission import AdmissionController
 
         self.analysis = analysis
-        self.capacity = (
-            capacity if capacity is not None
-            else analysis.scenario.capacity
-        )
-        self.solver = ShardedSolver(
-            backend=backend, jobs=jobs, memo=memo,
-            max_entries=max_cached_components, warm=warm,
-        )
-        self.admission = AdmissionController(
-            enabled=admission,
-            queue_rejected=queue_rejected,
-            max_queue=max_queue,
-        )
+        self.capacity = analysis.scenario.capacity
+        self.solver = ShardedSolver()
+        # A batch has no later epoch to retry in: non-admits are final.
+        self.admission = AdmissionController(queue_rejected=False)
         self.epoch = -1
         self.active: Set[str] = set()
         self.rates: Dict[str, float] = {}
@@ -568,7 +549,6 @@ class BatchAllocationEngine:
             f.flow_id: [s.sid for s in f.subflows]
             for f in analysis.scenario.flows
         }
-        self.max_cached_components = int(max_cached_components)
         self._component_cliques: "OrderedDict[Clique, List[Clique]]" = (
             OrderedDict()
         )
@@ -597,7 +577,7 @@ class BatchAllocationEngine:
         active or duplicate ids are skipped.  Decisions are logged in
         request order at the epoch :meth:`allocate` will commit next.
         """
-        from ..resilience.admission import ADMIT, REASON_OK
+        from ..resilience.admission import ADMIT
 
         epoch = self.epoch + 1
         unknown = [f for f in flow_ids if f not in self._flows]
@@ -615,12 +595,7 @@ class BatchAllocationEngine:
 
         with phase_timer("batch.register"), \
                 span("runtime.batch.register") as reg_span:
-            verdicts: Dict[str, Tuple[str, str]] = {}
-            if not self.admission.enabled:
-                for fid in candidates:
-                    verdicts[fid] = (REASON_OK, details)
-            else:
-                verdicts = self._batch_verdicts(candidates, details)
+            verdicts = self._batch_verdicts(candidates, details)
             decisions = []
             for fid in candidates:
                 reason, why = verdicts[fid]
@@ -850,7 +825,7 @@ class BatchAllocationEngine:
                 cached = maximal_cliques(graph.induced_subgraph(comp))
                 self._component_cliques[key] = cached
                 while (len(self._component_cliques)
-                       > self.max_cached_components):
+                       > _COMPONENT_CLIQUE_ENTRIES):
                     self._component_cliques.popitem(last=False)
             else:
                 incr("batch.component_hits")

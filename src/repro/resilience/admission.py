@@ -115,7 +115,6 @@ class AdmissionController:
     config.
     """
 
-    enabled: bool = True
     queue_rejected: bool = True
     max_queue: int = 32
     max_queue_age: Optional[int] = None
@@ -128,7 +127,7 @@ class AdmissionController:
     def decide(self, flow_id: str, epoch: int, reason: str,
                details: str = "") -> AdmissionDecision:
         """Record the verdict for one candidate and return the decision."""
-        if not self.enabled or reason == REASON_OK:
+        if reason == REASON_OK:
             decision = AdmissionDecision(flow_id, epoch, ADMIT,
                                          REASON_OK, details)
         elif self.queue_rejected and flow_id not in self.waiting:

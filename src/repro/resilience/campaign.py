@@ -440,7 +440,6 @@ def run_churn_case(
                              Dict[str, float]]] = None,
     crash_restore: bool = True,
     mode: Optional[str] = None,
-    sharded: bool = True,
     jobs: Optional[int] = 1,
 ) -> ChurnCase:
     """One scenario through one churn timeline, checked end to end.
@@ -463,9 +462,8 @@ def run_churn_case(
       final state payload must be *bitwise identical* to the
       uninterrupted run's.
 
-    ``sharded`` / ``jobs`` configure the runtime's component-sharded
-    centralized solver (``jobs`` sizes its process pool; results are
-    bitwise identical at any job count).
+    ``jobs`` sizes the process pool of the runtime's component-sharded
+    centralized solver (results are bitwise identical at any job count).
     """
     if mode is None:
         mode = "distributed" if (loss > 0.0 or crash_prob > 0.0) \
@@ -474,8 +472,7 @@ def run_churn_case(
     def config(checkpoint_path: Optional[str] = None) -> RuntimeConfig:
         return RuntimeConfig(
             seed=seed, mode=mode, hysteresis=hysteresis, loss=loss,
-            crash_prob=crash_prob, stream_prefix=stream_prefix,
-            sharded=sharded, jobs=jobs,
+            crash_prob=crash_prob, stream_prefix=stream_prefix, jobs=jobs,
             checkpoint_path=checkpoint_path,
         )
 
@@ -826,7 +823,6 @@ def run_overload_case(
     )
     runtime = AllocatorRuntime(scenario, config)
     if (plan is not None and plan.has_worker_faults
-            and runtime._shard is not None
             and jobs is not None and jobs > 1):
         # Arm the sharded solver's fault-tolerant path: the injected
         # crashes/hangs are worker-environment faults, so the guarded

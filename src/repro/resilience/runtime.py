@@ -31,11 +31,15 @@ index, events)``:
    active flow (candidate included) at its Sec. II-D basic share —
    which proves every existing flow keeps its floor.  Non-admits are
    queued or rejected, each with a ``reason`` in the decision log.
-5. **Solve** on the final active set — centralized phase-1 LP
-   (warm-started, memoized) or full 2PA-D through the PR-4 resilience
+5. **Solve** on the final active set — the centralized phase-1 LP
+   split per contention component by
+   :class:`~repro.perf.shard.ShardedSolver` (unchanged components served
+   from its memo; bitwise equal to the monolithic 2PA-C solve, which
+   lives on only as a test oracle), or full 2PA-D through the resilience
    stack (lossy channel, degradation ladder, LP fallback chain) with a
    per-epoch fault plan drawn from a *fresh* seeded registry, so replay
-   after restore consumes identical randomness.
+   after restore consumes identical randomness; lossless 2PA-D results
+   are memoized per active set.
 6. **Dampen.**  With ``hysteresis=h``, a flow's share moves at most a
    fraction ``h`` per epoch (no flapping), but never below
    ``min(solver share, basic floor)``; a damped allocation is re-passed
@@ -59,11 +63,9 @@ import json
 import time
 from dataclasses import dataclass, field
 from typing import (
-    Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Set,
-    Tuple, Union,
+    Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple,
 )
 
-from ..core.allocation import basic_fairness_lp_allocation
 from ..core.contention import ContentionAnalysis
 from ..core.distributed import DistributedAllocator
 from ..core.model import Flow, Network, Scenario
@@ -129,12 +131,13 @@ class RuntimeConfig:
     identical at every job count, so carrying it across restores would
     only break payload equality between differently-parallel replicas.
 
-    ``sharded`` (default on) routes the centralized solve through the
-    component-sharded :class:`~repro.perf.shard.ShardedSolver` — per-
-    component memoization replaces the all-or-nothing global memo, and
-    dirty components can solve in parallel.  Turning it off restores
-    the monolithic solve, which the differential tests use as the
-    bitwise reference.
+    There is one solve pipeline: incremental contention, the
+    component-sharded centralized solve, the active-set memo for
+    lossless 2PA-D, and per-epoch validation always run.  The monolithic
+    2PA-C solve they are bitwise equal to is a test oracle
+    (:func:`repro.verify.oracles.cold_journal_mismatches`).
+    :meth:`from_dict` ignores the keys of earlier, configurable
+    pipelines, so their checkpoints still load.
     """
 
     seed: int = 0
@@ -142,20 +145,12 @@ class RuntimeConfig:
     hysteresis: Optional[float] = None
     loss: float = 0.0
     crash_prob: float = 0.0
-    max_retries: int = 4
-    max_rounds: int = 256
     admission: bool = True
-    queue_rejected: bool = True
     max_queue: int = 32
     #: Epochs a flow may sit in the waiting queue before age-based
     #: eviction (``None`` disables it — the historical behaviour).
     max_queue_age: Optional[int] = None
-    incremental: bool = True
-    warm_lp: bool = True
-    memo: bool = True
-    sharded: bool = True
     jobs: Optional[int] = 1
-    validate: bool = True
     stream_prefix: Tuple = ("runtime",)
     checkpoint_path: Optional[str] = None
 
@@ -168,6 +163,19 @@ class RuntimeConfig:
             )
         if not 0.0 <= self.loss <= 1.0:
             raise ValueError(f"loss must be a probability, got {self.loss}")
+        if not 0.0 <= self.crash_prob <= 1.0:
+            raise ValueError(
+                f"crash_prob must be a probability, got {self.crash_prob}"
+            )
+        if self.max_queue < 0:
+            raise ValueError(
+                f"max_queue must be non-negative, got {self.max_queue}"
+            )
+        if self.max_queue_age is not None and self.max_queue_age < 0:
+            raise ValueError(
+                f"max_queue_age must be None or non-negative, got "
+                f"{self.max_queue_age}"
+            )
         object.__setattr__(
             self, "stream_prefix", tuple(self.stream_prefix)
         )
@@ -179,17 +187,9 @@ class RuntimeConfig:
             "hysteresis": self.hysteresis,
             "loss": self.loss,
             "crash_prob": self.crash_prob,
-            "max_retries": self.max_retries,
-            "max_rounds": self.max_rounds,
             "admission": self.admission,
-            "queue_rejected": self.queue_rejected,
             "max_queue": self.max_queue,
             "max_queue_age": self.max_queue_age,
-            "incremental": self.incremental,
-            "warm_lp": self.warm_lp,
-            "memo": self.memo,
-            "sharded": self.sharded,
-            "validate": self.validate,
             "stream_prefix": list(self.stream_prefix),
         }
 
@@ -206,20 +206,12 @@ class RuntimeConfig:
             hysteresis=None if hysteresis is None else float(hysteresis),
             loss=float(doc.get("loss", 0.0)),
             crash_prob=float(doc.get("crash_prob", 0.0)),
-            max_retries=int(doc.get("max_retries", 4)),
-            max_rounds=int(doc.get("max_rounds", 256)),
             admission=bool(doc.get("admission", True)),
-            queue_rejected=bool(doc.get("queue_rejected", True)),
             max_queue=int(doc.get("max_queue", 32)),
             max_queue_age=(
                 None if doc.get("max_queue_age") is None
                 else int(doc["max_queue_age"])
             ),
-            incremental=bool(doc.get("incremental", True)),
-            warm_lp=bool(doc.get("warm_lp", True)),
-            memo=bool(doc.get("memo", True)),
-            sharded=bool(doc.get("sharded", True)),
-            validate=bool(doc.get("validate", True)),
             stream_prefix=tuple(doc.get("stream_prefix", ("runtime",))),
             checkpoint_path=checkpoint_path,
         )
@@ -308,7 +300,6 @@ class _TopologyState:
         base: Scenario,
         down_links: Iterable[Tuple[str, str]],
         down_nodes: Iterable[str],
-        incremental: bool,
     ) -> None:
         self.down_links = frozenset(_link_key(a, b) for a, b in down_links)
         self.down_nodes = frozenset(down_nodes)
@@ -363,9 +354,7 @@ class _TopologyState:
             )
         self.base_order = [f.flow_id for f in base.flows
                            if f.flow_id in self.routed]
-        self.contention = (
-            IncrementalContention(self.scenario) if incremental else None
-        )
+        self.contention = IncrementalContention(self.scenario)
 
     def ordered(self, flow_ids: Iterable[str]) -> List[str]:
         wanted = set(flow_ids)
@@ -374,15 +363,7 @@ class _TopologyState:
     def analysis_of(
         self, flow_ids: Sequence[str], name: str
     ) -> ContentionAnalysis:
-        if self.contention is not None:
-            return self.contention.analysis_for(flow_ids, name=name)
-        wanted = set(flow_ids)
-        flows = [self.routed[fid] for fid in self.base_order
-                 if fid in wanted]
-        return ContentionAnalysis(Scenario(
-            self.network, flows, name=name,
-            capacity=self.scenario.capacity,
-        ))
+        return self.contention.analysis_for(flow_ids, name=name)
 
 
 class AllocatorRuntime:
@@ -421,27 +402,18 @@ class AllocatorRuntime:
         self.last_convergence: Dict[str, object] = {}
         self.admitted_epoch: Dict[str, int] = {}
         self.admission = AdmissionController(
-            enabled=True,
-            queue_rejected=self.config.queue_rejected,
             max_queue=self.config.max_queue,
             max_queue_age=self.config.max_queue_age,
         )
-        self._warm = WarmLPCache() if self.config.warm_lp else None
-        self._memo: Optional[Dict[Tuple[str, frozenset], Dict]] = (
-            {} if self.config.memo else None
-        )
-        #: Component-sharded centralized solver (the pluggable backend
-        #: seam).  Its per-component memo replaces the global ``_memo``
-        #: on the centralized path; warm-basis reuse is skipped because
-        #: warm and cold solves are proven bitwise identical.
+        #: Warm LP bases for the 2PA-D resilient backend.
+        self._warm = WarmLPCache()
+        #: Lossless 2PA-D shares per ``(topology, active set)``.
+        self._memo: Dict[Tuple[str, frozenset], Dict] = {}
+        #: Component-sharded centralized solver; its per-component memo
+        #: serves unchanged components across epochs.
         self._shard: Optional[ShardedSolver] = (
-            ShardedSolver(
-                backend="simplex",
-                jobs=self.config.jobs,
-                memo=self.config.memo,
-            )
-            if self.config.sharded and self.config.mode == "centralized"
-            else None
+            ShardedSolver(backend="simplex", jobs=self.config.jobs)
+            if self.config.mode == "centralized" else None
         )
         self._topo: Dict[Tuple[frozenset, frozenset], _TopologyState] = {}
         #: Per-topology clique-cache dumps carried across restore for
@@ -483,11 +455,9 @@ class AllocatorRuntime:
         topo = self._topo.get(key)
         if topo is None:
             with phase_timer("runtime.topology.build"):
-                topo = _TopologyState(
-                    self.scenario, key[0], key[1], self.config.incremental
-                )
+                topo = _TopologyState(self.scenario, key[0], key[1])
             seed = self._clique_store.get(topo.key_str)
-            if seed and topo.contention is not None:
+            if seed:
                 topo.contention.seed_component_cliques(seed)
             self._topo[key] = topo
             incr("runtime.topology.builds")
@@ -797,8 +767,8 @@ class AllocatorRuntime:
         self, epoch: int, topo: _TopologyState, active: Set[str],
         clamp_basic: bool = False,
     ):
-        # Phase 5 — SOLVE: memo hit, centralized warm/cold LP, or full
-        # 2PA-D, tagged with the path taken.
+        # Phase 5 — SOLVE: sharded centralized LP, 2PA-D memo hit, or
+        # full 2PA-D, tagged with the path taken.
         with phase_timer("runtime.phase.solve"), \
                 span("runtime.phase.solve") as solve_span:
             self._tick("solve")
@@ -812,9 +782,6 @@ class AllocatorRuntime:
             )
             lossless = (self.config.loss == 0.0
                         and self.config.crash_prob == 0.0)
-            memo_ok = self._memo is not None and (
-                self.config.mode == "centralized" or lossless
-            )
             memo_key = (topo.key_str, frozenset(ids))
             convergence: Dict[str, object] = {}
 
@@ -831,9 +798,9 @@ class AllocatorRuntime:
                 status = "overload-clamp"
                 incr("runtime.epoch.overload_clamps")
                 solve_span.tag(path="overload-clamp")
-            elif self._shard is not None and self.config.mode == "centralized":
-                # Component-sharded path: the per-component memo keyed
-                # by structural fingerprint subsumes the global memo
+            elif self._shard is not None:
+                # Component-sharded 2PA-C: the per-component memo keyed
+                # by structural fingerprint serves unchanged components
                 # (an unchanged epoch is all reuse, no dirty solves).
                 with phase_timer("runtime.alloc.solve"):
                     raw = self._shard.solve(analysis)
@@ -849,27 +816,12 @@ class AllocatorRuntime:
                     dirty=int(stats.get("dirty", 0)),
                     reused=int(stats.get("reused", 0)),
                 )
-            elif memo_ok and memo_key in self._memo:
+            elif lossless and memo_key in self._memo:
                 entry = self._memo[memo_key]
                 raw = dict(entry["shares"])
                 status = str(entry["status"])
                 incr("runtime.alloc.memo_hits")
                 solve_span.tag(path="memo")
-            elif self.config.mode == "centralized":
-                backend = (self._warm.solver if self._warm is not None
-                           else "simplex")
-                with phase_timer("runtime.alloc.solve"):
-                    raw = dict(basic_fairness_lp_allocation(
-                        analysis, backend=backend
-                    ).shares)
-                status = "converged"
-                if memo_ok:
-                    self._memo[memo_key] = {"shares": dict(raw),
-                                            "status": status}
-                solve_span.tag(
-                    path="centralized",
-                    warm=self._warm is not None,
-                )
             else:
                 # Distributed 2PA-D through the PR-4 resilience stack.  A
                 # fresh registry per epoch keyed only by (seed, prefix,
@@ -890,11 +842,7 @@ class AllocatorRuntime:
                 injector = FaultInjector(
                     plan, registry, prefix=prefix + ("channel",)
                 )
-                channel = UnreliableChannel(
-                    injector,
-                    max_retries=self.config.max_retries,
-                    max_rounds=self.config.max_rounds,
-                )
+                channel = UnreliableChannel(injector)
                 backend = ResilientLPBackend(cache=self._warm)
                 with phase_timer("runtime.alloc.solve"):
                     allocator = DistributedAllocator(
@@ -917,7 +865,7 @@ class AllocatorRuntime:
                         if not info.get("confirmed")
                     ),
                 }
-                if memo_ok:
+                if lossless:
                     self._memo[memo_key] = {"shares": dict(raw),
                                             "status": status}
                 solve_span.tag(path="distributed")
@@ -959,26 +907,22 @@ class AllocatorRuntime:
         with phase_timer("runtime.phase.validate"), \
                 span("runtime.phase.validate") as validate_span:
             self._tick("validate")
-            checks: List[List] = []
             fallback = False
-            if self.config.validate:
+            cap = check_clique_capacity(analysis, shares, tol=_VALIDATE_TOL)
+            floor = check_basic_fairness(analysis, shares)
+            if not (cap.ok and floor.ok):
+                fallback = True
+                incr("runtime.epoch.fallback_basic")
+                shares = dict(floors)
+                status = "fallback-basic"
                 cap = check_clique_capacity(analysis, shares,
                                             tol=_VALIDATE_TOL)
                 floor = check_basic_fairness(analysis, shares)
-                if not (cap.ok and floor.ok):
-                    fallback = True
-                    incr("runtime.epoch.fallback_basic")
-                    shares = dict(floors)
-                    status = "fallback-basic"
-                    cap = check_clique_capacity(analysis, shares,
-                                                tol=_VALIDATE_TOL)
-                    floor = check_basic_fairness(analysis, shares)
-                checks = [
-                    ["epoch.clique_capacity", cap.ok, cap.details],
-                    ["epoch.basic_floor", floor.ok, floor.details],
-                ]
-            validate_span.tag(fallback_basic=fallback,
-                              checked=bool(checks))
+            checks = [
+                ["epoch.clique_capacity", cap.ok, cap.details],
+                ["epoch.basic_floor", floor.ok, floor.details],
+            ]
+            validate_span.tag(fallback_basic=fallback, checked=True)
         return shares, status, checks, convergence, damped, fallback
 
     # -- committing -----------------------------------------------------
@@ -1064,20 +1008,15 @@ class AllocatorRuntime:
         """
         cliques = dict(self._clique_store)
         for topo in self._topo.values():
-            if topo.contention is not None:
-                cliques[topo.key_str] = (
-                    topo.contention.export_component_cliques()
-                )
-        memo = None
-        if self._memo is not None:
-            memo = [
-                {
-                    "key": [tk, sorted(ids)],
-                    "shares": dict(entry["shares"]),
-                    "status": entry["status"],
-                }
-                for (tk, ids), entry in self._memo.items()
-            ]
+            cliques[topo.key_str] = topo.contention.export_component_cliques()
+        memo = [
+            {
+                "key": [tk, sorted(ids)],
+                "shares": dict(entry["shares"]),
+                "status": entry["status"],
+            }
+            for (tk, ids), entry in self._memo.items()
+        ]
         return {
             "scenario": scenario_to_dict(self.scenario),
             "config": self.config.to_dict(),
@@ -1092,8 +1031,7 @@ class AllocatorRuntime:
             "admission": self.admission.snapshot(),
             "last_convergence": dict(self.last_convergence),
             "caches": {
-                "warm": (self._warm.dump_state()
-                         if self._warm is not None else None),
+                "warm": self._warm.dump_state(),
                 "memo": memo,
                 "shard": (self._shard.dump_state()
                           if self._shard is not None else None),
@@ -1102,12 +1040,10 @@ class AllocatorRuntime:
             "contention_edges": self._current_edges(),
         }
 
-    def _current_edges(self) -> Optional[List[List[str]]]:
+    def _current_edges(self) -> List[List[str]]:
         """Contention edges of the current topology's routable flows —
         a cheap structural fingerprint verified on restore."""
         topo = self._topology(self.down_links, self.down_nodes)
-        if topo.contention is None:
-            return None
         return sorted(
             sorted([str(u), str(v)])
             for u, v in topo.contention.full_graph.edges()
@@ -1162,7 +1098,7 @@ class AllocatorRuntime:
         rt.admission.restore(payload.get("admission", {}))
         rt.last_convergence = dict(payload.get("last_convergence", {}))
         caches = payload.get("caches", {})
-        if rt._warm is not None and caches.get("warm"):
+        if caches.get("warm"):
             rt._warm.load_state(caches["warm"])
         if rt._shard is not None and caches.get("shard"):
             rt._shard.load_state(caches["shard"])
@@ -1170,14 +1106,13 @@ class AllocatorRuntime:
             str(k): list(v)
             for k, v in (caches.get("cliques") or {}).items()
         }
-        if rt._memo is not None:
-            for entry in caches.get("memo") or []:
-                tk, ids = entry["key"]
-                rt._memo[(str(tk), frozenset(str(f) for f in ids))] = {
-                    "shares": {str(k): float(v)
-                               for k, v in entry["shares"].items()},
-                    "status": str(entry["status"]),
-                }
+        for entry in caches.get("memo") or []:
+            tk, ids = entry["key"]
+            rt._memo[(str(tk), frozenset(str(f) for f in ids))] = {
+                "shares": {str(k): float(v)
+                           for k, v in entry["shares"].items()},
+                "status": str(entry["status"]),
+            }
         expected = payload.get("contention_edges")
         if expected is not None:
             actual = rt._current_edges()

@@ -8,7 +8,8 @@ and the 2PA-D gossip protocol.  This package validates all three on
 * :mod:`~repro.verify.exact_lp` — an exact-arithmetic
   (``fractions.Fraction``) reference simplex, the ground truth for LPs;
 * :mod:`~repro.verify.oracles` — differential oracles (brute-force
-  cliques vs Bron–Kerbosch, float vs exact LP, 2PA-D vs 2PA-C);
+  cliques vs Bron–Kerbosch, float vs exact LP, 2PA-D vs 2PA-C, the
+  runtime journal vs a cold monolithic 2PA-C solve);
 * :mod:`~repro.verify.invariants` — checkers for the paper's Sec. II–III
   properties (clique capacity, basic fairness, the fairness constraint,
   the Prop. 1 bound, virtual-length consistency);
@@ -34,6 +35,7 @@ from .oracles import (
     brute_force_maximal_cliques,
     check_2pad_against_centralized,
     cliques_agree,
+    cold_journal_mismatches,
     lp_objective_matches,
 )
 from .fuzzer import (
@@ -63,6 +65,7 @@ __all__ = [
     "cliques_agree",
     "lp_objective_matches",
     "check_2pad_against_centralized",
+    "cold_journal_mismatches",
     "CheckOutcome",
     "FuzzFailure",
     "FuzzReport",

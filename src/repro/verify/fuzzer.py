@@ -49,6 +49,7 @@ from .oracles import (
     BruteForceLimit,
     check_2pad_against_centralized,
     cliques_agree,
+    cold_journal_mismatches,
     lp_objective_matches,
 )
 
@@ -132,10 +133,10 @@ class VerificationSuite:
         self.churn = churn
         #: Also run the component-sharded differential axis — the
         #: :class:`~repro.perf.shard.ShardedSolver` at jobs=1 and jobs>1
-        #: against the monolithic LP, plus sharded-vs-monolithic
-        #: :class:`AllocatorRuntime` journals in centralized and
-        #: distributed-lossy modes — ``repro verify --sharded``.  Every
-        #: comparison is bitwise (``==`` on floats): sharding is exact.
+        #: against the monolithic LP, plus an :class:`AllocatorRuntime`
+        #: journal against a cold monolithic solve of every epoch —
+        #: ``repro verify --sharded``.  Every comparison is bitwise
+        #: (``==`` on floats): sharding is exact.
         self.sharded = sharded
         #: Also run each case through the overload-protected runtime
         #: under an open-loop heavy-traffic arrival trace with forced
@@ -249,11 +250,9 @@ class VerificationSuite:
         injected fault) is the bitwise reference: flows in different
         components share no clique, so the sharded solve is exact and
         every comparison here is plain ``==`` on floats, no tolerance.
-        The two runtime checks replay a short arrival/departure
-        timeline twice — ``sharded=True`` vs ``sharded=False`` — and
-        compare the committed journals, in centralized mode and in
-        distributed mode with 20% loss (where the shard seam must be
-        inert).
+        The runtime check replays a short arrival/departure timeline
+        and compares every committed epoch with a cold monolithic solve
+        of its active flows.
         """
         from ..perf.shard import ShardedSolver
 
@@ -277,48 +276,27 @@ class VerificationSuite:
                     details = f"{type(exc).__name__}: {exc}"
                 out.append(CheckOutcome(name, PASS if ok else FAIL,
                                         details))
-            out.append(self._sharded_runtime_check(
-                "sharded.runtime_centralized", scenario,
-                mode="centralized", loss=0.0,
-            ))
-            out.append(self._sharded_runtime_check(
-                "sharded.runtime_distributed", scenario,
-                mode="distributed", loss=0.2,
-            ))
+            out.append(self._sharded_runtime_check(scenario))
         return out
 
-    def _sharded_runtime_check(
-        self,
-        name: str,
-        scenario: Scenario,
-        mode: str,
-        loss: float,
-    ) -> CheckOutcome:
-        """One sharded-vs-monolithic runtime journal differential."""
-        from ..resilience.runtime import AllocatorRuntime, RuntimeConfig
+    def _sharded_runtime_check(self, scenario: Scenario) -> CheckOutcome:
+        """The runtime journal against a cold monolithic solve per epoch."""
+        from ..resilience.runtime import AllocatorRuntime
 
-        def journal(sharded: bool):
-            rt = AllocatorRuntime(scenario, RuntimeConfig(
-                mode=mode, loss=loss, sharded=sharded,
-            ))
+        try:
+            rt = AllocatorRuntime(scenario)
             ids = [f.flow_id for f in scenario.flows]
             rt.set_active(ids)        # everything arrives
             rt.set_active(ids[1:])    # one departure dirties a component
             rt.set_active(ids)        # re-arrival: memo must still agree
-            return [
-                (r.epoch, r.status, tuple(r.active), r.shares)
-                for r in rt.journal
-            ]
-
-        try:
-            sharded_j, mono_j = journal(True), journal(False)
-            ok = sharded_j == mono_j
-            details = ("" if ok
-                       else "sharded runtime journal != monolithic")
+            mismatches = cold_journal_mismatches(scenario, rt.journal)
+            ok = not mismatches
+            details = "; ".join(mismatches)[:400]
         except Exception as exc:
             ok = False
             details = f"{type(exc).__name__}: {exc}"
-        return CheckOutcome(name, PASS if ok else FAIL, details)
+        return CheckOutcome("sharded.runtime_centralized",
+                            PASS if ok else FAIL, details)
 
     # ------------------------------------------------------------------
     def run_lp_checks(self, scenario: Scenario) -> List[CheckOutcome]:
@@ -980,10 +958,10 @@ def run_fuzz(
 
     ``sharded=True`` additionally runs the component-sharded
     differential axis per case — :class:`~repro.perf.shard.ShardedSolver`
-    at jobs=1 and jobs=2 against the monolithic LP allocation, and
-    sharded-vs-monolithic runtime journals in centralized and
-    distributed-lossy modes — asserting bitwise identity throughout
-    (``sharded.*`` checks).
+    at jobs=1 and jobs=2 against the monolithic LP allocation, and a
+    centralized runtime journal against a cold monolithic solve of each
+    epoch — asserting bitwise identity throughout (``sharded.*``
+    checks).
 
     ``overload=True`` additionally drives every case through the
     overload-protected runtime under an open-loop arrival trace from

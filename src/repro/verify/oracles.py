@@ -1,7 +1,6 @@
 """Differential oracles: independent implementations to check the stack.
 
-Three oracles, one per from-scratch algorithm the reproduction's claims
-rest on:
+One oracle per from-scratch algorithm the reproduction's claims rest on:
 
 * **Cliques** — :func:`brute_force_maximal_cliques` enumerates every
   clique by canonical extension and keeps the maximal ones; agreement with
@@ -15,14 +14,21 @@ rest on:
   up holding *every* global clique constraint involving its flow, and —
   whenever each source's local view covers its whole contending group —
   demands bit-for-bit (1e-6) agreement with the centralized solution.
+* **Runtime vs cold 2PA-C** — :func:`cold_journal_mismatches` re-solves
+  every committed epoch of an :class:`~repro.resilience.runtime.AllocatorRuntime`
+  journal monolithically from a cold contention analysis; the runtime's
+  incremental, component-sharded, memoized pipeline must match it
+  bitwise.
 """
 
 from __future__ import annotations
 
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set
 
+from ..core.allocation import basic_fairness_lp_allocation
 from ..core.contention import ContentionAnalysis
 from ..core.distributed import DistributedAllocator
+from ..core.model import Scenario
 from ..graphs import Graph, maximal_cliques
 from ..graphs.cliques import clique_vertex_order, sort_cliques
 from ..graphs.graph import Vertex
@@ -36,6 +42,7 @@ __all__ = [
     "cliques_agree",
     "lp_objective_matches",
     "check_2pad_against_centralized",
+    "cold_journal_mismatches",
 ]
 
 #: Vertex count beyond which the exhaustive clique enumeration is skipped
@@ -328,3 +335,42 @@ def check_2pad_against_centralized(
         and report["conditional_equivalence"]
     )
     return report
+
+
+# ----------------------------------------------------------------------
+# Runtime vs cold 2PA-C oracle
+# ----------------------------------------------------------------------
+
+def cold_journal_mismatches(
+    scenario: Scenario, journal: Sequence
+) -> List[str]:
+    """Epochs of a runtime journal whose shares differ from a cold solve.
+
+    Each record (anything with ``epoch``, ``active`` and ``shares``, e.g.
+    an :class:`~repro.resilience.runtime.EpochRecord`) is re-solved with
+    the monolithic :func:`basic_fairness_lp_allocation` over a cold
+    :class:`ContentionAnalysis` of its active flows in ``scenario``
+    order, and compared with ``==`` — no tolerance.  The reference knows
+    no outages, damping or 2PA-D, so it applies to centralized journals
+    on the intact topology without hysteresis.  Returns one line per
+    mismatching epoch (empty: the journal agrees).
+    """
+    out: List[str] = []
+    for record in journal:
+        active = set(record.active)
+        flows = [f for f in scenario.flows if f.flow_id in active]
+        expected: Dict[str, float] = {}
+        if flows:
+            expected = dict(basic_fairness_lp_allocation(ContentionAnalysis(
+                Scenario(scenario.network, flows,
+                         name=f"{scenario.name}-cold",
+                         capacity=scenario.capacity)
+            )).shares)
+        if dict(record.shares) != expected:
+            diffs = [
+                f"{fid}: {record.shares.get(fid)!r} != {expected.get(fid)!r}"
+                for fid in sorted(set(record.shares) | set(expected))
+                if record.shares.get(fid) != expected.get(fid)
+            ]
+            out.append(f"epoch {record.epoch}: " + "; ".join(diffs))
+    return out

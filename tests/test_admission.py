@@ -94,11 +94,6 @@ class TestAdmissionController:
         assert decision.reason == REASON_FLOOR
         assert not controller.waiting
 
-    def test_disabled_controller_admits_everything(self):
-        controller = AdmissionController(enabled=False)
-        decision = controller.decide("f1", 0, REASON_FLOOR)
-        assert decision.action == ADMIT
-
     def test_readmit_clears_queue_and_logs_admit(self):
         controller = AdmissionController()
         controller.decide("f1", 0, REASON_FLOOR)

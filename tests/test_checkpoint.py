@@ -235,20 +235,55 @@ class TestCrashRestoreDifferential:
         assert restored._shard.dump_state() == runtime._shard.dump_state()
         assert _canonical(restored) == _canonical(runtime)
 
-    def test_monolithic_runtime_checkpoints_without_shard_cache(
-        self, tmp_path
-    ):
-        path = str(tmp_path / "mono.ckpt.json")
-        runtime = AllocatorRuntime(
-            fig1.make_scenario(),
-            RuntimeConfig(sharded=False, checkpoint_path=path),
+    def test_checkpoint_with_retired_keys_restores(self, tmp_path):
+        """Checkpoints written when the runtime still had configurable
+        solve modes carry their keys and no shard memo; they restore,
+        ignore both, and replay to the uninterrupted run's state."""
+        scenario = fig6.make_scenario()
+        timeline = _drawn_timeline(scenario, "legacy")
+        baseline = AllocatorRuntime(scenario, RuntimeConfig(seed=3))
+        baseline.run_timeline(timeline)
+
+        path = str(tmp_path / "fig6.ckpt.json")
+        victim = AllocatorRuntime(
+            scenario, RuntimeConfig(seed=3, checkpoint_path=path)
         )
-        runtime.set_active(["1", "2"])
-        assert runtime.state_payload()["caches"]["shard"] is None
-        restored = AllocatorRuntime.restore(path)
-        assert restored._shard is None
-        assert restored.config.sharded is False
-        assert _canonical(restored) == _canonical(runtime)
+        crash_at = timeline.epochs // 2
+
+        def hook(where, epoch):
+            if where == "staged" and epoch == crash_at:
+                raise _SimulatedCrash(f"{where}@{epoch}")
+
+        victim.crash_hook = hook
+        with pytest.raises(_SimulatedCrash):
+            victim.run_timeline(timeline)
+
+        payload = load_checkpoint(path)
+        payload["config"].update(
+            sharded=False, incremental=False, warm_lp=False, memo=False,
+            validate=False, queue_rejected=False, max_retries=9,
+            max_rounds=17,
+        )
+        payload["caches"]["shard"] = None
+        legacy = str(tmp_path / "legacy.ckpt.json")
+        save_checkpoint(payload, legacy)
+
+        restored = AllocatorRuntime.restore(legacy, scenario=scenario)
+        assert restored.epoch == crash_at - 1
+        assert restored.config == RuntimeConfig(
+            seed=3, checkpoint_path=legacy
+        )
+        restored.run_timeline(timeline)
+
+        def state(runtime):
+            # The legacy checkpoint held no shard memo, so the restored
+            # memo knows only the replayed components; it is the one
+            # value-neutral difference.
+            doc = runtime.state_payload()
+            doc["caches"].pop("shard")
+            return json.dumps(doc, sort_keys=True)
+
+        assert state(restored) == state(baseline)
 
     def test_restored_runtime_keeps_checkpointing_in_place(self, tmp_path):
         """A restored runtime inherits the checkpoint location it was

@@ -316,3 +316,30 @@ class TestChurnCampaign:
         assert doc["cases"] == 2
         assert set(doc["checks"]) == set(report.checks)
         assert doc["epochs_run"] == report.epochs_run
+
+
+class TestRuntimeConfig:
+    @pytest.mark.parametrize("field,value", [
+        ("mode", "monolithic"),
+        ("hysteresis", 0.0),
+        ("loss", 1.5),
+        ("loss", -0.1),
+        ("crash_prob", 1.5),
+        ("crash_prob", -0.1),
+        ("max_queue", -1),
+        ("max_queue_age", -1),
+    ])
+    def test_out_of_range_values_are_rejected(self, field, value):
+        """Rejected at construction, so a checkpoint loaded through
+        ``from_dict`` is validated too."""
+        with pytest.raises(ValueError, match=field):
+            RuntimeConfig(**{field: value})
+        doc = RuntimeConfig().to_dict()
+        doc[field] = value
+        with pytest.raises(ValueError, match=field):
+            RuntimeConfig.from_dict(doc)
+
+    def test_range_edges_are_accepted(self):
+        config = RuntimeConfig(loss=1.0, crash_prob=1.0, max_queue=0,
+                               max_queue_age=0)
+        assert RuntimeConfig.from_dict(config.to_dict()) == config
