@@ -6,8 +6,9 @@ restricted pivot sweeps, probe skipping); against the actual pre-perf
 commit the same timelines measure several times higher again.
 
 The dynamic experiment re-runs phase 1 at every flow arrival/departure.
-This file quantifies the three layers that make that cheap — incremental
-contention maintenance (:class:`repro.perf.incremental.IncrementalContention`),
+This file quantifies the three layers that make that cheap — contention
+analysis restricted from a once-analyzed universe
+(:class:`repro.perf.incremental.IncrementalContention`),
 warm-started LP re-solves (:class:`repro.perf.warm.WarmLPCache`), and
 active-set memoization — against the cold path (full contention rebuild
 with the set-based clique kernel plus cold simplex solves at every
@@ -87,11 +88,7 @@ def test_bench_incremental_analysis(benchmark, nodes, flows):
     ids = list(scenario.flow_ids)
 
     def reanalyze():
-        inc.set_active(ids[:-1])
-        a = inc.analysis()
-        inc.set_active(ids)
-        b = inc.analysis()
-        return a, b
+        return inc.analysis_for(ids[:-1]), inc.analysis_for(ids)
 
     a, b = benchmark(reanalyze)
     assert a.graph.num_vertices() < b.graph.num_vertices()

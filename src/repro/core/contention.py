@@ -6,13 +6,19 @@ destination of the other.  *Contending flows*: two multi-hop flows contend
 if any of their subflows contend; the transitive closure of that relation
 partitions the network's flows into disjoint *contending flow groups*,
 which are the units the allocation algorithms operate on.
+
+A long-lived allocator analyzes its *universe* — every flow that can be
+active — once, and derives each active subset's analysis from it with
+:func:`restricted_analysis`, never enumerating cliques again.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from ..graphs import Graph, connected_components, maximal_cliques
+from ..graphs.cliques import clique_vertex_order, restrict_cliques, sort_cliques
 from ..obs.registry import incr, phase_timer
 from .model import Flow, Network, Scenario, Subflow, SubflowId
 
@@ -153,11 +159,11 @@ class ContentionAnalysis:
     phase-1 LPs need.
 
     ``graph`` and ``cliques`` may be supplied precomputed (e.g. by
-    :class:`repro.perf.incremental.IncrementalContention`, which maintains
-    both across flow churn); when given they must describe exactly the
-    scenario's flows — the constructor then skips the corresponding
-    rebuild phases.  ``components`` (the connected components of the
-    given ``graph``) likewise spares the flow grouping its own pass.
+    :func:`restricted_analysis`, which derives both from a universe
+    analysis); when given they must describe exactly the scenario's
+    flows — the constructor then skips the corresponding rebuild phases.
+    ``components`` (the connected components of the given ``graph``)
+    likewise spares the flow grouping its own pass.
     """
 
     def __init__(
@@ -221,3 +227,57 @@ class ContentionAnalysis:
 
     def subflow_ids(self) -> List[SubflowId]:
         return [s.sid for s in self.scenario.all_subflows()]
+
+    # -- universe indexes, built on first use --------------------------
+    @cached_property
+    def vertex_position(self) -> Dict[SubflowId, int]:
+        """Each subflow vertex's position in graph insertion order."""
+        return {v: i for i, v in enumerate(self.graph)}
+
+    @cached_property
+    def flow_vertices(self) -> Dict[str, List[SubflowId]]:
+        """Each flow's subflow vertices, in graph insertion order."""
+        out: Dict[str, List[SubflowId]] = {}
+        for v in self.graph:
+            out.setdefault(v.flow, []).append(v)
+        return out
+
+    @cached_property
+    def _flow_cliques(self) -> Dict[str, Set[int]]:
+        out: Dict[str, Set[int]] = {}
+        for k, clique in enumerate(self.cliques):
+            for sid in clique:
+                out.setdefault(sid.flow, set()).add(k)
+        return out
+
+    def cliques_touching(self, flow_ids: Sequence[str]) -> List[FrozenSet]:
+        """The cliques holding a subflow of any of ``flow_ids``."""
+        ks = set().union(*(self._flow_cliques.get(f, ()) for f in flow_ids))
+        return [self.cliques[k] for k in sorted(ks)]
+
+
+def restricted_analysis(
+    universe: ContentionAnalysis, flows: Sequence[Flow], name: str
+) -> ContentionAnalysis:
+    """Analysis of ``flows``, a subset of ``universe``'s, without a
+    clique enumeration: bit-identical to a cold ``ContentionAnalysis``
+    of the sub-scenario when ``flows`` come in universe order.
+
+    The induced subgraph keeps the universe's vertex order, one
+    connected-components pass serves the flow grouping, and the
+    restricted universe cliques are put in canonical order.
+    """
+    keep = sorted(
+        (v for f in flows for v in universe.flow_vertices[f.flow_id]),
+        key=universe.vertex_position.__getitem__,
+    )
+    graph = universe.graph.induced_subgraph(keep)
+    rank = {v: i for i, v in enumerate(clique_vertex_order(graph))}
+    touched = universe.cliques_touching([f.flow_id for f in flows])
+    sub = Scenario(universe.scenario.network, list(flows), name=name,
+                   capacity=universe.scenario.capacity)
+    return ContentionAnalysis(
+        sub, graph=graph,
+        cliques=sort_cliques(restrict_cliques(touched, keep), rank),
+        components=connected_components(graph),
+    )

@@ -16,8 +16,8 @@ losing queued packets.
 Re-allocation is delegated to the long-lived
 :class:`~repro.resilience.runtime.AllocatorRuntime`: each membership
 change becomes one epoch (diffed into flow-up/flow-down events by
-:meth:`AllocatorRuntime.set_active`), solved on incremental contention
-by the component-sharded LP with per-epoch Eq. (6)/basic-floor
+:meth:`AllocatorRuntime.set_active`), solved on universe-restricted
+contention by the component-sharded LP with per-epoch Eq. (6)/basic-floor
 validation.  Allocations are bit-identical to a cold phase-1 solve of
 each epoch's active flows (asserted in ``tests/test_perf_incremental.py``).
 """

@@ -8,9 +8,9 @@ plain implementation it replaces:
 * :func:`~repro.perf.cliques.maximal_cliques_bitset` — bitset
   Bron–Kerbosch, dispatched automatically by
   :func:`repro.graphs.maximal_cliques`.
-* :class:`~repro.perf.incremental.IncrementalContention` — flow
-  arrival/departure updates to a contention analysis without a full
-  rebuild (per-component clique caching).
+* :class:`~repro.perf.incremental.IncrementalContention` — analyses
+  of changing active sets without a rebuild: the universe's cliques,
+  enumerated once, restricted to each active set.
 * :class:`~repro.perf.warm.WarmLPCache` — basis reuse across the
   structurally-identical LP re-solves of the dynamic experiment.
 * :class:`~repro.perf.cache.AnalysisCache` — content-hash-keyed,

@@ -1,233 +1,63 @@
-"""Incremental contention maintenance across flow arrivals and departures.
+"""Contention analysis of changing active sets over one fixed topology.
 
-The dynamic experiment rebuilds the subflow contention graph and
-re-enumerates its maximal cliques from scratch at every membership
-change, even though one flow joining or leaving touches only its own
-subflows' edges and the cliques of the connected components it belongs
-to.  :class:`IncrementalContention` exploits both facts:
-
-* pairwise contention between two subflows does not depend on which
-  *other* flows are active, so the full pairwise graph over every flow
-  ever seen is computed once and active-set changes reduce to taking an
-  induced subgraph — no geometry re-checks;
-* the maximal cliques of a graph are exactly the union of the maximal
-  cliques of its connected components, so clique enumeration is cached
-  per component (keyed by the component's vertex set) and only
-  components whose membership actually changed are re-enumerated.
+The runtime re-analyzes its active flows every epoch, but pairwise
+contention between two subflows does not depend on which *other* flows
+are active, and every maximal clique of an active set's contention
+graph is the restriction of some maximal clique of the universe's.
+:class:`IncrementalContention` therefore analyzes the universe — every
+flow of the scenario — once, Bron–Kerbosch included, and derives each
+active set's analysis from it with
+:func:`~repro.core.contention.restricted_analysis`: no geometry
+re-checks and no clique enumeration after construction.
 
 The produced :class:`~repro.core.contention.ContentionAnalysis` is
 bit-identical to a cold rebuild: the induced subgraph preserves the
 cold build's vertex insertion order (scenario flow order filtered to
-the active set), and the merged clique list is re-sorted with the same
+the active set), and the restricted cliques are sorted with the same
 canonical key :func:`repro.graphs.cliques.sort_cliques` uses.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Union
+from typing import Iterable, Optional
 
-from ..core.contention import ContentionAnalysis, subflows_contend
-from ..core.model import Flow, Scenario, SubflowId
-from ..graphs import Graph, connected_components
-from ..graphs.cliques import clique_vertex_order, maximal_cliques, sort_cliques
+from ..core.contention import ContentionAnalysis, restricted_analysis
+from ..core.model import Scenario
+from ..graphs import Graph
 from ..obs.registry import incr, phase_timer
 
 __all__ = ["IncrementalContention"]
 
-Clique = FrozenSet[SubflowId]
-
 
 class IncrementalContention:
-    """Maintain contention structure for a scenario under flow churn.
+    """Analyses of any subset of ``scenario``'s flows.
 
-    ``scenario`` fixes the network and the initially known flows; the
-    *active* subset then evolves via :meth:`add_flow` /
-    :meth:`remove_flow` / :meth:`set_active`, and :meth:`analysis`
-    produces a :class:`ContentionAnalysis` of the active flows that is
-    bit-identical to building one cold from the equivalent
-    sub-scenario.  Flows unknown to the base scenario may be introduced
-    by passing a :class:`Flow` to :meth:`add_flow`; their pairwise
-    contention is computed once on first sight and cached like
-    everything else.
+    :attr:`universe` is the cold analysis of the whole scenario; each
+    :meth:`analysis_for` call restricts it to the requested flows.
     """
 
-    def __init__(
-        self,
-        scenario: Scenario,
-        active: Optional[Iterable[str]] = None,
-        max_cached_components: int = 1024,
-    ) -> None:
+    def __init__(self, scenario: Scenario) -> None:
         self.scenario = scenario
-        self.max_cached_components = int(max_cached_components)
-        self._flows: "Dict[str, Flow]" = {
-            f.flow_id: f for f in scenario.flows
-        }
-        self._subflow_of: Dict[SubflowId, object] = {}
-        with phase_timer("perf.incremental.full_graph_build"):
-            self._full = self._build_full_graph(scenario.flows)
-        self._active: Set[str] = (
-            set(scenario.flow_ids) if active is None else set(active)
-        )
-        unknown = self._active - set(self._flows)
-        if unknown:
-            raise KeyError(f"unknown active flows {sorted(unknown)}")
-        self._component_cliques: "OrderedDict[FrozenSet[SubflowId], List[Clique]]" = (
-            OrderedDict()
-        )
-
-    # ------------------------------------------------------------------
-    # Churn
-    # ------------------------------------------------------------------
-    @property
-    def active_ids(self) -> List[str]:
-        """Active flow ids, in known-flow (scenario) order."""
-        return [fid for fid in self._flows if fid in self._active]
-
-    def add_flow(self, flow: Union[str, Flow]) -> None:
-        """Activate a flow; a new :class:`Flow` is registered on the fly."""
-        if isinstance(flow, Flow):
-            if flow.flow_id not in self._flows:
-                self._register_flow(flow)
-            flow_id = flow.flow_id
-        else:
-            flow_id = flow
-        if flow_id not in self._flows:
-            raise KeyError(f"unknown flow {flow_id!r}")
-        self._active.add(flow_id)
-        incr("perf.incremental.updates")
-
-    def remove_flow(self, flow_id: str) -> None:
-        """Deactivate a flow (its cached contention edges are kept)."""
-        self._active.discard(flow_id)
-        incr("perf.incremental.updates")
-
-    def set_active(self, flow_ids: Iterable[str]) -> None:
-        """Replace the active set wholesale (ids must be known)."""
-        wanted = set(flow_ids)
-        unknown = wanted - set(self._flows)
-        if unknown:
-            raise KeyError(f"unknown flows {sorted(unknown)}")
-        if wanted != self._active:
-            self._active = wanted
-            incr("perf.incremental.updates")
-
-    # ------------------------------------------------------------------
-    # Analysis
-    # ------------------------------------------------------------------
-    def analysis(self, name: Optional[str] = None) -> ContentionAnalysis:
-        """A :class:`ContentionAnalysis` of the currently active flows."""
-        with phase_timer("perf.incremental.analysis"):
-            active_flows = [
-                f for fid, f in self._flows.items() if fid in self._active
-            ]
-            keep = {s.sid for f in active_flows for s in f.subflows}
-            graph = self._full.subgraph(keep)
-            cliques = self._cliques_of(graph)
-            sub = Scenario(
-                self.scenario.network,
-                active_flows,
-                name=(name if name is not None
-                      else f"{self.scenario.name}-active"),
-                capacity=self.scenario.capacity,
-            )
-            result = ContentionAnalysis(sub, graph=graph, cliques=cliques)
-        incr("perf.incremental.analyses")
-        return result
+        self.universe = ContentionAnalysis(scenario)
 
     def analysis_for(
         self, flow_ids: Iterable[str], name: Optional[str] = None
     ) -> ContentionAnalysis:
-        """Set the active set and analyze it in one step."""
-        self.set_active(flow_ids)
-        return self.analysis(name=name)
+        """A :class:`ContentionAnalysis` of ``flow_ids``, in scenario order."""
+        wanted = set(flow_ids)
+        unknown = wanted.difference(self.scenario.flow_ids)
+        if unknown:
+            raise KeyError(f"unknown flows {sorted(unknown)}")
+        with phase_timer("perf.incremental.analysis"):
+            result = restricted_analysis(
+                self.universe,
+                [f for f in self.scenario.flows if f.flow_id in wanted],
+                name if name is not None else f"{self.scenario.name}-active",
+            )
+        incr("perf.incremental.analyses")
+        return result
 
     @property
     def full_graph(self) -> Graph:
-        """The pairwise contention graph over every known flow."""
-        return self._full
-
-    # ------------------------------------------------------------------
-    # Checkpoint support (repro.resilience.checkpoint)
-    # ------------------------------------------------------------------
-    def export_component_cliques(self) -> List[dict]:
-        """JSON-ready dump of the per-component clique cache, LRU order
-        preserved (a restored runtime must reproduce the same eviction
-        behaviour as one that never crashed)."""
-        return [
-            {
-                "component": sorted([s.flow, s.hop] for s in key),
-                "cliques": [
-                    sorted([s.flow, s.hop] for s in clique)
-                    for clique in cliques
-                ],
-            }
-            for key, cliques in self._component_cliques.items()
-        ]
-
-    def seed_component_cliques(self, entries: Iterable[dict]) -> None:
-        """Pre-populate the clique cache from an exported dump.
-
-        Value-neutral by construction: a wrong or missing entry merely
-        costs a re-enumeration (cache misses recompute from the graph),
-        it can never change an analysis result.
-        """
-        for entry in entries:
-            key = frozenset(
-                SubflowId(str(f), int(h)) for f, h in entry["component"]
-            )
-            self._component_cliques[key] = [
-                frozenset(SubflowId(str(f), int(h)) for f, h in clique)
-                for clique in entry["cliques"]
-            ]
-            self._component_cliques.move_to_end(key)
-            while len(self._component_cliques) > self.max_cached_components:
-                self._component_cliques.popitem(last=False)
-
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-    def _build_full_graph(self, flows: Iterable[Flow]) -> Graph:
-        g = Graph()
-        for f in flows:
-            self._add_flow_to_graph(g, f)
-        return g
-
-    def _add_flow_to_graph(self, g: Graph, flow: Flow) -> None:
-        """Append ``flow``'s subflows and their contention edges to ``g``."""
-        existing = [(sid, self._subflow_of[sid]) for sid in g.vertices()]
-        network = self.scenario.network
-        for sub in flow.subflows:
-            g.add_vertex(sub.sid, weight=sub.weight, flow=sub.flow_id,
-                         sender=sub.sender, receiver=sub.receiver)
-            self._subflow_of[sub.sid] = sub
-            for sid, other in existing:
-                if subflows_contend(network, sub, other):
-                    g.add_edge(sub.sid, sid)
-            existing.append((sub.sid, sub))
-
-    def _register_flow(self, flow: Flow) -> None:
-        self.scenario.network.validate_flow(flow)
-        self._flows[flow.flow_id] = flow
-        with phase_timer("perf.incremental.flow_graph_extend"):
-            self._add_flow_to_graph(self._full, flow)
-
-    def _cliques_of(self, graph: Graph) -> List[Clique]:
-        """Maximal cliques of ``graph`` via the per-component cache."""
-        cliques: List[Clique] = []
-        for comp in connected_components(graph):
-            key = frozenset(comp)
-            cached = self._component_cliques.get(key)
-            if cached is None:
-                incr("perf.incremental.component_misses")
-                cached = maximal_cliques(graph.subgraph(comp))
-                self._component_cliques[key] = cached
-                while (len(self._component_cliques)
-                       > self.max_cached_components):
-                    self._component_cliques.popitem(last=False)
-            else:
-                incr("perf.incremental.component_hits")
-                self._component_cliques.move_to_end(key)
-            cliques.extend(cached)
-        rank = {v: i for i, v in enumerate(clique_vertex_order(graph))}
-        return sort_cliques(cliques, rank)
+        """The pairwise contention graph over every scenario flow."""
+        return self.universe.graph

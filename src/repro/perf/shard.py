@@ -28,7 +28,8 @@ layers exploit that:
   through admission control (per-component batch feasibility with a
   greedy per-flow fallback) and solve one epoch over 100k+ concurrent
   flows.  A persistent store keyed by universe contention component
-  makes each epoch's cost follow the churn, not the universe.
+  makes each epoch's cost follow the churn, not the universe; active
+  cliques are restricted from the universe's, never enumerated.
 
 Fingerprints hash the LP *structure* in solver-visible order (column
 order affects simplex pivoting, hence bitwise results), with each
@@ -46,14 +47,13 @@ import time
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import (
-    Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple,
+    Dict, Iterable, List, Optional, Sequence, Set, Tuple,
 )
 
-from ..core.contention import ContentionAnalysis
+from ..core.contention import ContentionAnalysis, restricted_analysis
 from ..core.fairness_defs import basic_shares
-from ..core.model import Flow, Scenario, SubflowId
-from ..graphs import Graph, connected_components
-from ..graphs.cliques import clique_vertex_order, maximal_cliques, sort_cliques
+from ..core.model import Flow
+from ..graphs import connected_components
 from ..lp import LinearProgram, lexicographic_maxmin
 from ..obs.registry import incr, observe, phase_timer
 from ..obs.trace import current_span_id, span
@@ -68,11 +68,6 @@ __all__ = [
     "component_fingerprint",
     "component_problems",
 ]
-
-Clique = FrozenSet[SubflowId]
-
-#: LRU bound of the batch engine's per-component clique cache.
-_COMPONENT_CLIQUE_ENTRIES = 65536
 
 
 class ShardResultError(RuntimeError):
@@ -493,8 +488,8 @@ class BatchAllocationEngine:
     The universe — node geometry, every flow that can ever appear, the
     full contention graph and its cliques — is fixed by the
     ``analysis`` handed to the constructor (build it once; for very
-    large synthetic universes pass a precomputed graph and clique list
-    to :class:`ContentionAnalysis` to skip the geometric rebuild).
+    large synthetic universes pass a precomputed graph and its maximal
+    cliques to :class:`ContentionAnalysis` to skip the geometric rebuild).
     Active flows only ever contend within one connected component of
     that graph, so the constructor splits it once into a persistent
     *store*: one entry per universe component, holding the active parts
@@ -545,17 +540,8 @@ class BatchAllocationEngine:
         self._flows: Dict[str, Flow] = {
             f.flow_id: f for f in analysis.scenario.flows
         }
-        self._subflows: Dict[str, List[SubflowId]] = {
-            f.flow_id: [s.sid for s in f.subflows]
-            for f in analysis.scenario.flows
-        }
-        self._component_cliques: "OrderedDict[Clique, List[Clique]]" = (
-            OrderedDict()
-        )
+        self._subflows = analysis.flow_vertices
         # The store, split once from the universe graph.
-        self._position: Dict[SubflowId, int] = {
-            v: i for i, v in enumerate(analysis.graph)
-        }
         self._entry_of: Dict[str, int] = {}
         universe = connected_components(analysis.graph)
         for idx, comp in enumerate(universe):
@@ -620,9 +606,19 @@ class BatchAllocationEngine:
         candidates fall in are probed.  One Eq. (6) feasibility probe
         covers a whole trial component's batch; only a failing component
         degrades to greedy per-flow checks in request order (FIFO
-        fairness within the batch).
+        fairness within the batch).  Each probe sums floors with the
+        active flows first, then the candidates.
         """
-        from ..resilience.admission import REASON_FLOOR, REASON_OK
+        from ..resilience.admission import (
+            REASON_FLOOR, REASON_OK, basic_share_feasible,
+        )
+
+        def feasible(flow_ids: List[str]) -> bool:
+            return basic_share_feasible(
+                self.analysis.cliques_touching(flow_ids),
+                [self._flows[fid] for fid in flow_ids],
+                self.capacity,
+            )
 
         by_entry: Dict[int, List[str]] = {}
         for fid in candidates:
@@ -649,14 +645,14 @@ class BatchAllocationEngine:
                 active_by_comp.setdefault(comp_of[fid], []).append(fid)
             for c, comp_candidates in by_comp.items():
                 active_comp = active_by_comp.get(c, [])
-                if self._floors_feasible(active_comp + comp_candidates):
+                if feasible(active_comp + comp_candidates):
                     for fid in comp_candidates:
                         verdicts[fid] = (REASON_OK, details)
                     continue
                 incr("batch.register.greedy_fallbacks")
                 accepted = list(active_comp)
                 for fid in comp_candidates:
-                    if self._floors_feasible(accepted + [fid]):
+                    if feasible(accepted + [fid]):
                         verdicts[fid] = (REASON_OK, details)
                         accepted.append(fid)
                     else:
@@ -666,41 +662,6 @@ class BatchAllocationEngine:
                             "basic share",
                         )
         return verdicts
-
-    def _floors_feasible(self, flow_ids: Sequence[str]) -> bool:
-        """Eq. (6) over the basic shares of ``flow_ids``' trial set.
-
-        The ids form one prospective membership (typically a single
-        component); shares are computed per contending group of the
-        induced subgraph, exactly as the runtime's admission predicate
-        does over a full analysis.
-        """
-        # induced_subgraph keeps each probe O(component), not O(universe)
-        # — at 100k flows a batch runs ~10k probes.
-        keep = [sid for fid in flow_ids for sid in self._subflows[fid]]
-        graph = self.analysis.graph.induced_subgraph(keep)
-        components = connected_components(graph)
-        floors: Dict[str, float] = {}
-        comp_of: Dict[str, int] = {}
-        groups: Dict[int, List[Flow]] = {}
-        for idx, comp in enumerate(components):
-            for sid in comp:
-                comp_of[sid.flow] = idx
-        for fid in flow_ids:
-            groups.setdefault(comp_of[fid], []).append(self._flows[fid])
-        for members in groups.values():
-            floors.update(basic_shares(members, self.capacity))
-        tol = 1e-9
-        for clique in self._cliques_of(graph, components):
-            load: Dict[str, int] = {}
-            for sid in clique:
-                load[sid.flow] = load.get(sid.flow, 0) + 1
-            total = sum(
-                n * floors.get(fid, 0.0) for fid, n in load.items()
-            )
-            if total > self.capacity + tol:
-                return False
-        return True
 
     # ------------------------------------------------------------------
     # Epochs
@@ -727,6 +688,7 @@ class BatchAllocationEngine:
                 backend=self.solver.backend,
             ) if flows else []
             rebuilt = sum(len(self._entries[idx].parts) for idx in dirty)
+            position = self.analysis.vertex_position
             results = self.solver.solve_problems(
                 problems, held=len(self._held) - rebuilt
             )
@@ -736,7 +698,7 @@ class BatchAllocationEngine:
                 self._entries[idx].parts = []
             for problem, shares in zip(problems, results):
                 first = min(
-                    self._position[sid] for fid in problem.group_ids
+                    position[sid] for fid in problem.group_ids
                     for sid in self._subflows[fid]
                 )
                 part = _Part(first, problem, shares)
@@ -779,56 +741,17 @@ class BatchAllocationEngine:
         """Cold-rebuild-identical analysis of ``flows`` (default: every
         active flow, in universe order).
 
-        The engine's one analysis recipe, the same as
-        :meth:`~repro.perf.incremental.IncrementalContention.analysis`:
-        induced subgraph in universe insertion order, one
-        connected-components pass shared by the per-component clique
-        cache and the flow grouping, canonical clique re-sort.
-        :meth:`allocate` runs it over the active flows of its dirty
-        store entries; the default is the cold reference the monolithic
-        differential tests run
+        The engine's one analysis recipe,
+        :func:`~repro.core.contention.restricted_analysis` over the
+        universe.  :meth:`allocate` runs it over the active flows of its
+        dirty store entries; the default is the cold reference the
+        monolithic differential tests run
         :func:`~repro.core.allocation.basic_fairness_lp_allocation` over.
         """
         if flows is None:
             flows = [
                 f for fid, f in self._flows.items() if fid in self.active
             ]
-        keep = sorted(
-            (sid for f in flows for sid in self._subflows[f.flow_id]),
-            key=self._position.__getitem__,
+        return restricted_analysis(
+            self.analysis, flows, f"{self.analysis.scenario.name}-batch"
         )
-        graph = self.analysis.graph.induced_subgraph(keep)
-        components = connected_components(graph)
-        rank = {v: i for i, v in enumerate(clique_vertex_order(graph))}
-        cliques = sort_cliques(self._cliques_of(graph, components), rank)
-        sub = Scenario(
-            self.analysis.scenario.network,
-            list(flows),
-            name=f"{self.analysis.scenario.name}-batch",
-            capacity=self.capacity,
-        )
-        return ContentionAnalysis(
-            sub, graph=graph, cliques=cliques, components=components
-        )
-
-    def _cliques_of(
-        self, graph: Graph, components: List[Set[SubflowId]]
-    ) -> List[Clique]:
-        """Maximal cliques of ``graph``, whose connected components are
-        ``components``, via the per-component cache (unsorted)."""
-        cliques: List[Clique] = []
-        for comp in components:
-            key = frozenset(comp)
-            cached = self._component_cliques.get(key)
-            if cached is None:
-                incr("batch.component_misses")
-                cached = maximal_cliques(graph.induced_subgraph(comp))
-                self._component_cliques[key] = cached
-                while (len(self._component_cliques)
-                       > _COMPONENT_CLIQUE_ENTRIES):
-                    self._component_cliques.popitem(last=False)
-            else:
-                incr("batch.component_hits")
-                self._component_cliques.move_to_end(key)
-            cliques.extend(cached)
-        return cliques

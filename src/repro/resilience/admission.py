@@ -21,11 +21,13 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Mapping, Optional
+from typing import (
+    Deque, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence,
+)
 
-from ..core.contention import ContentionAnalysis
+from ..core.fairness_defs import basic_shares
+from ..core.model import Flow, SubflowId
 from ..obs.registry import incr, set_gauge
-from .degrade import global_basic_shares
 
 __all__ = [
     "ADMIT",
@@ -53,24 +55,48 @@ _FLOOR_TOL = 1e-9
 
 
 def basic_share_feasible(
-    analysis: ContentionAnalysis,
-    capacity: Optional[float] = None,
-    tol: float = _FLOOR_TOL,
+    cliques: Iterable[FrozenSet[SubflowId]],
+    flows: Sequence[Flow],
+    capacity: float,
 ) -> bool:
-    """Eq. (6) over the global basic shares of ``analysis``'s flows.
+    """Eq. (6) with every flow of the trial set T = ``flows`` at its
+    Sec. II-D floor, over every non-empty ``C ∩ T`` of ``cliques``.
 
-    True iff every maximal clique can carry all member flows at their
-    Sec. II-D basic share simultaneously — the admission predicate, with
-    the candidate flow already part of the analysis.
+    ``cliques`` are the maximal cliques of a contention graph containing
+    T's (or just those touching T).  A clique's floor load only grows as
+    members are added, so checking every ``C ∩ T`` is checking T's own
+    maximal cliques; every contention edge within T lies in some
+    ``C ∩ T``, so the same sets yield T's contending groups.  Each
+    group's floors are summed in ``flows`` order.
     """
-    b = capacity if capacity is not None else analysis.scenario.capacity
-    floors = global_basic_shares(analysis)
-    for clique in analysis.cliques:
-        coeffs = analysis.clique_coefficients(clique)
-        load = sum(n * floors.get(fid, 0.0) for fid, n in coeffs.items())
-        if load > b + tol:
-            return False
-    return True
+    ids = {f.flow_id for f in flows}
+    parent = {fid: fid for fid in ids}
+
+    def find(fid: str) -> str:
+        while parent[fid] != fid:
+            parent[fid] = parent[parent[fid]]
+            fid = parent[fid]
+        return fid
+
+    restricted: List[List[str]] = []
+    for clique in cliques:
+        members = [sid.flow for sid in clique if sid.flow in ids]
+        if not members:
+            continue
+        restricted.append(members)
+        root = find(members[0])
+        for fid in members[1:]:
+            parent[find(fid)] = root
+    groups: Dict[str, List[Flow]] = {}
+    for f in flows:
+        groups.setdefault(find(f.flow_id), []).append(f)
+    floors: Dict[str, float] = {}
+    for group in groups.values():
+        floors.update(basic_shares(group, capacity))
+    return all(
+        sum(floors[fid] for fid in members) <= capacity + _FLOOR_TOL
+        for members in restricted
+    )
 
 
 @dataclass(frozen=True)

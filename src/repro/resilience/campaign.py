@@ -884,7 +884,7 @@ def run_overload_case(
             if record.shares:
                 topo = runtime._topology(runtime.down_links,
                                          runtime.down_nodes)
-                analysis = topo.analysis_of(
+                analysis = topo.contention.analysis_for(
                     topo.ordered(set(record.active)),
                     name=f"{scenario.name}-overload-final",
                 )

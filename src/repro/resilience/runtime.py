@@ -17,12 +17,14 @@ index, events)``:
 2. **Diff the topology.**  Down nodes and links are removed from the
    base network (an out-of-range link neither carries traffic nor
    interferes); the resulting topology state — reduced network,
-   repaired routes, incremental contention structure — is cached per
-   ``(down-links, down-nodes)`` signature and *rebuilt identically* on
-   restore, because every ingredient is deterministic: routes come from
-   a fresh :class:`~repro.routing.dsr.DsrProtocol` flooding in sorted
-   order, contention from :class:`~repro.perf.incremental.IncrementalContention`
-   over the routable flows in base-scenario order.
+   repaired routes, the contention analysis of all routable flows —
+   is cached per ``(down-links, down-nodes)`` signature and *rebuilt
+   identically* on restore, because every ingredient is deterministic:
+   routes come from a fresh :class:`~repro.routing.dsr.DsrProtocol`
+   flooding in sorted order, contention from
+   :class:`~repro.perf.incremental.IncrementalContention` over the
+   routable flows in base-scenario order; every later analysis and
+   admission probe restricts its cliques instead of enumerating.
 3. **Re-route and suspend.**  Active flows whose path broke take the
    DSR repair route; flows with no route (or a dead endpoint) are
    suspended into the admission queue with a machine-readable reason.
@@ -131,7 +133,7 @@ class RuntimeConfig:
     identical at every job count, so carrying it across restores would
     only break payload equality between differently-parallel replicas.
 
-    There is one solve pipeline: incremental contention, the
+    There is one solve pipeline: universe-restricted contention, the
     component-sharded centralized solve, the active-set memo for
     lossless 2PA-D, and per-epoch validation always run.  The monolithic
     2PA-C solve they are bitwise equal to is a test oracle
@@ -360,10 +362,13 @@ class _TopologyState:
         wanted = set(flow_ids)
         return [fid for fid in self.base_order if fid in wanted]
 
-    def analysis_of(
-        self, flow_ids: Sequence[str], name: str
-    ) -> ContentionAnalysis:
-        return self.contention.analysis_for(flow_ids, name=name)
+    def floors_feasible(self, flow_ids: Iterable[str]) -> bool:
+        """The admission predicate over ``flow_ids``, in base order."""
+        ids = self.ordered(flow_ids)
+        return basic_share_feasible(
+            self.contention.universe.cliques_touching(ids),
+            [self.routed[fid] for fid in ids], self.scenario.capacity,
+        )
 
 
 class AllocatorRuntime:
@@ -416,9 +421,6 @@ class AllocatorRuntime:
             if self.config.mode == "centralized" else None
         )
         self._topo: Dict[Tuple[frozenset, frozenset], _TopologyState] = {}
-        #: Per-topology clique-cache dumps carried across restore for
-        #: topologies not yet revisited (see :meth:`state_payload`).
-        self._clique_store: Dict[str, List[dict]] = {}
         self._base_index = {
             f.flow_id: i for i, f in enumerate(scenario.flows)
         }
@@ -456,9 +458,6 @@ class AllocatorRuntime:
         if topo is None:
             with phase_timer("runtime.topology.build"):
                 topo = _TopologyState(self.scenario, key[0], key[1])
-            seed = self._clique_store.get(topo.key_str)
-            if seed:
-                topo.contention.seed_component_cliques(seed)
             self._topo[key] = topo
             incr("runtime.topology.builds")
         return topo
@@ -466,7 +465,7 @@ class AllocatorRuntime:
     def current_analysis(self) -> ContentionAnalysis:
         """Contention analysis of the committed active set."""
         topo = self._topology(self.down_links, self.down_nodes)
-        return topo.analysis_of(
+        return topo.contention.analysis_for(
             topo.ordered(self.active), name=f"{self.scenario.name}-active"
         )
 
@@ -482,11 +481,7 @@ class AllocatorRuntime:
             return unroutable, f"flow {fid} has no usable path"
         if not self.config.admission:
             return REASON_OK, ""
-        ids = topo.ordered(active | {fid})
-        analysis = topo.analysis_of(
-            ids, name=f"{self.scenario.name}-admit"
-        )
-        if basic_share_feasible(analysis):
+        if topo.floors_feasible(active | {fid}):
             return REASON_OK, ""
         return (
             REASON_FLOOR,
@@ -671,11 +666,7 @@ class AllocatorRuntime:
             # paths; DSR repairs and generated flows are shortcut-free).
             if self.config.admission and active:
                 for _ in range(len(active)):
-                    analysis = topo.analysis_of(
-                        topo.ordered(active),
-                        name=f"{self.scenario.name}-floors",
-                    )
-                    if basic_share_feasible(analysis):
+                    if topo.floors_feasible(active):
                         break
                     victim = max(
                         active,
@@ -777,7 +768,7 @@ class AllocatorRuntime:
                 solve_span.tag(path="empty", flows=0)
                 return {}, "empty", [], {}, False, False
 
-            analysis = topo.analysis_of(
+            analysis = topo.contention.analysis_for(
                 ids, name=f"{self.scenario.name}-active"
             )
             lossless = (self.config.loss == 0.0
@@ -1004,11 +995,10 @@ class AllocatorRuntime:
         Two runtimes that executed the same epochs on the same seed
         produce *equal* payloads — including cache contents and LRU
         order — whether or not one of them crashed and restored along
-        the way; the differential tests compare exactly this.
+        the way; the differential tests compare exactly this.  Clique
+        structure is not cached state: each topology re-derives it from
+        the scenario.
         """
-        cliques = dict(self._clique_store)
-        for topo in self._topo.values():
-            cliques[topo.key_str] = topo.contention.export_component_cliques()
         memo = [
             {
                 "key": [tk, sorted(ids)],
@@ -1035,7 +1025,6 @@ class AllocatorRuntime:
                 "memo": memo,
                 "shard": (self._shard.dump_state()
                           if self._shard is not None else None),
-                "cliques": cliques,
             },
             "contention_edges": self._current_edges(),
         }
@@ -1102,10 +1091,6 @@ class AllocatorRuntime:
             rt._warm.load_state(caches["warm"])
         if rt._shard is not None and caches.get("shard"):
             rt._shard.load_state(caches["shard"])
-        rt._clique_store = {
-            str(k): list(v)
-            for k, v in (caches.get("cliques") or {}).items()
-        }
         for entry in caches.get("memo") or []:
             tk, ids = entry["key"]
             rt._memo[(str(tk), frozenset(str(f) for f in ids))] = {

@@ -8,10 +8,16 @@ into admit/queue/reject decisions with machine-readable reasons and
 survives checkpoint round trips.
 """
 
+import importlib.util
+import random
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro import obs
 from repro.core import ContentionAnalysis
+from repro.core.model import Scenario
 from repro.resilience import (
     ADMIT,
     QUEUE,
@@ -27,6 +33,23 @@ from repro.resilience.admission import (
     REASON_UNROUTABLE,
 )
 from repro.scenarios import fig1, fig3, fig4, fig6
+from tests.test_lp_revised import LIBRARY
+
+_WORKLOADS = (Path(__file__).resolve().parent.parent / "allocbench"
+              / "workloads.py")
+
+
+def _mesh_universe():
+    spec = importlib.util.spec_from_file_location(
+        "allocbench_workloads", _WORKLOADS
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # dataclasses resolve it there
+    spec.loader.exec_module(workloads)
+    return workloads.mesh_universe()
+
+
+UNIVERSES = dict(LIBRARY, mesh=_mesh_universe)
 
 
 @pytest.fixture(autouse=True)
@@ -35,6 +58,13 @@ def _no_active_registry():
     obs.set_registry(None)
     yield
     obs.set_registry(previous)
+
+
+def cold_feasible(scenario):
+    """The predicate over ``scenario``'s own (cold) maximal cliques."""
+    analysis = ContentionAnalysis(scenario)
+    return basic_share_feasible(analysis.cliques, scenario.flows,
+                                scenario.capacity)
 
 
 class TestBasicShareFeasible:
@@ -47,14 +77,29 @@ class TestBasicShareFeasible:
     def test_shortcut_free_groups_are_always_feasible(self, factory):
         """Sec. III-B: without shortcuts, basic shares jointly satisfy
         every clique constraint — admission can never starve a peer."""
-        assert basic_share_feasible(ContentionAnalysis(factory()))
+        assert cold_feasible(factory())
 
     def test_tight_capacity_fails_the_predicate(self):
-        """Shrinking B below the basic load flips the verdict (the
-        ``capacity`` override is what the runtime probes with)."""
-        analysis = ContentionAnalysis(fig4.make_scenario())
-        assert basic_share_feasible(analysis)
-        assert not basic_share_feasible(analysis, capacity=0.5)
+        """Fig. 3's shortcut path: the flow's virtual length undercounts
+        the hops one clique holds, so the floors alone overfill it."""
+        assert not cold_feasible(fig3.make_shortcut_scenario())
+
+    @pytest.mark.parametrize("name", sorted(UNIVERSES))
+    def test_universe_cliques_give_the_cold_verdict(self, name):
+        """Checking every restricted universe clique C ∩ T agrees with
+        checking the trial set's own maximal cliques, on random trial
+        sets (flows kept in universe order)."""
+        universe = UNIVERSES[name]()
+        cliques = ContentionAnalysis(universe).cliques
+        rng = random.Random(name)
+        for _ in range(12):
+            trial = [f for f in universe.flows if rng.random() < 0.6]
+            if not trial:
+                continue
+            scenario = Scenario(universe.network, trial,
+                                capacity=universe.capacity)
+            assert (basic_share_feasible(cliques, trial, universe.capacity)
+                    == cold_feasible(scenario))
 
 
 class TestAdmissionController:

@@ -152,9 +152,11 @@ def reference_admits(
     def feasible(ids: List[str]) -> bool:
         trial = Scenario(scenario.network, [flows[f] for f in ids],
                          capacity=scenario.capacity)
-        return basic_share_feasible(ContentionAnalysis(
+        cold = ContentionAnalysis(
             trial, graph=universe.graph.subgraph(sids(ids))
-        ))
+        )
+        return basic_share_feasible(cold.cliques, trial.flows,
+                                    scenario.capacity)
 
     candidates = list(dict.fromkeys(f for f in offered if f not in active))
     graph = universe.graph.subgraph(sids(active | set(candidates)))

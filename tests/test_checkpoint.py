@@ -16,6 +16,7 @@ import json
 import pytest
 
 from repro import obs
+from repro.core import ContentionAnalysis
 from repro.resilience import (
     AllocatorRuntime,
     CheckpointCorruptError,
@@ -237,8 +238,9 @@ class TestCrashRestoreDifferential:
 
     def test_checkpoint_with_retired_keys_restores(self, tmp_path):
         """Checkpoints written when the runtime still had configurable
-        solve modes carry their keys and no shard memo; they restore,
-        ignore both, and replay to the uninterrupted run's state."""
+        solve modes carry their keys, no shard memo, and a per-topology
+        clique-cache dump; they restore, ignore all three, and replay to
+        the uninterrupted run's state."""
         scenario = fig6.make_scenario()
         timeline = _drawn_timeline(scenario, "legacy")
         baseline = AllocatorRuntime(scenario, RuntimeConfig(seed=3))
@@ -265,6 +267,17 @@ class TestCrashRestoreDifferential:
             max_rounds=17,
         )
         payload["caches"]["shard"] = None
+        assert "cliques" not in payload["caches"]
+        cliques = ContentionAnalysis(scenario).cliques
+        payload["caches"]["cliques"] = {
+            "[[],[]]": [{
+                "component": sorted(
+                    [s.flow, s.hop] for s in frozenset().union(*cliques)
+                ),
+                "cliques": [sorted([s.flow, s.hop] for s in c)
+                            for c in cliques],
+            }],
+        }
         legacy = str(tmp_path / "legacy.ckpt.json")
         save_checkpoint(payload, legacy)
 

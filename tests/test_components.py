@@ -4,7 +4,10 @@ The property-based half (hypothesis) pins down the guarantees the
 component-sharded allocation engine builds on: components partition the
 vertex set, the partition is invariant under insertion order, and the
 union of per-component maximal cliques is exactly the global clique set
-— the structural fact that makes sharding the Prop. 2 LP *exact*.
+— the structural fact that makes sharding the Prop. 2 LP *exact* — and
+restricting the global cliques to a vertex subset yields exactly the
+induced subgraph's maximal cliques, the fact that lets every active set
+reuse its universe's cliques.
 """
 
 import networkx as nx
@@ -22,6 +25,11 @@ from repro.graphs import (
     is_connected,
     maximal_cliques,
     to_networkx,
+)
+from repro.graphs.cliques import (
+    clique_vertex_order,
+    restrict_cliques,
+    sort_cliques,
 )
 
 
@@ -114,6 +122,24 @@ class TestComponentProperties:
             for c in maximal_cliques(graph.subgraph(comp))
         }
         assert per_component == global_cliques
+
+    @settings(max_examples=80, deadline=None)
+    @given(vertices_and_edges(), st.data())
+    def test_restricted_cliques_are_the_induced_subgraph_cliques(
+        self, graph_spec, data
+    ):
+        """Every clique of G[A] lies in a maximal clique C of G, so the
+        inclusion-maximal C ∩ A are G[A]'s maximal cliques — in the
+        same canonical order once sorted."""
+        vertices, edges = graph_spec
+        graph = _build(vertices, edges)
+        subset = data.draw(st.sets(st.sampled_from(vertices)))
+        induced = graph.subgraph(subset)
+        rank = {v: i for i, v in enumerate(clique_vertex_order(induced))}
+        restricted = sort_cliques(
+            restrict_cliques(maximal_cliques(graph), subset), rank
+        )
+        assert restricted == maximal_cliques(induced)
 
 
 class TestShortestPaths:

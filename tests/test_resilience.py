@@ -268,7 +268,8 @@ class TestCapacityGovernor:
         assert clamped == (not check_clique_capacity(analysis,
                                                      inflated).ok)
         assert check_clique_capacity(analysis, safe).ok
-        if basic_share_feasible(analysis):
+        if basic_share_feasible(analysis.cliques, scenario.flows,
+                                scenario.capacity):
             for fid, floor in floors.items():
                 assert safe[fid] >= floor - 1e-9, (fid, safe[fid], floor)
         else:
