@@ -12,13 +12,19 @@ standard progressive-filling LP procedure:
     variables; freeze the variables whose shares cannot be raised further;
     repeat until all variables are frozen.
 
+A variable "cannot be raised further" when the probe LP maximizing it
+over the round's optimal face finds nothing above its floor.  Most of
+those probes are answered without solving anything: the raise-floor
+LP's own duals certify saturation (see :func:`_certified`), and only the
+flows left uncertified are probed.
+
 The same machinery also yields *pure* weighted max-min allocations (without
 step 1/2) — used for comparison strategies and property tests.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional
+from typing import Collection, Dict, List, Mapping, Optional, Set, Tuple
 
 from ..obs.registry import incr
 from ..obs.trace import span
@@ -26,6 +32,11 @@ from .problem import LinearProgram, LPSolution
 from .solvers import resolve_backend, solve
 
 _TOL = 0.0
+#: Price magnitude a certificate needs: a dual above it (or a reduced
+#: cost below its negative) is a real price, not rounding dust.
+_PRICE_TOL = 1e-9
+#: A certified flow's value may sit this far above its floor.
+_FLOOR_TOL = 1e-9
 
 
 def lexicographic_maxmin(
@@ -51,45 +62,63 @@ def lexicographic_maxmin(
             maxmin_span.tag(status=base.status)
             return base
         names = lp.variables
-        w = {v: float((weights or {}).get(v, 1.0)) for v in names}
-        for v, wv in w.items():
-            if wv <= 0:
-                raise ValueError(
-                    f"weight for {v!r} must be positive, got {wv}"
-                )
-
-        work = lp.clone()
-        if fix_objective and lp.objective:
-            # objective >= T*  encoded as  -objective <= -T*.
-            work.add_constraint(
-                {v: -c for v, c in lp.objective.items()},
-                -base.objective + _TOL,
-                label="pin-optimal-total",
-            )
+        w = _weights(names, weights)
+        work = _optimal_face(lp, base, fix_objective)
 
         frozen: Dict[str, float] = {}
         remaining = list(names)
         guard = len(names) + 2
-        rounds = 0
+        rounds = certified_total = probed_total = 0
         while remaining and guard:
             guard -= 1
             rounds += 1
-            level, values = _raise_floor(work, remaining, w, frozen,
-                                         backend)
+            level, values, certified = _raise_floor(
+                work, remaining, w, frozen, backend
+            )
             if level is None:
                 # No further improvement possible; freeze everything as-is.
                 for v in remaining:
                     frozen[v] = values.get(v, frozen.get(v, 0.0))
                 break
-            newly = _saturated(work, remaining, w, frozen, level, backend,
-                               hint=values)
+            newly, probed = _saturated(work, remaining, w, frozen, level,
+                                       backend, hint=values,
+                                       certified=certified)
+            certified_total += len(certified)
+            probed_total += probed
             for v in newly:
                 frozen[v] = level * w[v]
             remaining = [v for v in remaining if v not in newly]
 
-        maxmin_span.tag(status="optimal", rounds=rounds)
+        maxmin_span.tag(status="optimal", rounds=rounds,
+                        certified=certified_total, probed=probed_total)
         solution = dict(frozen)
     return LPSolution("optimal", solution, lp.objective_value(solution))
+
+
+def _weights(names: List[str],
+             weights: Optional[Mapping[str, float]]) -> Dict[str, float]:
+    """Per-variable positive weights (default 1)."""
+    w = {v: float((weights or {}).get(v, 1.0)) for v in names}
+    for v, wv in w.items():
+        if wv <= 0:
+            raise ValueError(
+                f"weight for {v!r} must be positive, got {wv}"
+            )
+    return w
+
+
+def _optimal_face(lp: LinearProgram, base: LPSolution,
+                  fix_objective: bool) -> LinearProgram:
+    """``lp`` with its objective pinned at the optimum ``base`` found."""
+    work = lp.clone()
+    if fix_objective and lp.objective:
+        # objective >= T*  encoded as  -objective <= -T*.
+        work.add_constraint(
+            {v: -c for v, c in lp.objective.items()},
+            -base.objective + _TOL,
+            label="pin-optimal-total",
+        )
+    return work
 
 
 def _fix_value(lp: LinearProgram, v: str, val: float) -> None:
@@ -110,12 +139,19 @@ def _raise_floor(
     w: Mapping[str, float],
     frozen: Mapping[str, float],
     backend: str,
-):
-    """Maximize t s.t. x_v >= t*w_v for free v, x_v == frozen_v otherwise."""
+) -> Tuple[Optional[float], Mapping[str, float], Set[str]]:
+    """Maximize t s.t. x_v >= t*w_v for free v, x_v == frozen_v otherwise.
+
+    Returns ``(level, values, certified)``: the optimal ``t``, the
+    optimal point, and the free variables its prices prove saturated
+    (:func:`_certified`).  ``level`` is ``None`` when the LP is not
+    optimal.
+    """
     aux = lp.clone()
     t = "__maxmin_t__"
     aux.objective = {t: 1.0}
     aux._order = [v for v in aux._order] + ([t] if t not in aux._order else [])
+    first_floor = len(aux.constraints)
     for v in free:
         # t*w_v - x_v <= 0
         aux.add_constraint({t: w[v], v: -1.0}, 0.0, label=f"floor:{v}")
@@ -123,8 +159,48 @@ def _raise_floor(
         _fix_value(aux, v, val)
     sol = solve(aux, backend)
     if not sol.is_optimal:
-        return None, {}
-    return sol.values.get(t, 0.0), sol.values
+        return None, {}, set()
+    level = sol.values.get(t, 0.0)
+    return level, sol.values, _certified(aux, sol, free, w, level,
+                                         first_floor)
+
+
+def _certified(
+    aux: LinearProgram,
+    sol: LPSolution,
+    free: List[str],
+    w: Mapping[str, float],
+    level: float,
+    first_floor: int,
+) -> Set[str]:
+    """Free variables the raise-floor optimum's prices prove saturated.
+
+    Every point of the round's probe region is an optimum of the
+    raise-floor LP, so complementary slackness against the optimal dual
+    ``(pi, d)`` holds there.  A free ``v`` is then pinned at
+    ``level * w_v`` on the whole region if either
+
+    * its ``floor:v`` row has a dual above ``_PRICE_TOL`` — the row is
+      tight at every optimum; or
+    * ``x_v`` has a reduced cost below ``-_PRICE_TOL`` (so it is
+      nonbasic at its lower bound) and that bound is the floor
+      (``x_v <= level * w_v + _FLOOR_TOL``) — ``x_v`` equals its bound
+      at every optimum.
+
+    Backends that report no prices certify nothing, and every target is
+    probed.
+    """
+    if sol.duals is None or sol.reduced_costs is None:
+        return set()
+    column = {v: j for j, v in enumerate(aux.variables)}
+    out: Set[str] = set()
+    for k, v in enumerate(free):
+        if sol.duals[first_floor + k] > _PRICE_TOL or (
+            sol.reduced_costs[column[v]] < -_PRICE_TOL
+            and sol.values[v] <= level * w[v] + _FLOOR_TOL
+        ):
+            out.add(v)
+    return out
 
 
 def _saturated(
@@ -135,8 +211,10 @@ def _saturated(
     level: float,
     backend: str,
     hint: Optional[Mapping[str, float]] = None,
-) -> List[str]:
-    """Free variables that cannot exceed ``level * w`` with the floor held.
+    certified: Collection[str] = (),
+) -> Tuple[List[str], int]:
+    """Free variables that cannot exceed ``level * w`` with the floor held,
+    and the number of probe LPs it took to find them.
 
     ``hint`` is any feasible point of the probe region (the floor-raise
     solution): a variable it already places strictly above its floor is
@@ -144,7 +222,40 @@ def _saturated(
     is 10x the probe tolerance, so skipping never disagrees with what the
     probe (a maximization, whose optimum dominates the witness) would
     conclude.
+
+    ``certified`` variables are proved saturated by the raise-floor
+    LP's prices (and sit at their floor, so the witness filter keeps
+    them); they freeze without a probe and only the other targets are
+    probed.  The returned list keeps the targets' order either way, so
+    the ``fix-hi`` rows of later rounds do not depend on how saturation
+    was proved.
     """
+    targets = [
+        v for v in free
+        if hint is None or hint.get(v, 0.0) <= level * w[v] + 1e-6
+    ]
+    probes = [v for v in targets if v not in certified]
+    saturated = set(targets).difference(probes)
+    if probes:
+        saturated.update(_probe(lp, free, w, frozen, level, backend, probes))
+    stuck = [v for v in targets if v in saturated]
+    # At least one variable must freeze per round to guarantee progress.
+    if not stuck and free:
+        stuck = [min(free)]
+    return stuck, len(probes)
+
+
+def _probe(
+    lp: LinearProgram,
+    free: List[str],
+    w: Mapping[str, float],
+    frozen: Mapping[str, float],
+    level: float,
+    backend: str,
+    probes: List[str],
+) -> Set[str]:
+    """The ``probes`` whose maximum over the probe region stays at the
+    floor: one LP per target (batched when the backend can)."""
     # All probes this round share one constraint system; only the
     # objective changes between solves.
     aux = lp.clone()
@@ -152,11 +263,7 @@ def _saturated(
         aux.set_lower_bound(v, max(level * w[v] - _TOL, 0.0))
     for v, val in frozen.items():
         _fix_value(aux, v, val)
-    targets = [
-        v for v in free
-        if hint is None or hint.get(v, 0.0) <= level * w[v] + 1e-6
-    ]
-    stuck: List[str] = []
+    saturated: Set[str] = set()
     fn, _ = resolve_backend(backend)
     probe_batch = getattr(fn, "probe_max_values", None)
     if probe_batch is not None:
@@ -165,20 +272,17 @@ def _saturated(
         # probe's optimal basis.  A ``None`` maximum is a non-optimal
         # probe, treated exactly as the per-probe loop treats one.
         incr("lp.maxmin.batch_probes")
-        maxima = probe_batch(aux, targets)
-        for target in targets:
+        maxima = probe_batch(aux, probes)
+        for target in probes:
             peak = maxima[target]
             if peak is None or peak <= level * w[target] + 1e-7:
-                stuck.append(target)
+                saturated.add(target)
     else:
-        for target in targets:
+        for target in probes:
             aux.objective = {target: 1.0}
             sol = solve(aux, backend)
             if (not sol.is_optimal
                     or sol.values.get(target, 0.0)
                     <= level * w[target] + 1e-7):
-                stuck.append(target)
-    # At least one variable must freeze per round to guarantee progress.
-    if not stuck and free:
-        stuck = [min(free)]
-    return stuck
+                saturated.add(target)
+    return saturated

@@ -15,7 +15,8 @@ from-scratch simplex solver and the scipy cross-check backend consume.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -188,6 +189,10 @@ class LinearProgram:
         return "\n".join(lines)
 
 
+#: ``(duals, reduced_costs)`` of an optimal basis (``None`` when unknown).
+Prices = Tuple[Optional[Tuple[float, ...]], Optional[Tuple[float, ...]]]
+
+
 @dataclass(frozen=True)
 class LPSolution:
     """Result of an LP solve.
@@ -197,12 +202,36 @@ class LPSolution:
     into :func:`repro.lp.simplex.solve_simplex` warm-starts the next solve
     of a structurally identical problem.  Backends without basis support
     leave it ``None``.
+
+    ``duals`` (one price per constraint row, ``>= 0`` at a maximum) and
+    ``reduced_costs`` (``c_j - pi . A_j`` per variable, ``<= 0`` at a
+    maximum, exactly 0 for basic variables) are read from the final
+    basis of an optimal solve, so like ``values`` they depend only on
+    that basis.  Most solves never look at them, so a solver hands over
+    a ``pricer`` (a callable returning ``(duals, reduced_costs)``) and
+    they are computed on first access.  Backends without a basis leave
+    ``pricer`` unset and both read ``None``.
     """
 
     status: str                      # "optimal" | "infeasible" | "unbounded"
     values: Dict[str, float]
     objective: float
     basis: Optional[Tuple[Tuple[str, int], ...]] = None
+    pricer: Optional[Callable[[], Prices]] = field(
+        default=None, repr=False, compare=False
+    )
+
+    @cached_property
+    def _prices(self) -> Prices:
+        return self.pricer() if self.pricer is not None else (None, None)
+
+    @property
+    def duals(self) -> Optional[Tuple[float, ...]]:
+        return self._prices[0]
+
+    @property
+    def reduced_costs(self) -> Optional[Tuple[float, ...]]:
+        return self._prices[1]
 
     @property
     def is_optimal(self) -> bool:

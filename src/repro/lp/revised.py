@@ -44,14 +44,21 @@ including the one-ulp borderline instances in ``tests/regressions/``.
 from __future__ import annotations
 
 import logging
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..obs.registry import incr, phase_timer
 from ..obs.trace import span
-from .problem import LinearProgram, LPSolution
-from .simplex import Basis, _note_stale_basis
+from .problem import LinearProgram, LPSolution, Prices
+from .simplex import (
+    Basis,
+    Pricer,
+    _finish_prices,
+    _note_stale_basis,
+    _unconstrained_prices,
+)
 from .sparse import CSCMatrix, SparseLP
 
 __all__ = ["BasisFactors", "RevisedBackend", "solve_revised"]
@@ -398,18 +405,21 @@ def _install_warm_basis(
 
 def _revised_leq(
     sp: SparseLP, start_basis: Optional[Basis] = None
-) -> Tuple[str, Optional[np.ndarray], float, int, Optional[Basis]]:
+) -> Tuple[str, Optional[np.ndarray], int, Optional[Basis],
+           Optional[Pricer]]:
     """Maximize ``c'y`` s.t. ``A y <= b_shifted``, ``y >= 0``.
 
     Same return contract as the dense ``_simplex_leq``: ``(status, y,
-    objective, pivots, basis)``.
+    pivots, basis, pricer)``.
     """
     pivots = 0
     m, n = sp.a.shape
     if m == 0:
         if np.any(sp.c > _EPS):
-            return "unbounded", None, float("inf"), pivots, None
-        return "optimal", np.zeros(n), 0.0, pivots, ()
+            return "unbounded", None, pivots, None, None
+        return "optimal", np.zeros(n), pivots, (), partial(
+            _unconstrained_prices, sp.c
+        )
 
     sf = _StandardForm(sp)
     warm_state = None
@@ -434,12 +444,12 @@ def _revised_leq(
             )
             pivots += iters
             if status == "unbounded":  # pragma: no cover - bounded
-                return "infeasible", None, float("nan"), pivots, None
+                return "infeasible", None, pivots, None, None
             phase1_obj = float(sum(
                 x_b[i] for i in range(m) if basis[i] >= sf.art_start
             ))
             if phase1_obj > 1e-7:
-                return "infeasible", None, float("nan"), pivots, None
+                return "infeasible", None, pivots, None, None
             factors = _drive_out_artificials(sf, factors, basis)
 
     obj2 = np.zeros(sf.total)
@@ -450,20 +460,36 @@ def _revised_leq(
     )
     pivots += iters
     if status == "unbounded":
-        return "unbounded", None, float("inf"), pivots, None
+        return "unbounded", None, pivots, None, None
 
-    # Basis-pure final values: recompute from pristine data so the
-    # reported point depends only on the final basis, not the pivot
-    # path (warm and cold solves landing on one basis agree bitwise).
+    # Basis-pure final values and prices: recompute from pristine data
+    # so the reported point, duals and reduced costs depend only on the
+    # final basis, not the pivot path (warm and cold solves landing on
+    # one basis agree bitwise).
     try:
-        final_factors, x_fresh = sf.refactor(basis)
+        factors, x_b = sf.refactor(basis)
     except (RuntimeError, np.linalg.LinAlgError):  # pragma: no cover
-        x_fresh = x_b
+        pass
     y = np.zeros(sf.total)
-    y[basis] = x_fresh
+    y[basis] = x_b
     y[np.abs(y) < 1e-12] = 0.0
     final: Basis = tuple(sf.col_label[int(j)] for j in basis)
-    return "optimal", y[:n], float(obj2 @ y), pivots, final
+    return "optimal", y[:n], pivots, final, partial(
+        _basis_prices, sf, factors, obj2, basis
+    )
+
+
+def _basis_prices(
+    sf: _StandardForm,
+    factors: BasisFactors,
+    obj: np.ndarray,
+    basis: np.ndarray,
+) -> Prices:
+    """Duals and structural reduced costs: one ``btran`` plus ``price``
+    on the final factors, finished exactly like the dense solver's."""
+    pi = factors.btran(obj[basis])
+    reduced = obj[:sf.n] - sf.price(pi)[:sf.n]
+    return _finish_prices(pi, reduced, basis, sf.n, sf.ge_rows)
 
 
 def solve_revised(
@@ -485,7 +511,7 @@ def solve_revised(
                  warm=start_basis is not None,
                  backend="revised") as solve_span:
         sp = SparseLP.from_problem(lp)
-        status, y, _, pivots, basis = _revised_leq(sp, start_basis)
+        status, y, pivots, basis, pricer = _revised_leq(sp, start_basis)
         solve_span.tag(status=status, pivots=pivots)
     incr("lp.revised.solves")
     incr("lp.revised.pivots", pivots)
@@ -494,7 +520,8 @@ def solve_revised(
     x = y + sp.lb
     values = {v: float(x[j]) for j, v in enumerate(names)}
     return LPSolution(
-        "optimal", values, lp.objective_value(values), basis=basis
+        "optimal", values, lp.objective_value(values), basis=basis,
+        pricer=pricer,
     )
 
 

@@ -35,14 +35,15 @@ bit-identical to the scalar reference loops they replaced.
 from __future__ import annotations
 
 import logging
-from typing import List, Optional, Tuple
+from functools import partial
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
 from ..obs.events import emit_event
 from ..obs.registry import incr, phase_timer
 from ..obs.trace import current_span_id, span, tag_current
-from .problem import LinearProgram, LPSolution
+from .problem import LinearProgram, LPSolution, Prices
 
 _EPS = 1e-9
 
@@ -74,7 +75,7 @@ def solve_simplex(
 
         # Shift out the lower bounds: x = y + lb with y >= 0.
         b_shift = b - a @ lb
-        status, y, _, pivots, basis = _simplex_leq(
+        status, y, pivots, basis, pricer = _simplex_leq(
             c, a, b_shift, start_basis
         )
         solve_span.tag(status=status, pivots=pivots)
@@ -85,8 +86,13 @@ def solve_simplex(
     x = y + lb
     values = {v: float(x[j]) for j, v in enumerate(names)}
     return LPSolution(
-        "optimal", values, lp.objective_value(values), basis=basis
+        "optimal", values, lp.objective_value(values), basis=basis,
+        pricer=pricer,
     )
+
+
+#: Deferred ``(duals, reduced_costs)`` of a final basis.
+Pricer = Callable[[], Prices]
 
 
 def _simplex_leq(
@@ -94,12 +100,14 @@ def _simplex_leq(
     a: np.ndarray,
     b: np.ndarray,
     start_basis: Optional[Basis] = None,
-) -> Tuple[str, Optional[np.ndarray], float, int, Optional[Basis]]:
+) -> Tuple[str, Optional[np.ndarray], int, Optional[Basis],
+           Optional[Pricer]]:
     """Maximize ``c'y`` s.t. ``A y <= b``, ``y >= 0`` (b may be negative).
 
-    Returns ``(status, y, objective, pivots, basis)``; ``pivots`` totals
-    the phase-1 and phase-2 simplex iterations for profiling and ``basis``
-    is the final basis encoded as structure-stable labels (optimal only).
+    Returns ``(status, y, pivots, basis, pricer)``; ``pivots`` totals
+    the phase-1 and phase-2 simplex iterations for profiling, ``basis``
+    is the final basis encoded as structure-stable labels and ``pricer``
+    computes its duals and reduced costs on demand (both optimal only).
     """
     pivots = 0
     m, n = a.shape
@@ -107,8 +115,10 @@ def _simplex_leq(
         # No constraints: optimum is 0 at origin unless some c_j > 0, in
         # which case the problem is unbounded.
         if np.any(c > _EPS):
-            return "unbounded", None, float("inf"), pivots, None
-        return "optimal", np.zeros(n), 0.0, pivots, ()
+            return "unbounded", None, pivots, None, None
+        return "optimal", np.zeros(n), pivots, (), partial(
+            _unconstrained_prices, c
+        )
 
     # Convert rows with negative rhs to >= rows by negation, then build the
     # tableau with slack variables for <= rows and surplus + artificial
@@ -191,12 +201,12 @@ def _simplex_leq(
         status, iters = _run_simplex(tableau, rhs, obj1, basis)
         pivots += iters
         if status == "unbounded":  # pragma: no cover - cannot happen
-            return "infeasible", None, float("nan"), pivots, None
+            return "infeasible", None, pivots, None, None
         phase1_obj = sum(
             rhs[i] for i in range(m) if basis[i] >= art_start
         )
         if phase1_obj > 1e-7:
-            return "infeasible", None, float("nan"), pivots, None
+            return "infeasible", None, pivots, None, None
         _drive_out_artificials(tableau, rhs, basis, art_start)
 
     # Phase 2: original objective, artificial columns frozen at zero
@@ -208,7 +218,7 @@ def _simplex_leq(
                                  forbidden_from=limit)
     pivots += iters
     if status == "unbounded":
-        return "unbounded", None, float("inf"), pivots, None
+        return "unbounded", None, pivots, None, None
 
     y = np.zeros(total)
     basis_matrix = a0[:, basis]
@@ -219,7 +229,50 @@ def _simplex_leq(
     y_basic[np.abs(y_basic) < 1e-12] = 0.0
     y[basis] = y_basic
     final: Basis = tuple(col_label[j] for j in basis)
-    return "optimal", y[:n], float(obj2 @ y), pivots, final
+    return "optimal", y[:n], pivots, final, partial(
+        _basis_prices, a0, obj2, basis, n, ge_rows
+    )
+
+
+def _basis_prices(
+    a0: np.ndarray,
+    obj: np.ndarray,
+    basis: np.ndarray,
+    n: int,
+    ge_rows: np.ndarray,
+) -> Prices:
+    """Duals ``pi = B^-T c_B`` and structural reduced costs of ``basis``.
+
+    Solved against the pristine system ``a0`` (like the basis-pure
+    values), so the prices depend only on the final basis.
+    """
+    try:
+        pi = np.linalg.solve(a0[:, basis].T, obj[basis])
+    except np.linalg.LinAlgError:  # pragma: no cover - defensive
+        return None, None
+    return _finish_prices(pi, obj[:n] - pi @ a0[:, :n], basis, n, ge_rows)
+
+
+def _finish_prices(
+    pi: np.ndarray,
+    reduced: np.ndarray,
+    basis: np.ndarray,
+    n: int,
+    ge_rows: np.ndarray,
+) -> Prices:
+    """Sweep dust, zero the basic reduced costs, and flip the duals of
+    rows the standard form negated into ``>=`` form back, so they price
+    the caller's ``<=`` rows.  Shared by both backends."""
+    pi[np.abs(pi) < 1e-12] = 0.0
+    reduced[np.abs(reduced) < 1e-12] = 0.0
+    reduced[basis[basis < n]] = 0.0
+    return (tuple(np.where(ge_rows, -pi, pi).tolist()),
+            tuple(reduced.tolist()))
+
+
+def _unconstrained_prices(c: np.ndarray) -> Prices:
+    """No rows: no duals, and every reduced cost is the objective's."""
+    return (), tuple(c.tolist())
 
 
 def _note_stale_basis(stale_reason: str, nlabels: int, m: int) -> None:

@@ -23,6 +23,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import (
     Deque, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence,
+    Tuple,
 )
 
 from ..core.fairness_defs import basic_shares
@@ -97,6 +98,10 @@ def basic_share_feasible(
         sum(floors[fid] for fid in members) <= capacity + _FLOOR_TOL
         for members in restricted
     )
+
+
+#: :meth:`AdmissionController.mark`: decision count, queue, timestamps.
+AdmissionMark = Tuple[int, Tuple[str, ...], Dict[str, int]]
 
 
 @dataclass(frozen=True)
@@ -243,6 +248,24 @@ class AdmissionController:
             "admission.queue.age_mean",
             (sum(ages) / len(ages)) if ages else 0.0,
         )
+
+    def mark(self) -> AdmissionMark:
+        """A rollback point for one epoch, without serializing the log.
+
+        Only the decision count is kept of the log — an epoch only
+        appends to it — plus copies of the bounded queue and its
+        timestamps, so taking a mark costs the same at every epoch.
+        :meth:`rollback` returns the controller to it exactly.
+        """
+        return (len(self.decisions), tuple(self.waiting),
+                dict(self.queued_epoch))
+
+    def rollback(self, mark: AdmissionMark) -> None:
+        """Drop every decision and queue change made since ``mark``."""
+        count, waiting, queued_epoch = mark
+        del self.decisions[count:]
+        self.waiting = deque(waiting)
+        self.queued_epoch = dict(queued_epoch)
 
     def snapshot(self) -> Dict[str, object]:
         """Serializable controller state for checkpoints."""

@@ -196,7 +196,7 @@ class OverloadRuntime:
         self.deferred = []
         epoch = self.runtime.epoch + 1
         rung = self.rung
-        snapshot = self.runtime.admission.snapshot()
+        mark = self.runtime.admission.mark()
         if rung >= RUNG_QUEUE:
             self.runtime.admission.evict_aged(
                 epoch, max_age=self.config.shed_queue_age
@@ -224,7 +224,7 @@ class OverloadRuntime:
             breach_point = exc.point
             # Nothing was committed; drop the aborted epoch's admission
             # decisions so the log matches the committed history.
-            self.runtime.admission.restore(snapshot)
+            self.runtime.admission.rollback(mark)
             record = self._commit_breach(epoch, events, exc)
         finally:
             self.runtime.watchdog = None

@@ -8,7 +8,8 @@ and the 2PA-D gossip protocol.  This package validates all three on
 * :mod:`~repro.verify.exact_lp` — an exact-arithmetic
   (``fractions.Fraction``) reference simplex, the ground truth for LPs;
 * :mod:`~repro.verify.oracles` — differential oracles (brute-force
-  cliques vs Bron–Kerbosch, float vs exact LP, 2PA-D vs 2PA-C, the
+  cliques vs Bron–Kerbosch, float vs exact LP, the max-min dual
+  saturation certificate vs probing every flow, 2PA-D vs 2PA-C, the
   runtime journal vs a cold monolithic 2PA-C solve);
 * :mod:`~repro.verify.invariants` — checkers for the paper's Sec. II–III
   properties (clique capacity, basic fairness, the fairness constraint,
@@ -37,6 +38,7 @@ from .oracles import (
     cliques_agree,
     cold_journal_mismatches,
     lp_objective_matches,
+    maxmin_certificate_mismatches,
 )
 from .fuzzer import (
     CheckOutcome,
@@ -64,6 +66,7 @@ __all__ = [
     "brute_force_maximal_cliques",
     "cliques_agree",
     "lp_objective_matches",
+    "maxmin_certificate_mismatches",
     "check_2pad_against_centralized",
     "cold_journal_mismatches",
     "CheckOutcome",

@@ -51,6 +51,7 @@ from .oracles import (
     cliques_agree,
     cold_journal_mismatches,
     lp_objective_matches,
+    maxmin_certificate_mismatches,
 )
 
 __all__ = [
@@ -500,7 +501,28 @@ class VerificationSuite:
             "lp.allocation_total_optimal", PASS if total_ok else FAIL,
             "; ".join(details_total),
         ))
+        out.append(self._maxmin_certificate_check(analysis, capacity))
         return out
+
+
+    def _maxmin_certificate_check(
+        self, analysis: ContentionAnalysis, capacity: float
+    ) -> CheckOutcome:
+        """The dual saturation certificate against probing every flow,
+        on every contending group's max-min ladder."""
+        details: List[str] = []
+        for group in analysis.groups:
+            lp = build_basic_fairness_lp(analysis, group, capacity)
+            weights = {f"r_{f.flow_id}": f.weight for f in group}
+            details.extend(
+                f"group [{','.join(f.flow_id for f in group)}] {line}"
+                for line in maxmin_certificate_mismatches(lp, weights,
+                                                          self.backend)
+            )
+        return CheckOutcome(
+            "lp.maxmin_certificate", FAIL if details else PASS,
+            "; ".join(details)[:400],
+        )
 
 
 # ----------------------------------------------------------------------

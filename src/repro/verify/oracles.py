@@ -14,6 +14,11 @@ One oracle per from-scratch algorithm the reproduction's claims rest on:
   up holding *every* global clique constraint involving its flow, and —
   whenever each source's local view covers its whole contending group —
   demands bit-for-bit (1e-6) agreement with the centralized solution.
+* **Max-min certificate vs probe** — :func:`maxmin_certificate_mismatches`
+  replays the lexicographic max-min ladder and probes every target,
+  including the flows the raise-floor LP's prices certify saturated; a
+  certified flow its probe can raise, or a round whose frozen set the
+  certificate changes, is a failure.
 * **Runtime vs cold 2PA-C** — :func:`cold_journal_mismatches` re-solves
   every committed epoch of an :class:`~repro.resilience.runtime.AllocatorRuntime`
   journal monolithically from a cold contention analysis; the runtime's
@@ -23,7 +28,7 @@ One oracle per from-scratch algorithm the reproduction's claims rest on:
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set
+from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set
 
 from ..core.allocation import basic_fairness_lp_allocation
 from ..core.contention import ContentionAnalysis
@@ -32,6 +37,7 @@ from ..core.model import Scenario
 from ..graphs import Graph, maximal_cliques
 from ..graphs.cliques import clique_vertex_order, sort_cliques
 from ..graphs.graph import Vertex
+from ..lp.maxmin import _optimal_face, _raise_floor, _saturated, _weights
 from ..lp.problem import LinearProgram
 from ..lp.solvers import solve
 from .exact_lp import solve_exact
@@ -42,6 +48,7 @@ __all__ = [
     "cliques_agree",
     "lp_objective_matches",
     "check_2pad_against_centralized",
+    "maxmin_certificate_mismatches",
     "cold_journal_mismatches",
 ]
 
@@ -335,6 +342,59 @@ def check_2pad_against_centralized(
         and report["conditional_equivalence"]
     )
     return report
+
+
+# ----------------------------------------------------------------------
+# Max-min saturation certificate vs probe oracle
+# ----------------------------------------------------------------------
+
+def maxmin_certificate_mismatches(
+    lp: LinearProgram,
+    weights: Optional[Mapping[str, float]] = None,
+    backend: str = "simplex",
+) -> List[str]:
+    """Rounds where the dual saturation certificate disagrees with probes.
+
+    Replays :func:`repro.lp.maxmin.lexicographic_maxmin` (objective
+    pinned at its optimum) and, in every round, also runs the
+    probe-everything verdict — ``_saturated`` with an empty certified
+    set, so every target is probed, certified ones included.  Reports
+    each certified flow its probe finds unsaturated, and each round
+    whose frozen list (with the certificate) differs from the probes'.
+    The ladder advances on the probes' verdict.  Empty: the certificate
+    only ever proved what the probes conclude.
+    """
+    base = solve(lp, backend)
+    if not base.is_optimal:
+        return []
+    w = _weights(lp.variables, weights)
+    work = _optimal_face(lp, base, fix_objective=True)
+    frozen: Dict[str, float] = {}
+    remaining = list(lp.variables)
+    out: List[str] = []
+    for rnd in range(1, len(remaining) + 3):
+        if not remaining:
+            break
+        level, values, certified = _raise_floor(work, remaining, w, frozen,
+                                                backend)
+        if level is None:
+            break
+        by_probe, _ = _saturated(work, remaining, w, frozen, level,
+                                 backend, hint=values)
+        out.extend(
+            f"round {rnd}: {v} certified saturated, but its probe "
+            f"raises it above {level * w[v]!r}"
+            for v in remaining if v in certified and v not in by_probe
+        )
+        newly, _ = _saturated(work, remaining, w, frozen, level, backend,
+                              hint=values, certified=certified)
+        if newly != by_probe:
+            out.append(f"round {rnd}: frozen {newly} with the "
+                       f"certificate != {by_probe} by probes")
+        for v in by_probe:
+            frozen[v] = level * w[v]
+        remaining = [v for v in remaining if v not in by_probe]
+    return out
 
 
 # ----------------------------------------------------------------------

@@ -13,6 +13,11 @@ from repro.lp import (
     solve_scipy,
     solve_simplex,
 )
+from repro.obs.trace import using_tracer
+from repro.verify import lp_objective_matches, solve_exact
+
+#: Float backends that report duals and reduced costs.
+PRICED_BACKENDS = ["simplex", "revised"]
 
 
 def make_lp(objective, constraints, lower_bounds=None):
@@ -196,6 +201,94 @@ def test_simplex_matches_scipy_on_random_allocation_lps(n, m, seed):
         assert lp.is_feasible(ours.values, tol=1e-6)
 
 
+def assert_optimal_dual(lp, sol):
+    """``sol``'s prices are an optimal dual of ``lp``.
+
+    For ``max c.x  s.t.  A x <= b,  x >= lb`` the dual is
+    ``min pi.(b - A lb) + c.lb  s.t.  pi >= 0,  c - A^T pi <= 0``: the
+    prices must be dual feasible, the reported reduced costs must be
+    ``c - A^T pi``, and the dual objective must equal the exact-Fraction
+    primal optimum (zero duality gap).  The exact optimum is the float
+    oracle's, so one-ulp infeasible data (e.g. ``7 * float(B/7) > B``)
+    compares against the relaxed exact LP, as the fuzzer does.
+    """
+    c, a, b, lb = lp.to_dense()
+    pi = np.array(sol.duals)
+    reduced = np.array(sol.reduced_costs)
+    assert pi.shape == b.shape and reduced.shape == c.shape
+    assert (pi >= -1e-9).all(), pi
+    assert (reduced <= 1e-9).all(), reduced
+    assert np.abs(reduced - (c - a.T @ pi)).max(initial=0.0) <= 1e-9
+    report = lp_objective_matches(lp)
+    assert report["ok"], report
+    dual_objective = pi @ (b - a @ lb) + c @ lb
+    assert abs(dual_objective - report["exact_objective"]) <= 1e-7
+
+
+def random_clique_lp(n, m, seed, weighted, pinned):
+    """A Prop. 2-shaped LP: clique rows over random supports, small
+    lower bounds, optionally weighted objective and a ``-sum x <= -L``
+    row like the max-min ladder's objective pin (negative rhs after the
+    lower-bound shift, so the solver negates it into ``>=`` form)."""
+    rng = np.random.default_rng(seed)
+    names = [f"r{i}" for i in range(n)]
+    lp = LinearProgram()
+    lp.maximize({v: float(rng.integers(1, 4)) if weighted else 1.0
+                 for v in names})
+    for _ in range(m):
+        support = rng.random(n) < 0.7
+        if not support.any():
+            support[rng.integers(n)] = True
+        lp.add_constraint(
+            {names[i]: float(rng.integers(1, 4))
+             for i in range(n) if support[i]},
+            float(rng.uniform(1.0, 3.0)),
+        )
+    lower = {v: float(rng.uniform(0.0, 0.05)) for v in names}
+    for v, bound in lower.items():
+        lp.set_lower_bound(v, bound)
+    if pinned:
+        lp.add_constraint({v: -1.0 for v in names},
+                          -(sum(lower.values()) + 0.1))
+    return lp
+
+
+@pytest.mark.parametrize("backend", PRICED_BACKENDS)
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 6),
+    m=st.integers(1, 6),
+    seed=st.integers(0, 10_000),
+    weighted=st.booleans(),
+    pinned=st.booleans(),
+)
+def test_duals_are_optimal_on_random_clique_lps(
+    backend, n, m, seed, weighted, pinned
+):
+    lp = random_clique_lp(n, m, seed, weighted, pinned)
+    sol = solve(lp, backend)
+    if solve_exact(lp).is_optimal:
+        assert sol.is_optimal
+        assert_optimal_dual(lp, sol)
+
+
+@pytest.mark.parametrize("backend", PRICED_BACKENDS)
+def test_negated_row_dual_prices_the_callers_row(backend):
+    """``x + y <= 4``, ``-x <= -3`` (x >= 3), max ``y``: the binding
+    lower row ``-x <= -3`` prices at 1, as the caller wrote it."""
+    lp = make_lp({"y": 1.0}, [({"x": 1.0, "y": 1.0}, 4.0),
+                              ({"x": -1.0}, -3.0)])
+    sol = solve(lp, backend)
+    assert sol.values == {"y": 1.0, "x": 3.0}
+    assert sol.duals == (1.0, 1.0)
+    assert sol.reduced_costs == (0.0, 0.0)
+
+
+def test_scipy_backend_reports_no_prices():
+    sol = solve(make_lp({"x": 1.0}, [({"x": 1.0}, 2.0)]), "scipy")
+    assert sol.duals is None and sol.reduced_costs is None
+
+
 class TestLexicographicMaxmin:
     def test_two_tier_split_example(self):
         """Reproduces the (3B/8, 3B/8) split of Sec. III."""
@@ -211,6 +304,29 @@ class TestLexicographicMaxmin:
         assert sol["r12"] == pytest.approx(0.25, abs=1e-5)
         assert sol["r21"] == pytest.approx(0.375, abs=1e-5)
         assert sol["r22"] == pytest.approx(0.375, abs=1e-5)
+
+    @pytest.mark.parametrize("backend", PRICED_BACKENDS)
+    def test_dual_certificate_replaces_probes(self, backend):
+        """The two-tier split: the raise-floor duals certify four of the
+        five saturations, so one probe LP is left; scipy, which reports
+        no prices, probes all five and lands on the same split."""
+        lp = make_lp(
+            {"r11": 1.0, "r12": 1.0, "r21": 1.0, "r22": 1.0},
+            [({"r11": 1.0, "r12": 1.0}, 1.0),
+             ({"r12": 1.0, "r21": 1.0, "r22": 1.0}, 1.0)],
+            {v: 0.25 for v in ("r11", "r12", "r21", "r22")},
+        )
+        tags = {}
+        for name in (backend, "scipy"):
+            with using_tracer() as tracer:
+                sol = lexicographic_maxmin(lp, backend=name)
+            (span,) = [r for r in tracer.to_records()
+                       if r["name"] == "lp.maxmin"]
+            tags[name] = span["tags"]
+            assert sol["r11"] == pytest.approx(0.75, abs=1e-9)
+            assert sol["r21"] == pytest.approx(0.375, abs=1e-9)
+        assert (tags[backend]["certified"], tags[backend]["probed"]) == (4, 1)
+        assert (tags["scipy"]["certified"], tags["scipy"]["probed"]) == (0, 5)
 
     def test_pure_maxmin_without_objective_pin(self):
         lp = make_lp({"x": 1.0, "y": 1.0},

@@ -43,6 +43,7 @@ from repro.scenarios import (
 )
 from repro.scenarios.io import scenario_from_dict
 from repro.verify import lp_objective_matches, solve_exact
+from tests.test_lp import PRICED_BACKENDS, assert_optimal_dual
 
 RATE_TOL = 1e-9
 
@@ -124,6 +125,35 @@ class TestScenarioLibraryDifferential:
             assert abs(revised.shares[fid] - rate) <= RATE_TOL, (
                 name, fid, rate, revised.shares[fid],
             )
+
+
+class TestDuals:
+    """Both backends read an optimal dual off their final basis."""
+
+    @pytest.mark.parametrize("backend", PRICED_BACKENDS)
+    @pytest.mark.parametrize("name", sorted(LIBRARY))
+    def test_library_group_lp_duals_are_optimal(self, name, backend):
+        for lp in group_lps(LIBRARY[name]()):
+            sol = solve(lp, backend)
+            if sol.is_optimal:
+                assert_optimal_dual(lp, sol)
+
+    @pytest.mark.parametrize("solve_fn", [solve_simplex, solve_revised])
+    def test_warm_and_cold_on_one_basis_give_bitwise_equal_prices(
+        self, solve_fn
+    ):
+        analysis = ContentionAnalysis(fig6.make_scenario())
+        group = analysis.groups[0]
+        seed_lp = build_basic_fairness_lp(analysis, group,
+                                          analysis.scenario.capacity)
+        lp = build_basic_fairness_lp(analysis, group,
+                                     analysis.scenario.capacity * 1.25)
+        warm = solve_fn(lp, start_basis=solve_fn(seed_lp).basis)
+        cold = solve_fn(lp)
+        assert warm.basis == cold.basis
+        assert warm.duals == cold.duals
+        assert warm.reduced_costs == cold.reduced_costs
+        assert any(warm.duals)
 
 
 class TestDegenerateCases:

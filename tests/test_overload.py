@@ -41,7 +41,11 @@ from repro.resilience import (
     run_overload,
     run_overload_case,
 )
-from repro.resilience.admission import REASON_OVERLOAD, REASON_QUEUE_AGED
+from repro.resilience.admission import (
+    REASON_OVERLOAD,
+    REASON_QUEUE_AGED,
+    AdmissionDecision,
+)
 from repro.resilience.overload import (
     RUNG_CLAMP,
     RUNG_FREEZE,
@@ -200,6 +204,41 @@ class TestBreachCommit:
         harness.advance(_flow_up(1, flows[2]))
         # The aborted epoch left no trace in the admission log.
         assert len(harness.runtime.admission.decisions) == logged
+
+    def test_breach_rollback_is_exact_and_serializes_nothing(
+        self, monkeypatch
+    ):
+        # fig3's shortcut flow fails its basic floor and waits in the
+        # queue; at the queue-shed rung the next epoch first evicts it
+        # as too old, then breaches — the rollback must undo both.
+        harness = self._wrapped(fig3.make_shortcut_scenario(),
+                                shed_queue_age=0)
+        admission = harness.runtime.admission
+        harness.advance(_flow_up(0, "1"))
+        harness.advance([])
+        assert list(admission.waiting) == ["1"]
+        before = (list(admission.decisions), list(admission.waiting),
+                  dict(admission.queued_epoch))
+
+        calls = []
+        to_dict = AdmissionDecision.to_dict
+        monkeypatch.setattr(AdmissionDecision, "to_dict",
+                            lambda d: calls.append(d) or to_dict(d))
+        harness.rung = RUNG_QUEUE
+        harness.force_breach_epochs = {harness.runtime.epoch + 1}
+        record = harness.advance([])
+        assert record.status == "deadline-breach"
+        assert (list(admission.decisions), list(admission.waiting),
+                dict(admission.queued_epoch)) == before
+        assert calls == []  # the rollback point serialized no decision
+
+        # A clean epoch serializes only its own decisions, into its
+        # record, however long the log has grown.
+        harness.rung = RUNG_NORMAL
+        record = harness.advance([])
+        assert record.status != "deadline-breach"
+        assert len(calls) == len(record.admissions)
+        assert len(calls) < len(admission.decisions)
 
 
 class TestSheddingLadder:

@@ -5,13 +5,15 @@ basis does not fit the new problem."""
 import pytest
 
 from repro.core.allocation import basic_fairness_lp_allocation
-from repro.core.contention import ContentionAnalysis
+from repro.core.contention import ContentionAnalysis, subflow_contention_graph
 from repro.core.model import Scenario
+from repro.graphs.cliques import maximal_cliques
 from repro.lp.problem import LinearProgram
 from repro.lp.simplex import solve_simplex
 from repro.lp.solvers import solve
 from repro.obs.registry import using_registry
 from repro.perf.warm import WarmLPCache, lp_structure_signature
+from repro.scenarios import make_random_scenario
 from repro.scenarios.random_topology import (
     random_connected_network,
     random_flows,
@@ -83,6 +85,31 @@ class TestWarmStartExactness:
             assert warm.shares == cold.shares
             assert warm.lp_solution.status == cold.lp_solution.status
         assert cache.hits > 0  # the sequence actually reused bases
+
+    @pytest.mark.parametrize("nodes,flows", [(30, 8), (60, 16)])
+    def test_capacity_sweep_warm_equals_cold(self, nodes, flows):
+        """Sibling LPs of one contention structure (capacity scaled,
+        right-hand sides perturbed): the warm cache replays bases across
+        the whole sweep and every allocation is bitwise the cold one."""
+        base = make_random_scenario(num_nodes=nodes, num_flows=flows,
+                                    seed=3)
+        graph = subflow_contention_graph(base.network, base.flows)
+        cliques = maximal_cliques(graph)
+        analyses = [
+            ContentionAnalysis(
+                Scenario(base.network, base.flows, name=f"cap-{mult}",
+                         capacity=base.capacity * mult),
+                graph=graph, cliques=cliques,
+            )
+            for mult in (1.0, 0.8, 1.25, 0.9, 1.1, 0.75, 1.5)
+        ]
+        cache = WarmLPCache()
+        for analysis in analyses:
+            cold = basic_fairness_lp_allocation(analysis)
+            warm = basic_fairness_lp_allocation(analysis,
+                                                backend=cache.solver)
+            assert warm.shares == cold.shares
+        assert cache.hits > 0
 
     def test_infeasible_and_unbounded_statuses_unchanged(self):
         lp = LinearProgram()

@@ -62,6 +62,22 @@ def two_islands(weight_b=1.0):
     return Scenario(network, flows, name="two-islands")
 
 
+def ladder_islands(k, chain=10, span=3, flows_per=6):
+    """``k`` disjoint chains carrying staggered ``span``-hop flows with
+    weights cycling 1/2/3: ``k`` multi-clique contention components."""
+    nodes, links, flows = [], [], []
+    for i in range(k):
+        cn, cl = _chain(f"c{i}_", chain)
+        nodes += cn
+        links += cl
+        for j in range(flows_per):
+            start = j % (chain - span)
+            flows.append(Flow(f"f{i}_{j}", tuple(cn[start:start + span + 1]),
+                              1.0 + (j % 3)))
+    return Scenario(Network.from_links(nodes, links), flows,
+                    name=f"ladder-islands-{k}")
+
+
 class TestLibraryDifferential:
     @pytest.mark.parametrize("name", FEASIBLE)
     def test_sharded_matches_monolithic_bitwise(self, name):
@@ -254,6 +270,44 @@ class TestRuntimeShardSeam:
             len(ids), len(ids) - 1, len(ids)
         ]
         assert cold_journal_mismatches(scenario, runtime.journal) == []
+
+    def test_island_churn_matches_a_warm_monolithic_loop_bitwise(self):
+        """Churn touching island 0 only: every committed epoch equals a
+        monolithic reference loop (universe analysis restricted to the
+        active set, one whole-network solve on a shared warm basis cache,
+        an active-set memo), and only the dirty island is re-solved."""
+        from repro.perf.incremental import IncrementalContention
+        from repro.perf.warm import WarmLPCache
+
+        k, epochs = 3, 4
+        scenario = ladder_islands(k)
+        ids = [f.flow_id for f in scenario.flows]
+        steps = [ids] + [[f for f in ids if f != f"f0_{e}"]
+                         for e in range(epochs)]
+        registry = MetricsRegistry()
+        obs.set_registry(registry)
+        try:
+            runtime = AllocatorRuntime(
+                scenario, RuntimeConfig(jobs=k, admission=False)
+            )
+            journal = [runtime.set_active(active) for active in steps]
+        finally:
+            obs.set_registry(None)
+
+        inc, warm, memo = IncrementalContention(scenario), WarmLPCache(), {}
+        reference = []
+        for active in steps:
+            key = frozenset(active)
+            if key not in memo:
+                memo[key] = dict(basic_fairness_lp_allocation(
+                    inc.analysis_for(active, name="reference-active"),
+                    backend=warm.solver,
+                ).shares)
+            reference.append(memo[key])
+        assert journal == reference
+        counters = registry.snapshot()["counters"]
+        assert counters["runtime.shard.reused"] == epochs * (k - 1)
+        assert counters["runtime.shard.dirty"] == k + epochs
 
     def test_churn_one_island_resolves_only_dirty_components(self):
         runtime = AllocatorRuntime(

@@ -56,7 +56,7 @@ class TestSuite:
     def test_healthy_scenario_all_pass(self):
         scenario = generate_scenario(RngRegistry(0), 0)
         outcomes = VerificationSuite().run(scenario)
-        assert len(outcomes) == 15
+        assert len(outcomes) == 16
         assert all(o.status == PASS for o in outcomes), [
             (o.name, o.status, o.details) for o in outcomes
         ]
@@ -86,6 +86,7 @@ class TestSuite:
             "lp.basic_fairness",
             "lp.float_vs_exact",
             "lp.allocation_total_optimal",
+            "lp.maxmin_certificate",
             "2pad.vs_centralized",
         ]
 
@@ -309,6 +310,7 @@ class TestBackendAxis:
             "lp.basic_fairness",
             "lp.float_vs_exact",
             "lp.allocation_total_optimal",
+            "lp.maxmin_certificate",
         ]
         full = {o.name: o.status for o in suite.run(scenario)}
         for o in lp_only:

@@ -16,6 +16,7 @@ from repro.verify import (
     check_2pad_against_centralized,
     cliques_agree,
     lp_objective_matches,
+    maxmin_certificate_mismatches,
     solve_exact,
 )
 
@@ -117,6 +118,37 @@ class TestLpOracle:
         report = lp_objective_matches(lp)
         assert report["ok"]
         assert report.get("borderline") is True
+
+
+class TestMaxminCertificateOracle:
+    @staticmethod
+    def _fig6_ladders():
+        analysis = ContentionAnalysis(fig6.make_scenario())
+        for group in analysis.groups:
+            weights = {f"r_{f.flow_id}": f.weight for f in group}
+            yield build_basic_fairness_lp(analysis, group, 1.0), weights
+
+    @pytest.mark.parametrize("backend", ["simplex", "revised"])
+    def test_certificate_agrees_with_probes_on_paper_lps(self, backend):
+        for lp, weights in self._fig6_ladders():
+            assert maxmin_certificate_mismatches(lp, weights, backend) == []
+
+    def test_wrong_certificate_is_caught(self, monkeypatch):
+        """Marking every free flow certified saturated freezes Fig. 6's
+        flows all in the first round; the probes say otherwise."""
+        from repro.lp import maxmin
+
+        monkeypatch.setattr(maxmin, "_certified",
+                            lambda aux, sol, free, *rest: set(free))
+        found = [
+            line
+            for lp, weights in self._fig6_ladders()
+            for line in maxmin_certificate_mismatches(lp, weights)
+        ]
+        assert any("certified saturated, but its probe" in line
+                   for line in found), found
+        assert any("with the certificate !=" in line
+                   for line in found), found
 
 
 class TestTwoPaOracle:
