@@ -200,73 +200,167 @@ class TestChurnMode:
         assert report.checks["churn.epoch_checks"][PASS] == 3
         assert report.checks["churn.crash_restore_identical"][PASS] == 3
 
-    def test_churn_failure_shrinks_timeline_into_reproducer(self):
-        """A churn-only failure is shrunk along BOTH axes — scenario
-        and timeline — and the reproducer carries the timeline."""
-        from repro.resilience.epochs import ChurnTimeline
-        from repro.verify.fuzzer import VerificationSuite, _run_case
 
-        class _ChurnFaultOnly(VerificationSuite):
-            """Perturb allocations only on the churn path, so the first
-            failing check is ``churn.*`` (the static suite stays clean)."""
+#: Reproducer fields of each replay axis, in the order they shrink.
+AXIS_FIELDS = {
+    "faults": ("fault_plan",),
+    "churn": ("churn_timeline",),
+    "overload": ("arrival_trace", "fault_plan"),
+}
 
-            def run(self, scenario):
-                fault, self.fault = self.fault, None
-                try:
-                    return super().run(scenario)
-                finally:
-                    self.fault = fault
 
-        suite = _ChurnFaultOnly(fault=inject_share_fault, churn=True)
-        outcomes, failure = _run_case(0, 0, suite)
-        assert failure is not None
-        assert failure.check.startswith("churn.")
-        assert failure.churn_timeline is not None
-        # The serialized timeline replays and is no bigger than a fresh
-        # draw for this case would be.
-        timeline = ChurnTimeline.from_dict(failure.churn_timeline)
-        assert timeline.to_dict() == failure.churn_timeline
-        original = scenario_from_dict(failure.scenario)
-        fresh = ChurnTimeline.draw(
-            RngRegistry(0).stream(("verify", 0, "churn")),
-            original.flow_ids,
-            original.network.nodes,
-            original.network.links(),
-        )
-        assert len(timeline.events) <= len(fresh.events)
-        assert timeline.epochs <= fresh.epochs
-        # to_dict round-trips through the failure record.
-        doc = failure.to_dict()
-        assert doc["churn_timeline"] == failure.churn_timeline
+def _payload_size(name, doc):
+    """Event counts (and horizon) of one serialized replay payload."""
+    if name == "fault_plan":
+        return tuple(len(doc[key]) for key in (
+            "crashes", "flaps", "worker_crashes", "worker_hangs", "bursts",
+        )) + tuple(doc["default_link"].values())
+    if name == "churn_timeline":
+        return (len(doc["events"]), doc["epochs"])
+    return (len(doc["arrivals"]), doc["epochs"])
 
-    def test_churn_failures_replay_from_reproducer_fields(self):
-        """The (shrunk scenario, shrunk timeline) pair still fails the
-        recorded check — the reproducer is self-contained."""
-        from repro.resilience.campaign import run_churn_case
-        from repro.resilience.epochs import ChurnTimeline
-        from repro.verify.fuzzer import VerificationSuite, _run_case
 
-        class _ChurnFaultOnly(VerificationSuite):
-            def run(self, scenario):
-                fault, self.fault = self.fault, None
-                try:
-                    return super().run(scenario)
-                finally:
-                    self.fault = fault
+def _fresh_payloads(axis, index):
+    """The payloads the fuzzer draws for ``(seed 0, index)`` on ``axis``."""
+    from repro.resilience.epochs import ChurnTimeline
+    from repro.resilience.faults import FaultPlan
+    from repro.traffic.openloop import OpenLoopConfig, draw_arrival_trace
 
-        suite = _ChurnFaultOnly(fault=inject_share_fault, churn=True)
-        _outcomes, failure = _run_case(1, 0, suite)
-        assert failure is not None
-        case = run_churn_case(
-            scenario_from_dict(failure.shrunk),
-            ChurnTimeline.from_dict(failure.churn_timeline),
-            seed=0,
-            hysteresis=0.3,
-            stream_prefix=("verify", 1, "churn"),
+    registry = RngRegistry(0)
+    scenario = generate_scenario(registry, index)
+    nodes = scenario.network.nodes
+    if axis == "faults":
+        return {"fault_plan": FaultPlan.draw(
+            registry.stream(("verify", index, "faults")), nodes=nodes)}
+    if axis == "churn":
+        return {"churn_timeline": ChurnTimeline.draw(
+            registry.stream(("verify", index, "churn")),
+            scenario.flow_ids, nodes, scenario.network.links())}
+    return {
+        "arrival_trace": draw_arrival_trace(
+            registry.stream(("verify", index, "overload")),
+            list(scenario.flow_ids), 10, OpenLoopConfig(rate=3.0)),
+        "fault_plan": FaultPlan.draw(
+            registry.stream(("verify", index, "overload-plan")),
+            nodes=nodes, overload=True),
+    }
+
+
+def _load_payload(name, doc):
+    from repro.resilience.epochs import ChurnTimeline
+    from repro.resilience.faults import FaultPlan
+    from repro.traffic.openloop import ArrivalTrace
+
+    return {"fault_plan": FaultPlan, "churn_timeline": ChurnTimeline,
+            "arrival_trace": ArrivalTrace}[name].from_dict(doc)
+
+
+class _AxisFaultOnly(VerificationSuite):
+    """Perturb allocations only on the replay axes, so the first failing
+    check is the axis's own (the static suite stays clean)."""
+
+    def run(self, scenario):
+        fault, self.fault = self.fault, None
+        try:
+            return super().run(scenario)
+        finally:
+            self.fault = fault
+
+
+@pytest.fixture
+def axis_suite(monkeypatch):
+    """A suite whose only failures come from one replay axis."""
+
+    def make(axis):
+        if axis == "faults":
+            # The faults axis runs the chaos case without the suite's
+            # fault hook: perturb its allocation at the source instead.
+            import functools
+
+            import repro.resilience.campaign as campaign
+
+            monkeypatch.setattr(campaign, "run_chaos_case", functools.partial(
+                campaign.run_chaos_case, fault=inject_share_fault,
+            ))
+        return _AxisFaultOnly(fault=inject_share_fault, **{axis: True})
+
+    return make
+
+
+def _replay(axis, index, scenario, payloads):
+    """Re-run one axis's campaign case from reproducer payloads, with the
+    fuzzer's arguments and the injected fault; returns its check names
+    that failed, relabelled to the axis prefix."""
+    from repro.resilience.campaign import (
+        run_chaos_case, run_churn_case, run_overload_case,
+    )
+
+    if axis == "faults":
+        case = run_chaos_case(
+            scenario, payloads["fault_plan"], RngRegistry(0),
+            prefix=("verify", index, "faults", "channel"),
             fault=inject_share_fault,
         )
-        assert any(name == failure.check and not ok
-                   for name, ok, _details in case.checks)
+    elif axis == "churn":
+        case = run_churn_case(
+            scenario, payloads["churn_timeline"], seed=0, hysteresis=0.3,
+            stream_prefix=("verify", index, "churn"),
+            fault=inject_share_fault,
+        )
+    else:
+        case = run_overload_case(
+            scenario, payloads["arrival_trace"], seed=0,
+            plan=payloads["fault_plan"], hysteresis=0.3, max_queue_age=4,
+            stall_epochs=2, fault=inject_share_fault,
+        )
+    return {f"{axis}.{name.split('.', 1)[1]}"
+            for name, ok, _details in case.checks if not ok}
+
+
+class TestReplayAxes:
+    @pytest.mark.parametrize("axis", sorted(AXIS_FIELDS))
+    def test_failure_shrinks_payloads_into_reproducer(self, axis,
+                                                      axis_suite, tmp_path):
+        """An axis-only failure is shrunk along the scenario and every
+        payload of its axis, and the reproducer carries exactly those
+        payloads, each no bigger than a fresh draw for the case."""
+        from repro.verify.fuzzer import _run_case, _write_reproducer
+
+        _outcomes, failure = _run_case(0, 0, axis_suite(axis))
+        assert failure is not None
+        assert failure.check.startswith(axis + ".")
+        doc = failure.to_dict()
+        fresh = _fresh_payloads(axis, 0)
+        for name in ("fault_plan", "churn_timeline", "arrival_trace"):
+            if name not in AXIS_FIELDS[axis]:
+                assert doc[name] is None
+                continue
+            payload = _load_payload(name, doc[name])
+            assert payload.to_dict() == doc[name]
+            drawn = _payload_size(name, fresh[name].to_dict())
+            shrunk = _payload_size(name, doc[name])
+            assert all(s <= d for s, d in zip(shrunk, drawn))
+        path = _write_reproducer(str(tmp_path), 0, failure.case,
+                                 failure.check, failure)
+        written = json.loads(open(path).read())
+        assert written["scenario"] == doc["shrunk"]
+        for name in ("fault_plan", "churn_timeline", "arrival_trace"):
+            assert written.get(name) == doc[name]
+
+    @pytest.mark.parametrize("axis", sorted(AXIS_FIELDS))
+    def test_failures_replay_from_reproducer_fields(self, axis, axis_suite):
+        """The shrunk scenario and the shrunk payloads still fail the
+        recorded check: the reproducer is self-contained."""
+        from repro.verify.fuzzer import _run_case
+
+        _outcomes, failure = _run_case(1, 0, axis_suite(axis))
+        assert failure is not None
+        doc = failure.to_dict()
+        payloads = {name: _load_payload(name, doc[name])
+                    for name in AXIS_FIELDS[axis]}
+        failed = _replay(axis, 1, scenario_from_dict(failure.shrunk),
+                         payloads)
+        assert failure.check in failed
 
 
 class TestBackendAxis:
