@@ -40,11 +40,13 @@ def test_emit_perf_overload(perf_section):
         jobs=1 if quick else 2,
     )
     assert report.ok, [v.to_dict() for v in report.violations]
-    assert report.breaches == 2 * cases  # two forced stalls per case
+    totals = report.totals
+    assert totals["breaches"] == 2 * cases  # two forced stalls per case
     for name, outcomes in report.checks.items():
         assert outcomes.get("fail", 0) == 0, name
 
-    offered = sum(int(r["offered"] * epochs) for r in report.rates)
+    rates = totals["rates"]
+    offered = sum(int(r["offered"] * epochs) for r in rates)
     payload = {
         "kernel": "overload protection (deadline-bounded epochs + "
                   "graduated shedding ladder + worker-fault-tolerant "
@@ -53,15 +55,15 @@ def test_emit_perf_overload(perf_section):
         "epochs": epochs,
         "multiplier": 2.0,
         "mean_sustainable_rate": (
-            sum(r["sustainable"] for r in report.rates) / len(report.rates)
+            sum(r["sustainable"] for r in rates) / len(rates)
         ),
         "offered_flows": offered,
-        "admissions": dict(report.admissions),
-        "breaches": report.breaches,
-        "sheds": report.sheds,
-        "shed_rate": report.sheds / max(1, offered),
+        "admissions": dict(totals["admissions"]),
+        "breaches": totals["breaches"],
+        "sheds": totals["sheds"],
+        "shed_rate": totals["sheds"] / max(1, offered),
         "statuses": dict(report.statuses),
-        "epoch_p50_ms": max(r["latency_p50_ms"] for r in report.rates),
-        "epoch_p99_ms": max(r["latency_p99_ms"] for r in report.rates),
+        "epoch_p50_ms": max(r["latency_p50_ms"] for r in rates),
+        "epoch_p99_ms": max(r["latency_p99_ms"] for r in rates),
     }
     perf_section("overload", payload)

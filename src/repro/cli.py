@@ -452,6 +452,44 @@ def _run_observed(
     return 0
 
 
+def _run_report(
+    args: argparse.Namespace,
+    kind: str,
+    label: str,
+    config: Dict[str, object],
+    run: Callable[[], object],
+    healthy: Callable[[object], bool] = lambda report: report.ok,
+) -> int:
+    """Run one report-producing subcommand observed; exit 0 iff the
+    report is ``healthy``."""
+    reports: List[object] = []
+
+    def payload(tracer: Tracer) -> _Payload:
+        report = run()
+        reports.append(report)
+        return report.render(), label, report.to_dict()
+
+    code = _run_observed(args, kind, args.seed, config, payload)
+    if code != 0:
+        return code
+    return 0 if reports and healthy(reports[0]) else 1
+
+
+def _campaign_healthy(
+    args: argparse.Namespace,
+    caught: Callable[[object], bool] = lambda report: True,
+) -> Callable[[object], bool]:
+    """The resilience campaigns' exit rule.
+
+    A clean campaign is healthy.  Under ``--inject-fault`` the rule
+    inverts (as the verify report does itself): healthy only if the
+    safety checkers caught the injected fault and ``caught`` holds too.
+    """
+    if args.inject_fault:
+        return lambda report: not report.ok and caught(report)
+    return lambda report: report.ok
+
+
 def _load_json_file(path: str) -> Optional[Dict[str, object]]:
     import json
     from pathlib import Path
@@ -577,10 +615,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "verify":
         from .verify import run_fuzz
 
-        reports: List[object] = []
-
-        def verify_payload(tracer: Tracer) -> _Payload:
-            report = run_fuzz(
+        return _run_report(
+            args, "verify", "random-fuzz",
+            {"cases": args.cases, "inject_fault": args.inject_fault,
+             "faults": args.faults, "churn": args.churn,
+             "backend": args.backend, "sharded": args.sharded,
+             "overload": args.overload},
+            lambda: run_fuzz(
                 cases=args.cases,
                 seed=args.seed,
                 inject_fault=args.inject_fault,
@@ -592,31 +633,20 @@ def main(argv: Optional[List[str]] = None) -> int:
                 churn=args.churn,
                 sharded=args.sharded,
                 overload=args.overload,
-            )
-            reports.append(report)
-            return report.render(), "random-fuzz", report.to_dict()
-
-        code = _run_observed(
-            args, "verify", args.seed,
-            {"cases": args.cases, "inject_fault": args.inject_fault,
-             "faults": args.faults, "churn": args.churn,
-             "backend": args.backend, "sharded": args.sharded,
-             "overload": args.overload},
-            verify_payload,
+            ),
         )
-        if code != 0:
-            return code
-        return 0 if reports and reports[0].ok else 1
     if args.command == "chaos":
         from .resilience import run_chaos
 
-        chaos_reports: List[object] = []
         loss_rates = [
             float(r) for r in args.loss.split(",") if r.strip() != ""
         ]
-
-        def chaos_payload(tracer: Tracer) -> _Payload:
-            report = run_chaos(
+        return _run_report(
+            args, "chaos", "random-chaos",
+            {"cases": args.cases, "loss_rates": loss_rates,
+             "crash_prob": args.crash_prob,
+             "inject_fault": args.inject_fault, "jobs": args.jobs},
+            lambda: run_chaos(
                 cases=args.cases,
                 seed=args.seed,
                 loss_rates=loss_rates,
@@ -625,37 +655,23 @@ def main(argv: Optional[List[str]] = None) -> int:
                 max_rounds=args.max_rounds,
                 inject_fault=args.inject_fault,
                 jobs=args.jobs,
-            )
-            chaos_reports.append(report)
-            return report.render(), "random-chaos", report.to_dict()
-
-        code = _run_observed(
-            args, "chaos", args.seed,
-            {"cases": args.cases, "loss_rates": loss_rates,
-             "crash_prob": args.crash_prob,
-             "inject_fault": args.inject_fault, "jobs": args.jobs},
-            chaos_payload,
+            ),
+            _campaign_healthy(args),
         )
-        if code != 0:
-            return code
-        if not chaos_reports:
-            return 1
-        ok = chaos_reports[0].ok
-        # With an injected fault the campaign is healthy only if the
-        # safety checkers *caught* something (same inversion as verify).
-        return (0 if not ok else 1) if args.inject_fault else (0 if ok
-                                                               else 1)
     if args.command == "churn":
         from .resilience import run_churn
 
-        churn_reports: List[object] = []
         churn_rates = [
             float(r) for r in args.loss.split(",") if r.strip() != ""
         ]
         hysteresis = args.hysteresis if args.hysteresis > 0.0 else None
-
-        def churn_payload(tracer: Tracer) -> _Payload:
-            report = run_churn(
+        return _run_report(
+            args, "churn", "random-churn",
+            {"cases": args.cases, "loss_rates": churn_rates,
+             "epochs": args.epochs, "crash_prob": args.crash_prob,
+             "hysteresis": hysteresis,
+             "inject_fault": args.inject_fault, "jobs": args.jobs},
+            lambda: run_churn(
                 cases=args.cases,
                 seed=args.seed,
                 loss_rates=churn_rates,
@@ -665,35 +681,23 @@ def main(argv: Optional[List[str]] = None) -> int:
                 inject_fault=args.inject_fault,
                 crash_restore=not args.no_crash_restore,
                 jobs=args.jobs,
-            )
-            churn_reports.append(report)
-            return report.render(), "random-churn", report.to_dict()
-
-        code = _run_observed(
-            args, "churn", args.seed,
-            {"cases": args.cases, "loss_rates": churn_rates,
-             "epochs": args.epochs, "crash_prob": args.crash_prob,
-             "hysteresis": hysteresis,
-             "inject_fault": args.inject_fault, "jobs": args.jobs},
-            churn_payload,
+            ),
+            _campaign_healthy(args),
         )
-        if code != 0:
-            return code
-        if not churn_reports:
-            return 1
-        ok = churn_reports[0].ok
-        # Same inversion as chaos: with an injected fault the campaign
-        # is healthy only if the safety checkers caught something.
-        return (0 if not ok else 1) if args.inject_fault else (0 if ok
-                                                               else 1)
     if args.command == "overload":
         from .resilience import run_overload
 
-        overload_reports: List[object] = []
         overload_hyst = args.hysteresis if args.hysteresis > 0.0 else None
-
-        def overload_payload(tracer: Tracer) -> _Payload:
-            report = run_overload(
+        return _run_report(
+            args, "overload", "random-overload",
+            {"cases": args.cases, "epochs": args.epochs,
+             "multiplier": args.multiplier,
+             "deadline_ms": args.deadline_ms,
+             "max_queue": args.max_queue, "queue_age": args.queue_age,
+             "stall_epochs": args.stall_epochs,
+             "worker_crash": args.worker_crash,
+             "inject_fault": args.inject_fault, "jobs": args.jobs},
+            lambda: run_overload(
                 cases=args.cases,
                 seed=args.seed,
                 epochs=args.epochs,
@@ -706,32 +710,13 @@ def main(argv: Optional[List[str]] = None) -> int:
                 worker_crash=args.worker_crash,
                 jobs=args.jobs,
                 inject_fault=args.inject_fault,
-            )
-            overload_reports.append(report)
-            return report.render(), "random-overload", report.to_dict()
-
-        code = _run_observed(
-            args, "overload", args.seed,
-            {"cases": args.cases, "epochs": args.epochs,
-             "multiplier": args.multiplier,
-             "deadline_ms": args.deadline_ms,
-             "max_queue": args.max_queue, "queue_age": args.queue_age,
-             "stall_epochs": args.stall_epochs,
-             "worker_crash": args.worker_crash,
-             "inject_fault": args.inject_fault, "jobs": args.jobs},
-            overload_payload,
+            ),
+            # The forced stalls must also have produced recorded
+            # deadline breaches: the watchdog bit, not only the checkers.
+            _campaign_healthy(
+                args, lambda report: report.totals["breaches"] > 0
+            ),
         )
-        if code != 0:
-            return code
-        if not overload_reports:
-            return 1
-        report = overload_reports[0]
-        if args.inject_fault:
-            # The chaos/churn inversion plus a watchdog proof: healthy
-            # only if the checkers caught the perturbed allocation AND
-            # the forced stalls produced recorded deadline breaches.
-            return 0 if (not report.ok and report.breaches > 0) else 1
-        return 0 if report.ok else 1
     if args.command == "show":
         from .experiments import (
             render_allocation_comparison,

@@ -30,9 +30,10 @@ purpose — and trustworthy anyway:
   under Eq. (6)) and the queue/reject controller;
 * :mod:`~repro.resilience.checkpoint` — atomic, checksummed,
   schema-versioned snapshots with typed load failures;
-* :mod:`~repro.resilience.campaign` — chaos campaigns (fault plans) and
-  churn campaigns (timelines, with a mid-timeline crash + restore
-  differential) with the paper's safety invariants checked on every run.
+* :mod:`~repro.resilience.campaign` — chaos (fault plans), churn
+  (timelines, with a mid-timeline crash + restore differential) and
+  overload (open-loop arrival traces) campaigns on one skeleton, with
+  the paper's safety invariants checked on every run.
 
 CLI: ``repro-experiments chaos --cases 50 --seed 0 --loss 0,0.1,0.3``
 and ``repro-experiments churn --cases 30 --epochs 10 --loss 0,0.2``.
@@ -90,15 +91,9 @@ from .overload import (
     RUNG_NAMES,
 )
 from .campaign import (
+    CampaignReport,
     CaseChecks,
-    ChaosReport,
-    ChaosViolation,
-    ChurnCase,
-    ChurnReport,
-    ChurnViolation,
-    OverloadCase,
-    OverloadReport,
-    OverloadViolation,
+    Violation,
     measure_sustainable_rate,
     run_chaos,
     run_chaos_case,
@@ -151,19 +146,13 @@ __all__ = [
     "OverloadConfig",
     "OverloadRuntime",
     "RUNG_NAMES",
+    "CampaignReport",
     "CaseChecks",
-    "ChaosReport",
-    "ChaosViolation",
-    "ChurnCase",
-    "ChurnReport",
-    "ChurnViolation",
+    "Violation",
     "run_chaos",
     "run_chaos_case",
     "run_churn",
     "run_churn_case",
-    "OverloadCase",
-    "OverloadReport",
-    "OverloadViolation",
     "measure_sustainable_rate",
     "run_overload",
     "run_overload_case",

@@ -1,27 +1,37 @@
-"""Chaos campaigns: sweep fault plans, check the safety invariants.
+"""Campaigns: sweep seeded cases through the resilience stack, check the
+paper's safety invariants on every run.
 
-One *chaos case* runs the full resilience stack on one scenario under
-one :class:`~repro.resilience.faults.FaultPlan`:
+Three modes share one skeleton — one case (:class:`CaseChecks`), one
+violation (:class:`Violation`), one report (:class:`CampaignReport`) and
+one violation-collecting sweep with a ``max_violations`` cut-off.  Each
+mode supplies only its checks, its replay payload and its report extras:
 
-1. lossy 2PA-D (:class:`~repro.resilience.channel.UnreliableChannel`
-   over a seeded injector) with the degradation ladder and the
-   :class:`~repro.resilience.degrade.ResilientLPBackend` fallback chain;
-2. the **safety invariants**, via the existing checkers from
-   :mod:`repro.verify.invariants`:
+* **chaos** (:func:`run_chaos`) — lossy 2PA-D
+  (:class:`~repro.resilience.channel.UnreliableChannel` over a seeded
+  injector) with the degradation ladder and the
+  :class:`~repro.resilience.degrade.ResilientLPBackend` fallback chain,
+  under one :class:`~repro.resilience.faults.FaultPlan` per loss rate.
+  The (possibly degraded) allocation never exceeds any clique capacity
+  — Eq. (6), under *every* fault plan — the run reports a valid
+  convergence status instead of raising, and after fault healing (a
+  fresh lossless run) every flow is restored to at least its basic
+  share (Sec. II-D) with Eq. (6) still holding.  Replay payload: the
+  fault plan.
+* **churn** (:func:`run_churn`) — the long-lived
+  :class:`~repro.resilience.runtime.AllocatorRuntime` through a seeded
+  :class:`~repro.resilience.epochs.ChurnTimeline`, with a mid-timeline
+  crash + restore differential.  Replay payload: the timeline.
+* **overload** (:func:`run_overload`) — the runtime behind an
+  :class:`~repro.resilience.overload.OverloadRuntime` under an open-loop
+  arrival trace at a multiple of the measured sustainable rate.  Replay
+  payload: the arrival trace and the fault plan.
 
-   * the (possibly degraded) allocation never exceeds any clique
-     capacity — Eq. (6), under *every* fault plan;
-   * the run reports a valid convergence status instead of raising;
-   * after fault healing (a fresh lossless run), every flow is restored
-     to at least its basic share (Sec. II-D) and Eq. (6) still holds.
-
-:func:`run_chaos` sweeps ``cases`` random scenarios (the verification
-fuzzer's generator, so case ``i`` of seed ``s`` is the same topology the
-``verify`` harness would draw) across a grid of loss rates, tallies
-statuses and check outcomes, and records any violation together with the
-serialized scenario *and* fault plan so it can be replayed.  The
-``repro-experiments chaos`` subcommand drives exactly this code path and
-emits the result as a :mod:`repro.obs` run artifact.
+Every mode draws scenario ``i`` from the verification fuzzer's generator,
+so campaign case ``i`` of seed ``s`` is the topology the ``verify``
+harness would draw, and records any violation together with the
+serialized scenario and its replay payload.  The ``repro-experiments
+chaos`` / ``churn`` / ``overload`` subcommands drive exactly this code
+and emit the report as a :mod:`repro.obs` run artifact.
 """
 
 from __future__ import annotations
@@ -29,8 +39,10 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from itertools import chain
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..core.contention import ContentionAnalysis
 from ..core.distributed import DistributedAllocator
@@ -43,7 +55,7 @@ from ..verify.invariants import (
     check_basic_fairness,
     check_clique_capacity,
 )
-from .channel import CONVERGED, STATUS_ORDER, UnreliableChannel
+from .channel import STATUS_ORDER, UnreliableChannel
 from .degrade import (
     ResilientLPBackend,
     enforce_clique_capacity,
@@ -67,14 +79,8 @@ from .runtime import AllocatorRuntime, RuntimeConfig
 
 __all__ = [
     "CaseChecks",
-    "ChaosViolation",
-    "ChaosReport",
-    "ChurnCase",
-    "ChurnViolation",
-    "ChurnReport",
-    "OverloadCase",
-    "OverloadViolation",
-    "OverloadReport",
+    "Violation",
+    "CampaignReport",
     "run_chaos_case",
     "run_chaos",
     "run_churn_case",
@@ -87,17 +93,29 @@ __all__ = [
 DEFAULT_LOSS_RATES = (0.0, 0.1, 0.3)
 DEFAULT_CHURN_LOSS_RATES = (0.0, 0.2)
 
+ShareFault = Callable[[Dict[str, float], float], Dict[str, float]]
+Check = Tuple[str, bool, str]
+
+
+# ----------------------------------------------------------------------
+# The skeleton: case, violation, report, sweep
+# ----------------------------------------------------------------------
 
 @dataclass
 class CaseChecks:
-    """Everything one chaos case produced, checks included."""
+    """Everything one campaign case produced, checks included.
+
+    ``statuses`` counts the statuses the case adds to its report (one
+    convergence status per chaos case, one per committed epoch
+    otherwise); ``tallies`` holds the mode's other aggregates, of which
+    the report sums those it keeps totals for.
+    """
 
     status: str
-    checks: List[Tuple[str, bool, str]]
+    checks: List[Check]
     shares: Dict[str, float] = field(default_factory=dict)
-    healed_shares: Dict[str, float] = field(default_factory=dict)
-    degraded_flows: int = 0
-    error: str = ""
+    statuses: Dict[str, int] = field(default_factory=dict)
+    tallies: Dict[str, object] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -106,6 +124,256 @@ class CaseChecks:
     def failed_checks(self) -> List[Tuple[str, str]]:
         return [(name, details) for name, ok, details in self.checks
                 if not ok]
+
+
+def _raised(check: str, exc: Exception, counter: str,
+            statuses: Optional[Dict[str, int]] = None) -> CaseChecks:
+    """The case of a run that raised: one failed ``*.no_raise`` check."""
+    incr(counter)
+    return CaseChecks(
+        status="raised",
+        checks=[(check, False, f"{type(exc).__name__}: {exc}")],
+        statuses=statuses or {},
+    )
+
+
+@dataclass
+class Violation:
+    """One safety-invariant violation, with everything needed to replay.
+
+    ``key`` names the swept quantity the case ran at (``loss`` or
+    ``rate``); ``replay`` holds the mode's serialized payload
+    (``fault_plan``, ``churn_timeline``, or ``arrival_trace`` +
+    ``fault_plan``).
+    """
+
+    case: int
+    key: str
+    value: float
+    check: str
+    details: str
+    scenario: Dict[str, object]
+    replay: Dict[str, object]
+
+    def to_dict(self) -> Dict[str, object]:
+        return {
+            "case": self.case,
+            self.key: self.value,
+            "check": self.check,
+            "details": self.details,
+            "scenario": self.scenario,
+            **self.replay,
+        }
+
+
+@dataclass
+class CampaignReport:
+    """Aggregate of one campaign, renderable and artifact-ready.
+
+    ``params`` are the mode's configuration keys and ``totals`` its
+    summed tallies (counts, count maps and row lists), each in artifact
+    order.
+    """
+
+    mode: str
+    cases: int
+    seed: int
+    params: Dict[str, object] = field(default_factory=dict)
+    statuses: Counter = field(default_factory=Counter)
+    checks: Dict[str, Dict[str, int]] = field(default_factory=dict)
+    totals: Dict[str, object] = field(init=False)
+    violations: List[Violation] = field(default_factory=list)
+
+    def __post_init__(self) -> None:
+        self.totals = {key: zero() for key, zero in _MODES[self.mode].totals}
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
+
+    def tally(self, case: CaseChecks) -> None:
+        self.statuses += case.statuses
+        for key in self.totals:
+            if key in case.tallies:
+                self.totals[key] += case.tallies[key]
+        for name, ok, _details in case.checks:
+            row = self.checks.setdefault(name, {"pass": 0, "fail": 0})
+            row["pass" if ok else "fail"] += 1
+            incr(f"resilience.{name}.{'pass' if ok else 'fail'}")
+
+    def to_dict(self) -> Dict[str, object]:
+        doc: Dict[str, object] = {
+            "cases": self.cases,
+            "seed": self.seed,
+            **self.params,
+            "ok": self.ok,
+            "statuses": dict(sorted(self.statuses.items())),
+            "checks": {k: dict(v) for k, v in sorted(self.checks.items())},
+        }
+        for key, total in self.totals.items():
+            doc[key] = (dict(sorted(total.items()))
+                        if isinstance(total, Counter) else total)
+        doc["violations"] = [v.to_dict() for v in self.violations]
+        return doc
+
+    def render(self) -> str:
+        mode = _MODES[self.mode]
+        lines = mode.lines(self)
+        lines.append(f"  {'safety check':<28} {'pass':>6} {'fail':>6}")
+        for name in sorted(self.checks):
+            row = self.checks[name]
+            lines.append(
+                f"  {name:<28} {row['pass']:>6} {row['fail']:>6}"
+            )
+        lines.append("")
+        if self.violations:
+            lines.append(f"{len(self.violations)} violation(s):")
+            for v in self.violations:
+                lines.append(
+                    f"  case {v.case} @ {v.key} {v.value:g}: {v.check}"
+                )
+                if v.details:
+                    lines.append(f"    {v.details}")
+        else:
+            lines.append(mode.held)
+        return "\n".join(lines)
+
+
+def _rows(title: str, unit: str, counts: Dict[str, int],
+          *extra: Tuple[str, int]) -> List[str]:
+    """One ``name  count`` table: sorted ``counts``, then ``extra`` lines."""
+    return (
+        [f"  {title:<28} {unit:>6}"]
+        + [f"  {name:<28} {counts[name]:>6}" for name in sorted(counts)]
+        + [f"  {label:<28} {value:>6}" for label, value in extra]
+        + [""]
+    )
+
+
+def _epoch_rows(report: CampaignReport) -> List[str]:
+    return _rows("epoch status", "epochs", report.statuses,
+                 ("total epochs committed", report.totals["epochs_run"]))
+
+
+def _chaos_lines(report: CampaignReport) -> List[str]:
+    rates = report.params["loss_rates"]
+    return [
+        f"repro chaos: {report.cases} case(s) x {len(rates)} loss rate(s) "
+        f"{tuple(rates)}, seed {report.seed}",
+        "",
+    ] + _rows("convergence status", "runs", report.statuses,
+              ("flows degraded to basic", report.totals["degraded_flows"]))
+
+
+def _churn_lines(report: CampaignReport) -> List[str]:
+    p = report.params
+    return [
+        f"repro churn: {report.cases} timeline(s) x "
+        f"{len(p['loss_rates'])} loss rate(s) {tuple(p['loss_rates'])}, "
+        f"{p['epochs']} epoch(s), seed {report.seed}"
+        + (f", hysteresis {p['hysteresis']:g}"
+           if p["hysteresis"] is not None else ""),
+        "",
+    ] + _epoch_rows(report) + _rows("admission action", "flows",
+                                    report.totals["admissions"])
+
+
+def _overload_lines(report: CampaignReport) -> List[str]:
+    p = report.params
+    lines = [
+        f"repro overload: {report.cases} case(s), {p['epochs']} "
+        f"epoch(s), offered {p['multiplier']:g}x sustainable, "
+        f"seed {report.seed}"
+        + (f", epoch deadline {p['deadline_ms']:g} ms"
+           if p["deadline_ms"] is not None else ""),
+        "",
+        f"  {'case':>4} {'sustainable':>12} {'offered':>9} "
+        f"{'breaches':>9} {'p50 ms':>9} {'p99 ms':>9}",
+    ]
+    for i, row in enumerate(report.totals["rates"]):
+        lines.append(
+            f"  {i:>4} {row['sustainable']:>12g} "
+            f"{row['offered']:>9g} {int(row['breaches']):>9} "
+            f"{row['latency_p50_ms']:>9.2f} "
+            f"{row['latency_p99_ms']:>9.2f}"
+        )
+    return lines + [""] + _epoch_rows(report) + _rows(
+        "admission action", "flows", report.totals["admissions"],
+        ("flows shed / evicted", report.totals["sheds"]),
+    )
+
+
+@dataclass(frozen=True)
+class _Mode:
+    """What one campaign mode adds to the shared skeleton."""
+
+    key: str                     #: the swept quantity a violation names
+    counter: str                 #: counted once per case
+    totals: Tuple[Tuple[str, Callable[[], object]], ...]
+    lines: Callable[[CampaignReport], List[str]]  #: header + extra rows
+    held: str                    #: the all-clear line
+
+
+_MODES: Dict[str, _Mode] = {
+    "chaos": _Mode(
+        "loss", "resilience.cases", (("degraded_flows", int),),
+        _chaos_lines, "all safety invariants held",
+    ),
+    "churn": _Mode(
+        "loss", "runtime.cases",
+        (("admissions", Counter), ("epochs_run", int),
+         ("degraded_flows", int)),
+        _churn_lines, "all churn safety invariants held",
+    ),
+    "overload": _Mode(
+        "rate", "runtime.overload.cases",
+        (("admissions", Counter), ("rates", list), ("epochs_run", int),
+         ("breaches", int), ("sheds", int)),
+        _overload_lines, "all overload safety invariants held",
+    ),
+}
+
+#: One swept case: index, swept value, case, scenario doc, replay payload.
+CaseResult = Tuple[int, float, CaseChecks, Dict[str, object],
+                   Dict[str, object]]
+
+
+def _sweep(report: CampaignReport, results: Iterable[CaseResult],
+           max_violations: int) -> CampaignReport:
+    """Tally ``results`` in order into ``report``, collecting violations.
+
+    Stops after the result that brings the violation count to
+    ``max_violations``; a lazy ``results`` never computes the rest.
+    """
+    mode = _MODES[report.mode]
+    for index, value, case, scenario_doc, replay in results:
+        incr(mode.counter)
+        report.tally(case)
+        for name, details in case.failed_checks():
+            report.violations.append(Violation(
+                case=index, key=mode.key, value=value, check=name,
+                details=details, scenario=scenario_doc, replay=replay,
+            ))
+        if len(report.violations) >= max_violations:
+            break
+    return report
+
+
+# ----------------------------------------------------------------------
+# Chaos campaigns: lossy 2PA-D under seeded fault plans
+# ----------------------------------------------------------------------
+
+def _healed_shares(scenario: Scenario,
+                   analysis: ContentionAnalysis) -> Dict[str, float]:
+    """The healing baseline: a fresh fault-free run *through the
+    resilience stack* — plain 2PA-D local-LP shares plus the capacity
+    governor, exactly what a lossless channel produces."""
+    healed, _clamped = enforce_clique_capacity(
+        analysis,
+        DistributedAllocator(scenario, analysis=analysis).run().shares,
+        floors=global_basic_shares(analysis),
+    )
+    return healed
 
 
 def run_chaos_case(
@@ -117,8 +385,7 @@ def run_chaos_case(
     healed_shares: Optional[Dict[str, float]] = None,
     max_retries: int = 4,
     max_rounds: int = 256,
-    fault: Optional[Callable[[Dict[str, float], float],
-                             Dict[str, float]]] = None,
+    fault: Optional[ShareFault] = None,
 ) -> CaseChecks:
     """One scenario under one fault plan, safety-checked end to end.
 
@@ -130,7 +397,7 @@ def run_chaos_case(
     """
     if analysis is None:
         analysis = ContentionAnalysis(scenario)
-    checks: List[Tuple[str, bool, str]] = []
+    checks: List[Check] = []
 
     injector = FaultInjector(plan, registry, prefix=prefix)
     channel = UnreliableChannel(
@@ -145,13 +412,8 @@ def run_chaos_case(
             )
             result = allocator.run()
     except Exception as exc:
-        incr("resilience.case_raised")
-        return CaseChecks(
-            status="raised",
-            checks=[("chaos.no_raise", False,
-                     f"{type(exc).__name__}: {exc}")],
-            error=f"{type(exc).__name__}: {exc}",
-        )
+        return _raised("chaos.no_raise", exc, "resilience.case_raised",
+                       statuses={"raised": 1})
     checks.append(("chaos.no_raise", True, ""))
 
     status = str(allocator.convergence.get("status", ""))
@@ -169,11 +431,7 @@ def run_chaos_case(
     checks.append(("chaos.clique_capacity", res.ok, res.details))
 
     if healed_shares is None:
-        healed_shares, _clamped = enforce_clique_capacity(
-            analysis,
-            DistributedAllocator(scenario, analysis=analysis).run().shares,
-            floors=global_basic_shares(analysis),
-        )
+        healed_shares = _healed_shares(scenario, analysis)
     res = check_basic_fairness(analysis, healed_shares)
     checks.append(("chaos.healed_basic_fairness", res.ok, res.details))
     res = check_clique_capacity(analysis, healed_shares)
@@ -187,106 +445,14 @@ def run_chaos_case(
         status=status,
         checks=checks,
         shares=shares,
-        healed_shares=dict(healed_shares),
-        degraded_flows=degraded,
+        statuses={status: 1},
+        tallies={"degraded_flows": degraded},
     )
-
-
-@dataclass
-class ChaosViolation:
-    """One safety-invariant violation, with everything needed to replay."""
-
-    case: int
-    loss: float
-    check: str
-    details: str
-    scenario: Dict[str, object]
-    fault_plan: Dict[str, object]
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "case": self.case,
-            "loss": self.loss,
-            "check": self.check,
-            "details": self.details,
-            "scenario": self.scenario,
-            "fault_plan": self.fault_plan,
-        }
-
-
-@dataclass
-class ChaosReport:
-    """Aggregate of one chaos campaign, renderable and artifact-ready."""
-
-    cases: int
-    seed: int
-    loss_rates: Tuple[float, ...]
-    statuses: Dict[str, int] = field(default_factory=dict)
-    checks: Dict[str, Dict[str, int]] = field(default_factory=dict)
-    degraded_flows: int = 0
-    violations: List[ChaosViolation] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def tally(self, case: CaseChecks) -> None:
-        self.statuses[case.status] = self.statuses.get(case.status, 0) + 1
-        self.degraded_flows += case.degraded_flows
-        for name, ok, _details in case.checks:
-            row = self.checks.setdefault(name, {"pass": 0, "fail": 0})
-            row["pass" if ok else "fail"] += 1
-            incr(f"resilience.{name}.{'pass' if ok else 'fail'}")
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "cases": self.cases,
-            "seed": self.seed,
-            "loss_rates": list(self.loss_rates),
-            "ok": self.ok,
-            "statuses": dict(sorted(self.statuses.items())),
-            "checks": {k: dict(v) for k, v in sorted(self.checks.items())},
-            "degraded_flows": self.degraded_flows,
-            "violations": [v.to_dict() for v in self.violations],
-        }
-
-    def render(self) -> str:
-        lines = [
-            f"repro chaos: {self.cases} case(s) x "
-            f"{len(self.loss_rates)} loss rate(s) "
-            f"{tuple(self.loss_rates)}, seed {self.seed}",
-            "",
-            f"  {'convergence status':<28} {'runs':>6}",
-        ]
-        for status in sorted(self.statuses):
-            lines.append(f"  {status:<28} {self.statuses[status]:>6}")
-        lines.append(
-            f"  {'flows degraded to basic':<28} {self.degraded_flows:>6}"
-        )
-        lines.append("")
-        lines.append(f"  {'safety check':<28} {'pass':>6} {'fail':>6}")
-        for name in sorted(self.checks):
-            row = self.checks[name]
-            lines.append(
-                f"  {name:<28} {row['pass']:>6} {row['fail']:>6}"
-            )
-        lines.append("")
-        if self.violations:
-            lines.append(f"{len(self.violations)} violation(s):")
-            for v in self.violations:
-                lines.append(
-                    f"  case {v.case} @ loss {v.loss:g}: {v.check}"
-                )
-                if v.details:
-                    lines.append(f"    {v.details}")
-        else:
-            lines.append("all safety invariants held")
-        return "\n".join(lines)
 
 
 def _chaos_case_task(
     payload: Tuple[int, int, Tuple[float, ...], float, int, int, bool]
-) -> List[Tuple[float, CaseChecks, Dict[str, object], Dict[str, object]]]:
+) -> List[CaseResult]:
     """One chaos case index across every loss rate (pool-friendly).
 
     A pure function of its payload: the registry is rebuilt from the
@@ -301,16 +467,8 @@ def _chaos_case_task(
     registry = RngRegistry(seed)
     scenario = generate_scenario(registry, index)
     analysis = ContentionAnalysis(scenario)
-    # The healing baseline is a fresh fault-free run *through the
-    # resilience stack*: plain 2PA-D local-LP shares plus the
-    # capacity governor — exactly what a lossless channel produces.
-    healed, _clamped = enforce_clique_capacity(
-        analysis,
-        DistributedAllocator(scenario, analysis=analysis).run().shares,
-        floors=global_basic_shares(analysis),
-    )
-    out: List[Tuple[float, CaseChecks, Dict[str, object],
-                    Dict[str, object]]] = []
+    healed = _healed_shares(scenario, analysis)
+    out: List[CaseResult] = []
     for loss in rates:
         plan = FaultPlan.draw(
             registry.stream(("chaos", index, repr(loss))),
@@ -327,8 +485,8 @@ def _chaos_case_task(
             max_rounds=max_rounds,
             fault=fault,
         )
-        out.append((loss, case, scenario_to_dict(scenario),
-                    plan.to_dict()))
+        out.append((index, loss, case, scenario_to_dict(scenario),
+                    {"fault_plan": plan.to_dict()}))
     return out
 
 
@@ -342,7 +500,7 @@ def run_chaos(
     max_violations: int = 5,
     inject_fault: bool = False,
     jobs: Optional[int] = 1,
-) -> ChaosReport:
+) -> CampaignReport:
     """Sweep ``cases`` scenarios x ``loss_rates`` fault plans.
 
     Scenario ``i`` comes from the verification fuzzer's generator (same
@@ -361,29 +519,15 @@ def run_chaos(
     them.
     """
     rates = tuple(float(r) for r in loss_rates)
-    report = ChaosReport(cases=cases, seed=seed, loss_rates=rates)
+    report = CampaignReport("chaos", cases, seed,
+                            {"loss_rates": list(rates)})
     tasks = [
         (seed, index, rates, crash_prob, max_retries, max_rounds,
          inject_fault)
         for index in range(cases)
     ]
     results = ParallelSweep(jobs).map(_chaos_case_task, tasks)
-    for index, case_results in enumerate(results):
-        for loss, case, scenario_doc, plan_doc in case_results:
-            incr("resilience.cases")
-            report.tally(case)
-            for name, details in case.failed_checks():
-                report.violations.append(ChaosViolation(
-                    case=index,
-                    loss=loss,
-                    check=name,
-                    details=details,
-                    scenario=scenario_doc,
-                    fault_plan=plan_doc,
-                ))
-            if len(report.violations) >= max_violations:
-                return report
-    return report
+    return _sweep(report, chain.from_iterable(results), max_violations)
 
 
 # ----------------------------------------------------------------------
@@ -399,28 +543,68 @@ _EPOCH_SEVERITY = (
 
 
 def _worst_epoch_status(statuses: Sequence[str]) -> str:
-    worst = "empty"
-    for status in statuses:
-        rank = (_EPOCH_SEVERITY.index(status)
+    """The most severe status; an unknown one outranks them all."""
+    def rank(status: str) -> int:
+        return (_EPOCH_SEVERITY.index(status)
                 if status in _EPOCH_SEVERITY else len(_EPOCH_SEVERITY))
-        if rank > _EPOCH_SEVERITY.index(worst):
-            worst = status if status in _EPOCH_SEVERITY else status
-            if status not in _EPOCH_SEVERITY:
-                return status
-    return worst
+
+    return max(statuses, key=rank, default="empty")
+
+
+def _runtime_checks(
+    prefix: str,
+    runtime: AllocatorRuntime,
+    analysis: ContentionAnalysis,
+    shares: Dict[str, float],
+    fault: Optional[ShareFault],
+) -> List[Check]:
+    """The five checks every runtime campaign case makes after its run.
+
+    * ``no_raise`` — the runtime survived (a raise never gets here);
+    * ``epoch_checks`` — every committed epoch's recorded Eq. (6) and
+      basic-floor checks passed;
+    * ``admission_reasoned`` — every non-admit decision carries a
+      machine-readable reason;
+    * ``final_clique_capacity`` / ``final_basic_floor`` — ``shares``
+      re-checked from scratch against ``analysis`` (the ``fault`` hook
+      perturbs them first when the harness itself is under test).
+    """
+    epoch_fails = [
+        f"epoch {r.epoch}: {name} ({details})"
+        for r in runtime.journal
+        for name, ok, details in r.checks if not ok
+    ]
+    unreasoned = sorted({
+        d.flow_id for d in runtime.admission.decisions
+        if d.action != ADMIT and (not d.reason or d.reason == REASON_OK)
+    })
+    if fault is not None and shares:
+        shares = fault(shares, runtime.scenario.capacity)
+    capacity = check_clique_capacity(analysis, shares)
+    floor = check_basic_fairness(analysis, shares)
+    return [
+        (f"{prefix}.no_raise", True, ""),
+        (f"{prefix}.epoch_checks", not epoch_fails,
+         "; ".join(epoch_fails[:3])),
+        (f"{prefix}.admission_reasoned", not unreasoned,
+         "" if not unreasoned
+         else f"non-admit decisions without a reason: {unreasoned}"),
+        (f"{prefix}.final_clique_capacity", capacity.ok, capacity.details),
+        (f"{prefix}.final_basic_floor", floor.ok, floor.details),
+    ]
+
+
+def _journal_tallies(runtime: AllocatorRuntime) -> Dict[str, object]:
+    """Epoch-status counts and admission-action counts of one run."""
+    return {
+        "statuses": Counter(r.status for r in runtime.journal),
+        "admissions": Counter(d.action for d in runtime.admission.decisions),
+        "epochs_run": len(runtime.journal),
+    }
 
 
 class _SimulatedCrash(BaseException):
     """Raised by the crash hook; BaseException so no handler eats it."""
-
-
-@dataclass
-class ChurnCase(CaseChecks):
-    """One churn case: :class:`CaseChecks` plus journal aggregates."""
-
-    epochs_run: int = 0
-    epoch_statuses: Dict[str, int] = field(default_factory=dict)
-    admissions: Dict[str, int] = field(default_factory=dict)
 
 
 def _canonical_state(runtime: AllocatorRuntime) -> str:
@@ -436,31 +620,24 @@ def run_churn_case(
     crash_prob: float = 0.0,
     hysteresis: Optional[float] = None,
     stream_prefix: Tuple = ("churn",),
-    fault: Optional[Callable[[Dict[str, float], float],
-                             Dict[str, float]]] = None,
+    fault: Optional[ShareFault] = None,
     crash_restore: bool = True,
     mode: Optional[str] = None,
     jobs: Optional[int] = 1,
-) -> ChurnCase:
+) -> CaseChecks:
     """One scenario through one churn timeline, checked end to end.
 
     The runtime runs the whole timeline (``mode`` defaults to
     distributed 2PA-D when the channel is lossy, centralized otherwise),
-    then five properties are checked:
-
-    * ``churn.no_raise`` — the runtime survives the timeline;
-    * ``churn.epoch_checks`` — every committed epoch's recorded Eq. (6)
-      and basic-floor checks passed;
-    * ``churn.admission_reasoned`` — every non-admit decision carries a
-      machine-readable reason;
-    * ``churn.final_clique_capacity`` / ``churn.final_basic_floor`` —
-      the final allocation re-checked from scratch (the ``fault`` hook
-      perturbs it first when the harness itself is under test);
-    * ``churn.crash_restore_identical`` — a second runtime is crashed
-      mid-timeline (after epoch ``epochs // 2`` is staged but before it
-      commits), restored from its last checkpoint, and resumed; its
-      final state payload must be *bitwise identical* to the
-      uninterrupted run's.
+    then the five shared runtime checks (``churn.no_raise``,
+    ``churn.epoch_checks``, ``churn.admission_reasoned``,
+    ``churn.final_clique_capacity``, ``churn.final_basic_floor``; see
+    :func:`_runtime_checks`) run on the final allocation, plus
+    ``churn.crash_restore_identical``: a second runtime is crashed
+    mid-timeline (after epoch ``epochs // 2`` is staged but before it
+    commits), restored from its last checkpoint, and resumed; its final
+    state payload must be *bitwise identical* to the uninterrupted
+    run's.
 
     ``jobs`` sizes the process pool of the runtime's component-sharded
     centralized solver (results are bitwise identical at any job count).
@@ -476,47 +653,14 @@ def run_churn_case(
             checkpoint_path=checkpoint_path,
         )
 
-    checks: List[Tuple[str, bool, str]] = []
     runtime = AllocatorRuntime(scenario, config())
     try:
         with phase_timer("runtime.case"):
             runtime.run_timeline(timeline)
     except Exception as exc:
-        incr("runtime.case_raised")
-        return ChurnCase(
-            status="raised",
-            checks=[("churn.no_raise", False,
-                     f"{type(exc).__name__}: {exc}")],
-            error=f"{type(exc).__name__}: {exc}",
-        )
-    checks.append(("churn.no_raise", True, ""))
-
-    epoch_fails = [
-        f"epoch {r.epoch}: {name} ({details})"
-        for r in runtime.journal
-        for name, ok, details in r.checks if not ok
-    ]
-    checks.append(("churn.epoch_checks", not epoch_fails,
-                   "; ".join(epoch_fails[:3])))
-
-    unreasoned = sorted({
-        d.flow_id for d in runtime.admission.decisions
-        if d.action != ADMIT and (not d.reason or d.reason == REASON_OK)
-    })
-    checks.append((
-        "churn.admission_reasoned", not unreasoned,
-        "" if not unreasoned
-        else f"non-admit decisions without a reason: {unreasoned}",
-    ))
-
-    analysis = runtime.current_analysis()
-    shares = dict(runtime.shares)
-    if fault is not None and shares:
-        shares = fault(shares, scenario.capacity)
-    res = check_clique_capacity(analysis, shares)
-    checks.append(("churn.final_clique_capacity", res.ok, res.details))
-    res = check_basic_fairness(analysis, shares)
-    checks.append(("churn.final_basic_floor", res.ok, res.details))
+        return _raised("churn.no_raise", exc, "runtime.case_raised")
+    checks = _runtime_checks("churn", runtime, runtime.current_analysis(),
+                             dict(runtime.shares), fault)
 
     if crash_restore and timeline.epochs >= 2:
         crash_epoch = max(1, timeline.epochs // 2)
@@ -545,139 +689,17 @@ def run_churn_case(
                     f"+ restore + replay",
                 ))
 
-    statuses: Dict[str, int] = {}
-    for record in runtime.journal:
-        statuses[record.status] = statuses.get(record.status, 0) + 1
-    admissions: Dict[str, int] = {}
-    for decision in runtime.admission.decisions:
-        admissions[decision.action] = admissions.get(decision.action,
-                                                     0) + 1
-    return ChurnCase(
+    tallies = _journal_tallies(runtime)
+    tallies["degraded_flows"] = sum(
+        int(r.convergence.get("unconfirmed") or 0) for r in runtime.journal
+    )
+    return CaseChecks(
         status=_worst_epoch_status([r.status for r in runtime.journal]),
         checks=checks,
         shares=dict(runtime.shares),
-        degraded_flows=sum(
-            int(r.convergence.get("unconfirmed") or 0)
-            for r in runtime.journal
-        ),
-        epochs_run=len(runtime.journal),
-        epoch_statuses=statuses,
-        admissions=admissions,
+        statuses=tallies.pop("statuses"),
+        tallies=tallies,
     )
-
-
-@dataclass
-class ChurnViolation:
-    """One churn-safety violation, with everything needed to replay."""
-
-    case: int
-    loss: float
-    check: str
-    details: str
-    scenario: Dict[str, object]
-    churn_timeline: Dict[str, object]
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "case": self.case,
-            "loss": self.loss,
-            "check": self.check,
-            "details": self.details,
-            "scenario": self.scenario,
-            "churn_timeline": self.churn_timeline,
-        }
-
-
-@dataclass
-class ChurnReport:
-    """Aggregate of one churn campaign, renderable and artifact-ready."""
-
-    cases: int
-    seed: int
-    loss_rates: Tuple[float, ...]
-    epochs: int
-    hysteresis: Optional[float] = None
-    statuses: Dict[str, int] = field(default_factory=dict)
-    checks: Dict[str, Dict[str, int]] = field(default_factory=dict)
-    admissions: Dict[str, int] = field(default_factory=dict)
-    epochs_run: int = 0
-    degraded_flows: int = 0
-    violations: List[ChurnViolation] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def tally(self, case: ChurnCase) -> None:
-        for status, count in case.epoch_statuses.items():
-            self.statuses[status] = self.statuses.get(status, 0) + count
-        for action, count in case.admissions.items():
-            self.admissions[action] = (
-                self.admissions.get(action, 0) + count
-            )
-        self.epochs_run += case.epochs_run
-        self.degraded_flows += case.degraded_flows
-        for name, ok, _details in case.checks:
-            row = self.checks.setdefault(name, {"pass": 0, "fail": 0})
-            row["pass" if ok else "fail"] += 1
-            incr(f"resilience.{name}.{'pass' if ok else 'fail'}")
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "cases": self.cases,
-            "seed": self.seed,
-            "loss_rates": list(self.loss_rates),
-            "epochs": self.epochs,
-            "hysteresis": self.hysteresis,
-            "ok": self.ok,
-            "statuses": dict(sorted(self.statuses.items())),
-            "checks": {k: dict(v) for k, v in sorted(self.checks.items())},
-            "admissions": dict(sorted(self.admissions.items())),
-            "epochs_run": self.epochs_run,
-            "degraded_flows": self.degraded_flows,
-            "violations": [v.to_dict() for v in self.violations],
-        }
-
-    def render(self) -> str:
-        lines = [
-            f"repro churn: {self.cases} timeline(s) x "
-            f"{len(self.loss_rates)} loss rate(s) "
-            f"{tuple(self.loss_rates)}, {self.epochs} epoch(s), "
-            f"seed {self.seed}"
-            + (f", hysteresis {self.hysteresis:g}"
-               if self.hysteresis is not None else ""),
-            "",
-            f"  {'epoch status':<28} {'epochs':>6}",
-        ]
-        for status in sorted(self.statuses):
-            lines.append(f"  {status:<28} {self.statuses[status]:>6}")
-        lines.append(f"  {'total epochs committed':<28} "
-                     f"{self.epochs_run:>6}")
-        lines.append("")
-        lines.append(f"  {'admission action':<28} {'flows':>6}")
-        for action in sorted(self.admissions):
-            lines.append(
-                f"  {action:<28} {self.admissions[action]:>6}"
-            )
-        lines.append("")
-        lines.append(f"  {'safety check':<28} {'pass':>6} {'fail':>6}")
-        for name in sorted(self.checks):
-            row = self.checks[name]
-            lines.append(
-                f"  {name:<28} {row['pass']:>6} {row['fail']:>6}"
-            )
-        lines.append("")
-        if self.violations:
-            lines.append(f"{len(self.violations)} violation(s):")
-            for v in self.violations:
-                lines.append(
-                    f"  case {v.case} @ loss {v.loss:g}: {v.check}"
-                )
-                if v.details:
-                    lines.append(f"    {v.details}")
-        else:
-            lines.append("all churn safety invariants held")
-        return "\n".join(lines)
 
 
 def run_churn(
@@ -691,7 +713,7 @@ def run_churn(
     inject_fault: bool = False,
     crash_restore: bool = True,
     jobs: Optional[int] = 1,
-) -> ChurnReport:
+) -> CampaignReport:
     """Sweep ``cases`` seeded churn timelines x ``loss_rates``.
 
     Scenario ``i`` comes from the verification fuzzer's generator (the
@@ -707,42 +729,36 @@ def run_churn(
 
     fault = inject_share_fault if inject_fault else None
     rates = tuple(float(r) for r in loss_rates)
-    report = ChurnReport(cases=cases, seed=seed, loss_rates=rates,
-                         epochs=epochs, hysteresis=hysteresis)
-    for index in range(cases):
-        registry = RngRegistry(seed)
-        scenario = generate_scenario(registry, index)
-        timeline = ChurnTimeline.draw(
-            registry.stream(("churn", index)),
-            scenario.flow_ids,
-            scenario.network.nodes,
-            scenario.network.links(),
-            epochs=epochs,
-        )
-        for loss in rates:
-            case = run_churn_case(
-                scenario, timeline,
-                seed=seed, loss=loss, crash_prob=crash_prob,
-                hysteresis=hysteresis,
-                stream_prefix=("churn", index, repr(loss)),
-                fault=fault,
-                crash_restore=crash_restore,
-                jobs=jobs,
+    report = CampaignReport("churn", cases, seed, {
+        "loss_rates": list(rates), "epochs": epochs,
+        "hysteresis": hysteresis,
+    })
+
+    def results() -> Iterable[CaseResult]:
+        for index in range(cases):
+            registry = RngRegistry(seed)
+            scenario = generate_scenario(registry, index)
+            timeline = ChurnTimeline.draw(
+                registry.stream(("churn", index)),
+                scenario.flow_ids,
+                scenario.network.nodes,
+                scenario.network.links(),
+                epochs=epochs,
             )
-            incr("runtime.cases")
-            report.tally(case)
-            for name, details in case.failed_checks():
-                report.violations.append(ChurnViolation(
-                    case=index,
-                    loss=loss,
-                    check=name,
-                    details=details,
-                    scenario=scenario_to_dict(scenario),
-                    churn_timeline=timeline.to_dict(),
-                ))
-            if len(report.violations) >= max_violations:
-                return report
-    return report
+            for loss in rates:
+                case = run_churn_case(
+                    scenario, timeline,
+                    seed=seed, loss=loss, crash_prob=crash_prob,
+                    hysteresis=hysteresis,
+                    stream_prefix=("churn", index, repr(loss)),
+                    fault=fault,
+                    crash_restore=crash_restore,
+                    jobs=jobs,
+                )
+                yield (index, loss, case, scenario_to_dict(scenario),
+                       {"churn_timeline": timeline.to_dict()})
+
+    return _sweep(report, results(), max_violations)
 
 
 # ----------------------------------------------------------------------
@@ -753,26 +769,13 @@ def run_churn(
 #: :func:`measure_sustainable_rate` (flows per epoch).
 SUSTAINABLE_RATE_LADDER = (0.5, 1.0, 2.0, 4.0, 8.0)
 
-
-@dataclass
-class OverloadCase(CaseChecks):
-    """One overload case: :class:`CaseChecks` plus pressure aggregates."""
-
-    epochs_run: int = 0
-    epoch_statuses: Dict[str, int] = field(default_factory=dict)
-    admissions: Dict[str, int] = field(default_factory=dict)
-    breaches: int = 0
-    sheds: int = 0
-    rung_max: int = 0
-    max_queue_depth: int = 0
-    stale_age_max: int = 0
-    latency_p50_ms: float = 0.0
-    latency_p99_ms: float = 0.0
+#: Admission reasons that count as shed or evicted load.
+_SHED_REASONS = ("queue-full", "queue-aged", "overload-shed")
 
 
 def run_overload_case(
     scenario: Scenario,
-    trace: "ArrivalTrace",
+    trace: ArrivalTrace,
     seed: int = 0,
     deadline_ms: Optional[float] = None,
     plan: Optional[FaultPlan] = None,
@@ -781,10 +784,9 @@ def run_overload_case(
     max_queue: int = 32,
     max_queue_age: Optional[int] = 8,
     stall_epochs: int = 0,
-    fault: Optional[Callable[[Dict[str, float], float],
-                             Dict[str, float]]] = None,
+    fault: Optional[ShareFault] = None,
     clock: Optional[Callable[[], float]] = None,
-) -> OverloadCase:
+) -> CaseChecks:
     """One scenario under one open-loop arrival trace, overload-protected.
 
     The runtime (centralized, sharded) is wrapped in an
@@ -797,19 +799,13 @@ def run_overload_case(
     run with an already-expired watchdog, the deterministic proof that
     the breach machinery bites.
 
-    Seven properties are checked:
+    Seven properties are checked: the five shared runtime checks
+    (:func:`_runtime_checks`, prefixed ``overload.``) — where
+    ``overload.epoch_checks`` covers every *validated* epoch (breach
+    epochs re-commit the last validated allocation and record no new
+    checks) and the final allocation is the last non-empty committed
+    one — plus:
 
-    * ``overload.no_raise`` — the protected runtime survives the trace
-      (breaches are handled, never propagated);
-    * ``overload.epoch_checks`` — every *validated* epoch's recorded
-      Eq. (6) and basic-floor checks passed (breach epochs re-commit the
-      last validated allocation and record no new checks);
-    * ``overload.admission_reasoned`` — every non-admit decision
-      (rejects, queue-full, age evictions, overload sheds) carries a
-      machine-readable reason;
-    * ``overload.final_clique_capacity`` / ``overload.final_basic_floor``
-      — the final committed allocation re-checked from scratch (the
-      ``fault`` hook perturbs it first when the harness is under test);
     * ``overload.queue_bounded`` — the admission queue never exceeded
       its configured depth bound;
     * ``overload.breach_recorded`` — the breach epochs in the runtime
@@ -837,39 +833,13 @@ def run_overload_case(
     if stall_epochs > 0:
         harness.force_breach_epochs = set(range(1, stall_epochs + 1))
 
-    checks: List[Tuple[str, bool, str]] = []
     try:
         with phase_timer("runtime.overload.case"):
             harness.run_trace(
                 trace, bursts=plan.bursts if plan is not None else ()
             )
     except Exception as exc:
-        incr("runtime.case_raised")
-        return OverloadCase(
-            status="raised",
-            checks=[("overload.no_raise", False,
-                     f"{type(exc).__name__}: {exc}")],
-            error=f"{type(exc).__name__}: {exc}",
-        )
-    checks.append(("overload.no_raise", True, ""))
-
-    epoch_fails = [
-        f"epoch {r.epoch}: {name} ({details})"
-        for r in runtime.journal
-        for name, ok, details in r.checks if not ok
-    ]
-    checks.append(("overload.epoch_checks", not epoch_fails,
-                   "; ".join(epoch_fails[:3])))
-
-    unreasoned = sorted({
-        d.flow_id for d in runtime.admission.decisions
-        if d.action != ADMIT and (not d.reason or d.reason == REASON_OK)
-    })
-    checks.append((
-        "overload.admission_reasoned", not unreasoned,
-        "" if not unreasoned
-        else f"non-admit decisions without a reason: {unreasoned}",
-    ))
+        return _raised("overload.no_raise", exc, "runtime.case_raised")
 
     analysis = runtime.current_analysis()
     shares = dict(runtime.shares)
@@ -890,12 +860,7 @@ def run_overload_case(
                 )
                 shares = dict(record.shares)
                 break
-    if fault is not None and shares:
-        shares = fault(shares, scenario.capacity)
-    res = check_clique_capacity(analysis, shares)
-    checks.append(("overload.final_clique_capacity", res.ok, res.details))
-    res = check_basic_fairness(analysis, shares)
-    checks.append(("overload.final_basic_floor", res.ok, res.details))
+    checks = _runtime_checks("overload", runtime, analysis, shares, fault)
 
     checks.append((
         "overload.queue_bounded",
@@ -916,33 +881,21 @@ def run_overload_case(
              f"records {sorted(record_epochs)}",
     ))
 
-    statuses: Dict[str, int] = {}
-    for record in runtime.journal:
-        statuses[record.status] = statuses.get(record.status, 0) + 1
-    admissions: Dict[str, int] = {}
-    sheds = 0
-    for decision in runtime.admission.decisions:
-        admissions[decision.action] = (
-            admissions.get(decision.action, 0) + 1
-        )
-        if decision.reason in ("queue-full", "queue-aged",
-                               "overload-shed"):
-            sheds += 1
     stats = harness.stats()
-    return OverloadCase(
+    tallies = _journal_tallies(runtime)
+    tallies.update(
+        breaches=int(stats["breaches"]),
+        sheds=sum(1 for d in runtime.admission.decisions
+                  if d.reason in _SHED_REASONS),
+        latency_p50_ms=float(stats["latency_p50_ms"]),
+        latency_p99_ms=float(stats["latency_p99_ms"]),
+    )
+    return CaseChecks(
         status=_worst_epoch_status([r.status for r in runtime.journal]),
         checks=checks,
         shares=dict(runtime.shares),
-        epochs_run=len(runtime.journal),
-        epoch_statuses=statuses,
-        admissions=admissions,
-        breaches=int(stats["breaches"]),
-        sheds=sheds,
-        rung_max=int(stats["rung_max"]),
-        max_queue_depth=int(stats["max_queue_depth"]),
-        stale_age_max=int(stats["stale_age_max"]),
-        latency_p50_ms=float(stats["latency_p50_ms"]),
-        latency_p99_ms=float(stats["latency_p99_ms"]),
+        statuses=tallies.pop("statuses"),
+        tallies=tallies,
     )
 
 
@@ -979,147 +932,16 @@ def measure_sustainable_rate(
             scenario, trace, seed=seed, deadline_ms=deadline_ms,
             max_queue=max_queue, max_queue_age=max_queue_age,
         )
-        rejects = probe.admissions.get("reject", 0)
-        queued = probe.admissions.get("queue", 0)
-        clean = (probe.ok and probe.breaches == 0 and rejects == 0
-                 and probe.sheds == 0 and queued == 0)
+        tallies = probe.tallies
+        clean = (probe.ok and tallies["breaches"] == 0
+                 and tallies["admissions"].get("reject", 0) == 0
+                 and tallies["sheds"] == 0
+                 and tallies["admissions"].get("queue", 0) == 0)
         if clean:
             best = float(rate)
         else:
             break
     return best
-
-
-@dataclass
-class OverloadViolation:
-    """One overload-safety violation, with everything needed to replay."""
-
-    case: int
-    rate: float
-    check: str
-    details: str
-    scenario: Dict[str, object]
-    arrival_trace: Dict[str, object]
-    fault_plan: Optional[Dict[str, object]] = None
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "case": self.case,
-            "rate": self.rate,
-            "check": self.check,
-            "details": self.details,
-            "scenario": self.scenario,
-            "arrival_trace": self.arrival_trace,
-            "fault_plan": self.fault_plan,
-        }
-
-
-@dataclass
-class OverloadReport:
-    """Aggregate of one overload campaign, renderable and artifact-ready."""
-
-    cases: int
-    seed: int
-    epochs: int
-    multiplier: float
-    deadline_ms: Optional[float] = None
-    statuses: Dict[str, int] = field(default_factory=dict)
-    checks: Dict[str, Dict[str, int]] = field(default_factory=dict)
-    admissions: Dict[str, int] = field(default_factory=dict)
-    #: Per-case rows: sustainable rate, offered rate, breaches, p50/p99.
-    rates: List[Dict[str, float]] = field(default_factory=list)
-    epochs_run: int = 0
-    breaches: int = 0
-    sheds: int = 0
-    violations: List[OverloadViolation] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def tally(self, case: OverloadCase) -> None:
-        for status, count in case.epoch_statuses.items():
-            self.statuses[status] = self.statuses.get(status, 0) + count
-        for action, count in case.admissions.items():
-            self.admissions[action] = (
-                self.admissions.get(action, 0) + count
-            )
-        self.epochs_run += case.epochs_run
-        self.breaches += case.breaches
-        self.sheds += case.sheds
-        for name, ok, _details in case.checks:
-            row = self.checks.setdefault(name, {"pass": 0, "fail": 0})
-            row["pass" if ok else "fail"] += 1
-            incr(f"resilience.{name}.{'pass' if ok else 'fail'}")
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "cases": self.cases,
-            "seed": self.seed,
-            "epochs": self.epochs,
-            "multiplier": self.multiplier,
-            "deadline_ms": self.deadline_ms,
-            "ok": self.ok,
-            "statuses": dict(sorted(self.statuses.items())),
-            "checks": {k: dict(v) for k, v in sorted(self.checks.items())},
-            "admissions": dict(sorted(self.admissions.items())),
-            "rates": [dict(r) for r in self.rates],
-            "epochs_run": self.epochs_run,
-            "breaches": self.breaches,
-            "sheds": self.sheds,
-            "violations": [v.to_dict() for v in self.violations],
-        }
-
-    def render(self) -> str:
-        lines = [
-            f"repro overload: {self.cases} case(s), {self.epochs} "
-            f"epoch(s), offered {self.multiplier:g}x sustainable, "
-            f"seed {self.seed}"
-            + (f", epoch deadline {self.deadline_ms:g} ms"
-               if self.deadline_ms is not None else ""),
-            "",
-            f"  {'case':>4} {'sustainable':>12} {'offered':>9} "
-            f"{'breaches':>9} {'p50 ms':>9} {'p99 ms':>9}",
-        ]
-        for i, row in enumerate(self.rates):
-            lines.append(
-                f"  {i:>4} {row['sustainable']:>12g} "
-                f"{row['offered']:>9g} {int(row['breaches']):>9} "
-                f"{row['latency_p50_ms']:>9.2f} "
-                f"{row['latency_p99_ms']:>9.2f}"
-            )
-        lines.append("")
-        lines.append(f"  {'epoch status':<28} {'epochs':>6}")
-        for status in sorted(self.statuses):
-            lines.append(f"  {status:<28} {self.statuses[status]:>6}")
-        lines.append(f"  {'total epochs committed':<28} "
-                     f"{self.epochs_run:>6}")
-        lines.append("")
-        lines.append(f"  {'admission action':<28} {'flows':>6}")
-        for action in sorted(self.admissions):
-            lines.append(
-                f"  {action:<28} {self.admissions[action]:>6}"
-            )
-        lines.append(f"  {'flows shed / evicted':<28} {self.sheds:>6}")
-        lines.append("")
-        lines.append(f"  {'safety check':<28} {'pass':>6} {'fail':>6}")
-        for name in sorted(self.checks):
-            row = self.checks[name]
-            lines.append(
-                f"  {name:<28} {row['pass']:>6} {row['fail']:>6}"
-            )
-        lines.append("")
-        if self.violations:
-            lines.append(f"{len(self.violations)} violation(s):")
-            for v in self.violations:
-                lines.append(
-                    f"  case {v.case} @ rate {v.rate:g}: {v.check}"
-                )
-                if v.details:
-                    lines.append(f"    {v.details}")
-        else:
-            lines.append("all overload safety invariants held")
-        return "\n".join(lines)
 
 
 def run_overload(
@@ -1136,7 +958,7 @@ def run_overload(
     jobs: Optional[int] = 1,
     inject_fault: bool = False,
     max_violations: int = 5,
-) -> OverloadReport:
+) -> CampaignReport:
     """Sweep ``cases`` scenarios under ``multiplier`` x sustainable load.
 
     Scenario ``i`` comes from the verification fuzzer's generator; its
@@ -1149,62 +971,57 @@ def run_overload(
     ``jobs > 1``).  ``inject_fault`` both perturbs the final allocation
     (the checkers must fail) and forces stalls, so a healthy harness
     must report breaches — the ``--inject-fault`` CLI run passes only
-    when the watchdog demonstrably bit.
+    when the watchdog demonstrably bit.  The report's ``rates`` total
+    holds one row per case: sustainable and offered rate, breaches and
+    the epoch-latency p50/p99.
     """
     from ..verify.fuzzer import generate_scenario, inject_share_fault
 
     fault = inject_share_fault if inject_fault else None
     if inject_fault:
         stall_epochs = max(stall_epochs, 3)
-    report = OverloadReport(
-        cases=cases, seed=seed, epochs=epochs,
-        multiplier=float(multiplier), deadline_ms=deadline_ms,
+    report = CampaignReport("overload", cases, seed, {
+        "epochs": epochs, "multiplier": float(multiplier),
+        "deadline_ms": deadline_ms,
+    })
+    plan = (
+        FaultPlan(worker_crashes=(WorkerCrash(component=0, attempts=1),))
+        if worker_crash else None
     )
-    for index in range(cases):
-        registry = RngRegistry(seed)
-        scenario = generate_scenario(registry, index)
-        sustainable = measure_sustainable_rate(
-            scenario, registry, index,
-            deadline_ms=deadline_ms,
-            max_queue=max_queue, max_queue_age=max_queue_age,
-            seed=seed,
-        )
-        offered = float(multiplier) * sustainable
-        trace = draw_arrival_trace(
-            registry.stream(("overload", index, "trace")),
-            list(scenario.flow_ids), epochs,
-            OpenLoopConfig(rate=offered),
-        )
-        plan = (
-            FaultPlan(worker_crashes=(WorkerCrash(component=0,
-                                                  attempts=1),))
-            if worker_crash else None
-        )
-        case = run_overload_case(
-            scenario, trace, seed=seed, deadline_ms=deadline_ms,
-            plan=plan, hysteresis=hysteresis, jobs=jobs,
-            max_queue=max_queue, max_queue_age=max_queue_age,
-            stall_epochs=stall_epochs, fault=fault,
-        )
-        incr("runtime.overload.cases")
-        report.tally(case)
-        report.rates.append({
-            "sustainable": sustainable,
-            "offered": offered,
-            "breaches": float(case.breaches),
-            "latency_p50_ms": case.latency_p50_ms,
-            "latency_p99_ms": case.latency_p99_ms,
-        })
-        for name, details in case.failed_checks():
-            report.violations.append(OverloadViolation(
-                case=index,
-                rate=offered,
-                check=name,
-                details=details,
-                scenario=scenario_to_dict(scenario),
-                arrival_trace=trace.to_dict(),
-                fault_plan=plan.to_dict() if plan is not None else None,
-            ))
-        if len(report.violations) >= max_violations:
-            return report
-    return report
+
+    def results() -> Iterable[CaseResult]:
+        for index in range(cases):
+            registry = RngRegistry(seed)
+            scenario = generate_scenario(registry, index)
+            sustainable = measure_sustainable_rate(
+                scenario, registry, index,
+                deadline_ms=deadline_ms,
+                max_queue=max_queue, max_queue_age=max_queue_age,
+                seed=seed,
+            )
+            offered = float(multiplier) * sustainable
+            trace = draw_arrival_trace(
+                registry.stream(("overload", index, "trace")),
+                list(scenario.flow_ids), epochs,
+                OpenLoopConfig(rate=offered),
+            )
+            case = run_overload_case(
+                scenario, trace, seed=seed, deadline_ms=deadline_ms,
+                plan=plan, hysteresis=hysteresis, jobs=jobs,
+                max_queue=max_queue, max_queue_age=max_queue_age,
+                stall_epochs=stall_epochs, fault=fault,
+            )
+            tallies = case.tallies
+            tallies["rates"] = [{
+                "sustainable": sustainable,
+                "offered": offered,
+                "breaches": float(tallies.get("breaches", 0)),
+                "latency_p50_ms": tallies.get("latency_p50_ms", 0.0),
+                "latency_p99_ms": tallies.get("latency_p99_ms", 0.0),
+            }]
+            yield (index, offered, case, scenario_to_dict(scenario), {
+                "arrival_trace": trace.to_dict(),
+                "fault_plan": plan.to_dict() if plan is not None else None,
+            })
+
+    return _sweep(report, results(), max_violations)

@@ -381,15 +381,6 @@ class OverloadRuntime:
         return {
             "epochs": len(self.overload_journal),
             "breaches": breaches,
-            "rung_max": (
-                max((RUNG_NAMES.index(str(row["rung"]))
-                     for row in self.overload_journal), default=0)
-            ),
-            "max_queue_depth": self.max_queue_depth,
-            "stale_age_max": max(
-                (int(r["age_max"]) for r in self.staleness_records),
-                default=0,
-            ),
             "latency_p50_ms": (
                 weighted_percentile(ordered, 50.0) if ordered else 0.0
             ),

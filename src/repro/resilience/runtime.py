@@ -740,8 +740,7 @@ class AllocatorRuntime:
             active=sorted(active),
             shares={fid: shares[fid] for fid in sorted(shares)},
             status=status,
-            admissions=[d.to_dict() for d in self.admission.decisions
-                        if d.epoch == epoch],
+            admissions=self._epoch_admissions(epoch),
             queued=list(self.admission.waiting),
             rerouted=rerouted,
             suspended=suspended,
@@ -752,6 +751,20 @@ class AllocatorRuntime:
             convergence=convergence,
         )
         return record, active, down_links, down_nodes, admitted
+
+    def _epoch_admissions(self, epoch: int) -> List[Dict[str, object]]:
+        """This epoch's admission decisions, serialized.
+
+        The log is appended in epoch order, so they are its trailing run
+        with this epoch number — including any the overload wrapper
+        logged before the epoch was staged.  Only that run is visited,
+        so the cost follows the epoch, not the length of the log.
+        """
+        decisions = self.admission.decisions
+        start = len(decisions)
+        while start > 0 and decisions[start - 1].epoch == epoch:
+            start -= 1
+        return [d.to_dict() for d in decisions[start:]]
 
     # -- solving --------------------------------------------------------
     def _solve(

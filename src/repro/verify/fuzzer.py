@@ -18,8 +18,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import chain
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import (
+    Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple,
+    TypeVar,
+)
 
 from ..core.allocation import (
     basic_allocation,
@@ -29,7 +34,6 @@ from ..core.allocation import (
 )
 from ..core.bounds import bound_vs_basic_consistency
 from ..core.contention import ContentionAnalysis
-from ..core.distributed import DistributedAllocator
 from ..core.model import Network, Scenario
 from ..obs.registry import incr, phase_timer
 from ..scenarios.io import scenario_to_dict
@@ -71,6 +75,8 @@ PASS, FAIL, SKIP = "pass", "fail", "skip"
 FUZZ_BRUTE_FORCE_MAX_VERTICES = 16
 
 LP_TOL = 1e-6
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -126,12 +132,12 @@ class VerificationSuite:
         self.lp_tol = lp_tol
         self.with_scipy = with_scipy
         self.fault = fault
-        #: Also run each case under a random fault plan (lossy 2PA-D with
-        #: the resilience safety invariants) — ``repro verify --faults``.
-        self.faults = faults
-        #: Also run each case through the long-lived runtime under a
-        #: seeded churn timeline — ``repro verify --churn``.
-        self.churn = churn
+        #: Replay axes (:data:`AXES`) run on every case, in table order —
+        #: ``repro verify --faults`` / ``--churn`` / ``--overload``.
+        self.axes = tuple(
+            name for name, on in (("faults", faults), ("churn", churn),
+                                  ("overload", overload)) if on
+        )
         #: Also run the component-sharded differential axis — the
         #: :class:`~repro.perf.shard.ShardedSolver` at jobs=1 and jobs>1
         #: against the monolithic LP, plus an :class:`AllocatorRuntime`
@@ -139,12 +145,6 @@ class VerificationSuite:
         #: ``repro verify --sharded``.  Every comparison is bitwise
         #: (``==`` on floats): sharding is exact.
         self.sharded = sharded
-        #: Also run each case through the overload-protected runtime
-        #: under an open-loop heavy-traffic arrival trace with forced
-        #: deadline stalls and an adversarial fault plan (arrival
-        #: bursts; worker faults ride along in the reproducer) —
-        #: ``repro verify --overload``.
-        self.overload = overload
         #: Float LP solver under test (``repro verify --backend``): every
         #: allocation the suite checks and the float side of the
         #: ``lp.float_vs_exact`` oracle run on this backend.
@@ -198,22 +198,8 @@ class VerificationSuite:
                 fairness=True, prop1=True, basic_fair=False,
             ))
 
-            # Phase-1 LP (2PA-C) allocation, optionally faulted.
-            lp_alloc = basic_fairness_lp_allocation(
-                analysis, backend=self.backend
-            )
-            lp_shares = dict(lp_alloc.shares)
-            if self.fault is not None:
-                lp_shares = self.fault(lp_shares, b)
-            out.extend(self._allocation_checks(
-                "lp", analysis, lp_shares, b,
-                fairness=False, prop1=False, basic_fair=True,
-            ))
-
-        # Differential oracle: float simplex vs exact Fraction reference,
-        # per contending flow group, plus total-objective agreement.
-        with phase_timer("verify.exact_lp"):
-            out.extend(self._lp_oracle_checks(analysis, lp_shares, b))
+        lp_alloc, lp_checks = self._lp_stage(analysis, b)
+        out.extend(lp_checks)
 
         # Differential oracle: 2PA-D against 2PA-C.
         with phase_timer("verify.2pad"):
@@ -311,125 +297,56 @@ class VerificationSuite:
         the same code as :meth:`run`, so a candidate fails here iff it
         fails there.
         """
-        out: List[CheckOutcome] = []
-        analysis = ContentionAnalysis(scenario)
-        b = scenario.capacity
+        return self._lp_stage(ContentionAnalysis(scenario),
+                              scenario.capacity)[1]
+
+    def _lp_stage(
+        self, analysis: ContentionAnalysis, capacity: float,
+    ) -> Tuple[object, List[CheckOutcome]]:
+        """The phase-1 LP (2PA-C) allocation and its ``lp.*`` checks.
+
+        The allocation (optionally faulted) is checked against its
+        invariants, then against the exact ``Fraction`` reference per
+        contending flow group, plus total-objective agreement.  Returns
+        the unfaulted allocation with the outcomes.
+        """
         with phase_timer("verify.allocations"):
             lp_alloc = basic_fairness_lp_allocation(
                 analysis, backend=self.backend
             )
             lp_shares = dict(lp_alloc.shares)
             if self.fault is not None:
-                lp_shares = self.fault(lp_shares, b)
-            out.extend(self._allocation_checks(
-                "lp", analysis, lp_shares, b,
+                lp_shares = self.fault(lp_shares, capacity)
+            out = self._allocation_checks(
+                "lp", analysis, lp_shares, capacity,
                 fairness=False, prop1=False, basic_fair=True,
-            ))
+            )
         with phase_timer("verify.exact_lp"):
-            out.extend(self._lp_oracle_checks(analysis, lp_shares, b))
-        return out
+            out.extend(self._lp_oracle_checks(analysis, lp_shares,
+                                              capacity))
+        return lp_alloc, out
 
     # ------------------------------------------------------------------
-    def fault_outcomes(
+    def run_axis(
         self,
+        name: str,
         scenario: Scenario,
-        plan,
+        payloads: Sequence[object],
         seed: int,
         index: int,
     ) -> List[CheckOutcome]:
-        """Run ``scenario`` under ``plan`` and check the safety invariants.
+        """Run ``scenario`` with ``payloads`` through replay axis ``name``.
 
-        The lossy 2PA-D run (retry/backoff channel, degradation ladder)
-        comes from :func:`repro.resilience.campaign.run_chaos_case`; its
-        ``chaos.*`` checks are re-labelled ``faults.*`` here so the fuzz
-        report separates them from the fault-free differential oracles.
-        A fresh registry is built per call so the channel's fault streams
-        are a pure function of ``(seed, index)`` — shrinking re-runs make
-        byte-identical per-link decisions.
+        The axis's campaign case checks come back relabelled under the
+        axis name (``chaos.*`` becomes ``faults.*``), so the fuzz report
+        separates them from the fault-free differential oracles.
         """
-        from ..resilience.campaign import run_chaos_case
-
-        registry = RngRegistry(seed)
-        with phase_timer("verify.faults"):
-            case = run_chaos_case(
-                scenario, plan, registry,
-                prefix=("verify", index, "faults", "channel"),
-            )
+        with phase_timer(f"verify.{name}"):
+            case = AXES[name].run(self, scenario, payloads, seed, index)
         return [
-            CheckOutcome(
-                name.replace("chaos.", "faults.", 1),
-                PASS if ok else FAIL,
-                details,
-            )
-            for name, ok, details in case.checks
-        ]
-
-    # ------------------------------------------------------------------
-    def churn_outcomes(
-        self,
-        scenario: Scenario,
-        timeline,
-        seed: int,
-        index: int,
-    ) -> List[CheckOutcome]:
-        """Run ``scenario`` through ``timeline`` on the long-lived runtime.
-
-        Reuses :func:`repro.resilience.campaign.run_churn_case` — epoch
-        pipeline, admission control, per-epoch invariant records, and
-        the mid-timeline crash + restore differential.  All randomness
-        is a pure function of ``(seed, index)`` via the runtime's stream
-        prefix, so shrinking re-runs replay byte-identical epochs.
-        """
-        from ..resilience.campaign import run_churn_case
-
-        with phase_timer("verify.churn"):
-            case = run_churn_case(
-                scenario, timeline,
-                seed=seed,
-                hysteresis=0.3,
-                stream_prefix=("verify", index, "churn"),
-                fault=self.fault,
-            )
-        return [
-            CheckOutcome(name, PASS if ok else FAIL, details)
-            for name, ok, details in case.checks
-        ]
-
-    # ------------------------------------------------------------------
-    def overload_outcomes(
-        self,
-        scenario: Scenario,
-        trace,
-        plan,
-        seed: int,
-        index: int,
-    ) -> List[CheckOutcome]:
-        """Run ``scenario`` under open-loop overload with forced stalls.
-
-        Reuses :func:`repro.resilience.campaign.run_overload_case` —
-        deadline-bounded epochs, the graduated shedding ladder, bounded
-        admission queue with age eviction — at ``jobs=1`` (worker faults
-        in ``plan`` are inert in-process; its arrival bursts are live).
-        Two early epochs run with an already-expired watchdog so the
-        breach path and the ``overload.breach_recorded`` pairing
-        invariant are exercised on *every* case, deterministically — no
-        wall-clock dependence.
-        """
-        from ..resilience.campaign import run_overload_case
-
-        with phase_timer("verify.overload"):
-            case = run_overload_case(
-                scenario, trace,
-                seed=seed,
-                plan=plan,
-                hysteresis=0.3,
-                max_queue_age=4,
-                stall_epochs=2,
-                fault=self.fault,
-            )
-        return [
-            CheckOutcome(name, PASS if ok else FAIL, details)
-            for name, ok, details in case.checks
+            CheckOutcome(f"{name}.{check.split('.', 1)[1]}",
+                         PASS if ok else FAIL, details)
+            for check, ok, details in case.checks
         ]
 
     # ------------------------------------------------------------------
@@ -591,6 +508,39 @@ def _drop_node(scenario: Scenario, node: str) -> Optional[Scenario]:
                     capacity=scenario.capacity)
 
 
+def _scenario_candidates(scenario: Scenario) -> Iterator[Scenario]:
+    """One-step-smaller scenarios: each flow dropped, then each node no
+    flow routes through."""
+    for candidate in chain(
+        (_drop_flow(scenario, f.flow_id) for f in scenario.flows),
+        (_drop_node(scenario, node) for node in scenario.network.nodes),
+    ):
+        if candidate is not None:
+            yield candidate
+
+
+def _greedy_shrink(start: T, candidates: Callable[[T], Iterable[T]],
+                   still_fails: Callable[[T], bool]) -> T:
+    """Move to the first candidate that still fails, until none does.
+
+    Candidates are re-listed from the current value after every step;
+    one that makes ``still_fails`` raise is rejected, so the reproducer
+    stays faithful to the original symptom.
+    """
+    current = start
+    while True:
+        for candidate in candidates(current):
+            try:
+                failing = still_fails(candidate)
+            except Exception:
+                failing = False
+            if failing:
+                current = candidate
+                break
+        else:
+            return current
+
+
 def shrink_scenario(
     scenario: Scenario,
     still_fails: Callable[[Scenario], bool],
@@ -601,34 +551,117 @@ def shrink_scenario(
     exhibits the original failure; candidates that crash it are rejected
     so the reproducer stays faithful to the original symptom.
     """
-    def fails(candidate: Scenario) -> bool:
-        try:
-            return still_fails(candidate)
-        except Exception:
-            return False
+    return _greedy_shrink(scenario, _scenario_candidates, still_fails)
 
-    current = scenario
-    progress = True
-    while progress:
-        progress = False
-        for flow in list(current.flows):
-            candidate = _drop_flow(current, flow.flow_id)
-            if candidate is not None and fails(candidate):
-                current = candidate
-                progress = True
-                break
-        if progress:
-            continue
-        used = {n for f in current.flows for n in f.path}
-        for node in current.network.nodes:
-            if node in used:
-                continue
-            candidate = _drop_node(current, node)
-            if candidate is not None and fails(candidate):
-                current = candidate
-                progress = True
-                break
-    return current
+
+# ----------------------------------------------------------------------
+# Replay axes
+# ----------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Axis:
+    """One replay axis: a resilience campaign case run on every fuzz case.
+
+    ``draw`` takes the axis's payloads from the case's registry streams,
+    in shrink order; ``run`` drives them through the campaign's
+    ``run_*_case`` and returns its case; ``fields`` names each payload's
+    reproducer field.  Every payload serializes with ``to_dict`` and
+    offers one-step-simpler variants through ``shrink_candidates``.
+    """
+
+    draw: Callable[[RngRegistry, int, Scenario], Tuple[object, ...]]
+    run: Callable[..., object]
+    fields: Tuple[str, ...]
+
+
+def _draw_faults(registry: RngRegistry, index: int,
+                 scenario: Scenario) -> Tuple[object, ...]:
+    from ..resilience.faults import FaultPlan
+
+    return (FaultPlan.draw(registry.stream(("verify", index, "faults")),
+                           nodes=scenario.network.nodes),)
+
+
+def _run_faults(suite: VerificationSuite, scenario: Scenario,
+                payloads: Sequence[object], seed: int, index: int):
+    # Lossy 2PA-D (retry/backoff channel, degradation ladder).  A fresh
+    # registry per call keeps the channel's fault streams a pure
+    # function of (seed, index): shrinking re-runs make byte-identical
+    # per-link decisions.
+    from ..resilience.campaign import run_chaos_case
+
+    (plan,) = payloads
+    return run_chaos_case(scenario, plan, RngRegistry(seed),
+                          prefix=("verify", index, "faults", "channel"))
+
+
+def _draw_churn(registry: RngRegistry, index: int,
+                scenario: Scenario) -> Tuple[object, ...]:
+    from ..resilience.epochs import ChurnTimeline
+
+    return (ChurnTimeline.draw(
+        registry.stream(("verify", index, "churn")),
+        scenario.flow_ids,
+        scenario.network.nodes,
+        scenario.network.links(),
+    ),)
+
+
+def _run_churn(suite: VerificationSuite, scenario: Scenario,
+               payloads: Sequence[object], seed: int, index: int):
+    # The long-lived runtime: epoch pipeline, admission control,
+    # per-epoch invariant records and the crash + restore differential.
+    # Events naming entities a shrunk scenario lost are skipped (and
+    # counted) by the runtime, so every candidate is well defined.
+    from ..resilience.campaign import run_churn_case
+
+    (timeline,) = payloads
+    return run_churn_case(scenario, timeline, seed=seed, hysteresis=0.3,
+                          stream_prefix=("verify", index, "churn"),
+                          fault=suite.fault)
+
+
+def _draw_overload(registry: RngRegistry, index: int,
+                   scenario: Scenario) -> Tuple[object, ...]:
+    from ..resilience.faults import FaultPlan
+    from ..traffic.openloop import OpenLoopConfig, draw_arrival_trace
+
+    trace = draw_arrival_trace(
+        registry.stream(("verify", index, "overload")),
+        list(scenario.flow_ids), 10, OpenLoopConfig(rate=3.0),
+    )
+    plan = FaultPlan.draw(
+        registry.stream(("verify", index, "overload-plan")),
+        nodes=scenario.network.nodes, overload=True,
+    )
+    return trace, plan
+
+
+def _run_overload(suite: VerificationSuite, scenario: Scenario,
+                  payloads: Sequence[object], seed: int, index: int):
+    # The overload-protected runtime at jobs=1 (the plan's worker
+    # faults are inert in-process; its arrival bursts are live).  Two
+    # early epochs run with an already-expired watchdog, so the breach
+    # path and the breach_recorded pairing are exercised on every case
+    # with no wall-clock dependence.
+    from ..resilience.campaign import run_overload_case
+
+    trace, plan = payloads
+    return run_overload_case(scenario, trace, seed=seed, plan=plan,
+                             hysteresis=0.3, max_queue_age=4,
+                             stall_epochs=2, fault=suite.fault)
+
+
+#: The replay axes by check prefix, in the order a case runs them.
+AXES: Dict[str, Axis] = {
+    "faults": Axis(_draw_faults, _run_faults, ("fault_plan",)),
+    "churn": Axis(_draw_churn, _run_churn, ("churn_timeline",)),
+    "overload": Axis(_draw_overload, _run_overload,
+                     ("arrival_trace", "fault_plan")),
+}
+
+#: Every reproducer field an axis can fill, in artifact order.
+REPLAY_FIELDS = ("fault_plan", "churn_timeline", "arrival_trace")
 
 
 # ----------------------------------------------------------------------
@@ -645,13 +678,9 @@ class FuzzFailure:
     scenario: Dict[str, object]          # original (serialized)
     shrunk: Dict[str, object]            # minimal reproducer (serialized)
     reproducer_path: Optional[str] = None
-    #: Serialized (shrunk) fault plan for ``faults.*`` failures (also
-    #: carries the shrunk overload plan for ``overload.*`` failures).
-    fault_plan: Optional[Dict[str, object]] = None
-    #: Serialized (shrunk) churn timeline for ``churn.*`` failures.
-    churn_timeline: Optional[Dict[str, object]] = None
-    #: Serialized (shrunk) arrival trace for ``overload.*`` failures.
-    arrival_trace: Optional[Dict[str, object]] = None
+    #: The failing axis's shrunk payloads by reproducer field (empty for
+    #: a fault-free check).
+    replay: Dict[str, object] = field(default_factory=dict)
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -661,9 +690,7 @@ class FuzzFailure:
             "scenario": self.scenario,
             "shrunk": self.shrunk,
             "reproducer_path": self.reproducer_path,
-            "fault_plan": self.fault_plan,
-            "churn_timeline": self.churn_timeline,
-            "arrival_trace": self.arrival_trace,
+            **{name: self.replay.get(name) for name in REPLAY_FIELDS},
         }
 
 
@@ -756,81 +783,25 @@ def _run_case(
     with phase_timer("verify.case"):
         scenario = generate_scenario(registry, index)
         outcomes = suite.run(scenario)
-        plan = None
-        if suite.faults:
-            from ..resilience.faults import FaultPlan
-
-            plan = FaultPlan.draw(
-                registry.stream(("verify", index, "faults")),
-                nodes=scenario.network.nodes,
-            )
-            outcomes = outcomes + suite.fault_outcomes(
-                scenario, plan, seed, index
-            )
-        timeline = None
-        if suite.churn:
-            from ..resilience.epochs import ChurnTimeline
-
-            timeline = ChurnTimeline.draw(
-                registry.stream(("verify", index, "churn")),
-                scenario.flow_ids,
-                scenario.network.nodes,
-                scenario.network.links(),
-            )
-            outcomes = outcomes + suite.churn_outcomes(
-                scenario, timeline, seed, index
-            )
-        trace = None
-        overload_plan = None
-        if suite.overload:
-            from ..resilience.faults import FaultPlan
-            from ..traffic.openloop import (
-                OpenLoopConfig, draw_arrival_trace,
-            )
-
-            trace = draw_arrival_trace(
-                registry.stream(("verify", index, "overload")),
-                list(scenario.flow_ids), 10,
-                OpenLoopConfig(rate=3.0),
-            )
-            overload_plan = FaultPlan.draw(
-                registry.stream(("verify", index, "overload-plan")),
-                nodes=scenario.network.nodes,
-                overload=True,
-            )
-            outcomes = outcomes + suite.overload_outcomes(
-                scenario, trace, overload_plan, seed, index
+        payloads: Dict[str, Tuple[object, ...]] = {}
+        for name in suite.axes:
+            payloads[name] = AXES[name].draw(registry, index, scenario)
+            outcomes = outcomes + suite.run_axis(
+                name, scenario, payloads[name], seed, index
             )
     incr("verify.cases")
     failed = [o for o in outcomes if o.failed]
     if not failed:
         return outcomes, None
     first = failed[0]
-    faults_check = first.name.startswith("faults.")
-    churn_check = first.name.startswith("churn.")
-    overload_check = first.name.startswith("overload.")
-    lp_check = first.name.startswith("lp.")
+    axis = first.name.split(".", 1)[0]
+    replay = list(payloads.get(axis, ()))
 
-    def fails_with(candidate: Scenario, candidate_plan,
-                   candidate_timeline, candidate_trace=None,
-                   candidate_overload_plan=None) -> bool:
-        if faults_check:
-            outs = suite.fault_outcomes(
-                candidate, candidate_plan, seed, index
-            )
-        elif churn_check:
-            outs = suite.churn_outcomes(
-                candidate, candidate_timeline, seed, index
-            )
-        elif overload_check:
-            outs = suite.overload_outcomes(
-                candidate,
-                candidate_trace if candidate_trace is not None else trace,
-                candidate_overload_plan
-                if candidate_overload_plan is not None else overload_plan,
-                seed, index,
-            )
-        elif lp_check:
+    def fails_with(candidate: Scenario, candidate_replay) -> bool:
+        if axis in payloads:
+            outs = suite.run_axis(axis, candidate, candidate_replay,
+                                  seed, index)
+        elif axis == "lp":
             # LP-only failures shrink against the LP checks alone — no
             # brute-force clique enumeration per candidate.
             outs = suite.run_lp_checks(candidate)
@@ -838,90 +809,28 @@ def _run_case(
             outs = suite.run(candidate)
         return any(o.name == first.name and o.failed for o in outs)
 
-    def still_fails(candidate: Scenario) -> bool:
-        return fails_with(candidate, plan, timeline)
+    def payload_fails(i: int, candidate) -> bool:
+        return fails_with(minimal, replay[:i] + [candidate] + replay[i + 1:])
 
     with phase_timer("verify.shrink"):
-        minimal = shrink_scenario(scenario, still_fails)
-        if faults_check and plan is not None:
-            # Then shrink the fault plan itself (drop crash/flap events,
-            # zero rates) while the same check keeps failing.
-            progress = True
-            while progress:
-                progress = False
-                for candidate_plan in plan.shrink_candidates():
-                    try:
-                        if fails_with(minimal, candidate_plan, timeline):
-                            plan = candidate_plan
-                            progress = True
-                            break
-                    except Exception:
-                        continue
-        if churn_check and timeline is not None:
-            # Shrink the timeline (drop events, truncate the horizon)
-            # while the same check keeps failing.  Events referencing
-            # entities the shrunk scenario lost are skipped (and
-            # counted) by the runtime, so every candidate is well
-            # defined.
-            progress = True
-            while progress:
-                progress = False
-                for candidate_timeline in timeline.shrink_candidates():
-                    try:
-                        if fails_with(minimal, plan, candidate_timeline):
-                            timeline = candidate_timeline
-                            progress = True
-                            break
-                    except Exception:
-                        continue
-        if overload_check and trace is not None:
-            # Shrink the arrival trace first (drop arrivals, truncate
-            # the horizon), then the fault plan (drop bursts and worker
-            # faults), while the same check keeps failing.
-            progress = True
-            while progress:
-                progress = False
-                for candidate_trace in trace.shrink_candidates():
-                    try:
-                        if fails_with(minimal, plan, timeline,
-                                      candidate_trace=candidate_trace):
-                            trace = candidate_trace
-                            progress = True
-                            break
-                    except Exception:
-                        continue
-            if overload_plan is not None:
-                progress = True
-                while progress:
-                    progress = False
-                    for cand in overload_plan.shrink_candidates():
-                        try:
-                            if fails_with(
-                                minimal, plan, timeline,
-                                candidate_overload_plan=cand,
-                            ):
-                                overload_plan = cand
-                                progress = True
-                                break
-                        except Exception:
-                            continue
-    if faults_check and plan is not None:
-        plan_doc = plan.to_dict()
-    elif overload_check and overload_plan is not None:
-        plan_doc = overload_plan.to_dict()
-    else:
-        plan_doc = None
+        # The scenario first, then each payload in the axis's order,
+        # every step against the others' current values.
+        minimal = shrink_scenario(scenario,
+                                  lambda c: fails_with(c, replay))
+        for i, payload in enumerate(replay):
+            replay[i] = _greedy_shrink(
+                payload, lambda p: p.shrink_candidates(),
+                partial(payload_fails, i),
+            )
     failure = FuzzFailure(
         case=index,
         check=first.name,
         details=first.details,
         scenario=scenario_to_dict(scenario),
         shrunk=scenario_to_dict(minimal),
-        fault_plan=plan_doc,
-        churn_timeline=timeline.to_dict()
-        if churn_check and timeline is not None else None,
-        arrival_trace=trace.to_dict()
-        if overload_check and trace is not None else None,
+        replay={name: p.to_dict()
+                for name, p in zip(AXES[axis].fields, replay)}
+        if axis in payloads else {},
     )
     return outcomes, failure
 
@@ -961,18 +870,17 @@ def run_fuzz(
     report is bit-identical to the serial run.  ``jobs=0`` uses all
     cores.  Reproducer files are always written from this process.
 
-    ``faults=True`` additionally runs every case through lossy 2PA-D
-    under a fault plan drawn from stream ``("verify", i, "faults")`` and
-    asserts the resilience safety invariants (``faults.*`` checks); a
-    failing case's fault plan is shrunk alongside the scenario and lands
-    in the reproducer.
-
-    ``churn=True`` additionally runs every case through the long-lived
-    allocator runtime under a churn timeline drawn from stream
-    ``("verify", i, "churn")`` and asserts the churn safety invariants
-    (``churn.*`` checks, including the crash + restore differential); a
-    failing case's timeline is shrunk alongside the scenario and lands
-    in the reproducer under ``churn_timeline``.
+    ``faults``, ``churn`` and ``overload`` switch on the replay axes
+    of :data:`AXES`: every case also runs through lossy 2PA-D under a
+    fault plan (``faults.*`` checks), through the long-lived runtime
+    under a churn timeline (``churn.*``, including the crash + restore
+    differential), and through the overload-protected runtime under an
+    open-loop arrival trace plus a burst/worker-fault plan, with two
+    forced deadline stalls (``overload.*``).  Payloads come from the
+    case's ``("verify", i, <axis>)`` streams (the overload plan from
+    ``"overload-plan"``).  On a failure the failing axis's payloads are
+    shrunk after the scenario, in the axis's order, and land in the
+    reproducer under their fields.
 
     ``backend`` selects the float LP solver under test (``"simplex"``
     or ``"revised"``); reproducers record it so a failure found on one
@@ -984,16 +892,6 @@ def run_fuzz(
     centralized runtime journal against a cold monolithic solve of each
     epoch — asserting bitwise identity throughout (``sharded.*``
     checks).
-
-    ``overload=True`` additionally drives every case through the
-    overload-protected runtime under an open-loop arrival trace from
-    stream ``("verify", i, "overload")`` and a fault plan (arrival
-    bursts, worker faults) from ``("verify", i, "overload-plan")``, with
-    two forced deadline stalls per case so the breach machinery is
-    always exercised (``overload.*`` checks, including the
-    no-breach-without-staleness-record pairing).  On failure the arrival
-    trace is shrunk first, then the plan; both land in the reproducer
-    (``arrival_trace`` / ``fault_plan``).
     """
     fault = inject_share_fault if inject_fault else None
     suite = VerificationSuite(
@@ -1056,11 +954,6 @@ def _write_reproducer(
         "scenario": failure.shrunk,
         "original_scenario": failure.scenario,
     }
-    if failure.fault_plan is not None:
-        doc["fault_plan"] = failure.fault_plan
-    if failure.churn_timeline is not None:
-        doc["churn_timeline"] = failure.churn_timeline
-    if failure.arrival_trace is not None:
-        doc["arrival_trace"] = failure.arrival_trace
+    doc.update(failure.replay)
     path.write_text(json.dumps(doc, indent=2, sort_keys=True))
     return str(path)

@@ -326,6 +326,54 @@ class TestSheddingLadder:
             assert reg.gauges["runtime.overload.rung"].value == RUNG_NORMAL
 
 
+    def test_epoch_admissions_visit_only_the_epoch_tail(self):
+        """Each record's admissions equal the full-log filter for its
+        epoch, including the queue-aged evictions logged before the
+        epoch is staged, while staging reads no decision older than the
+        one just before the epoch's own."""
+        harness, flows = self._stressed(
+            {1, 2}, shed_queue_age=1, clamp_after=99
+        )
+        admission = harness.runtime.admission
+        log = _WatchedLog(admission.decisions)
+        admission.decisions = log
+        events = [[], [], _flow_up(3, flows[2]), [], [], []]
+        for batch in events:
+            log.touched.clear()
+            record = harness.advance(batch)
+            full = [d.to_dict() for d in list.__iter__(log)
+                    if d.epoch == record.epoch]
+            assert record.admissions == full
+            first = next((i for i, d in enumerate(list.__iter__(log))
+                          if d.epoch == record.epoch), len(log))
+            assert min(log.touched, default=len(log)) >= first - 1
+        assert "queue-shed" in {row["rung"]
+                                for row in harness.overload_journal}
+        evicted = [r for r in harness.runtime.journal
+                   if any(d["reason"] == REASON_QUEUE_AGED
+                          for d in r.admissions)]
+        assert [r.epoch for r in evicted] == [5]
+
+
+class _WatchedLog(list):
+    """A decision log that records every index read from it."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.touched = set()
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            self.touched.update(range(*key.indices(len(self))))
+        else:
+            self.touched.add(key % len(self))
+        return super().__getitem__(key)
+
+    def __iter__(self):
+        self.touched.update(range(len(self)))
+        return super().__iter__()
+
+
 class TestUnstressedPassThrough:
     def test_bitwise_identity_with_bare_runtime(self):
         scenario = fig4.make_scenario()
@@ -459,9 +507,9 @@ class TestOverloadCampaign:
             stall_epochs=2,
         )
         assert case.ok, case.failed_checks()
-        assert case.breaches == 2
-        assert case.epochs_run == 10
-        assert "deadline-breach" in case.epoch_statuses
+        assert case.tallies["breaches"] == 2
+        assert case.tallies["epochs_run"] == 10
+        assert "deadline-breach" in case.statuses
         names = [name for name, _ok, _d in case.checks]
         assert "overload.breach_recorded" in names
         assert "overload.final_clique_capacity" in names
@@ -478,9 +526,9 @@ class TestOverloadCampaign:
         report = run_overload(cases=2, seed=0, epochs=8, multiplier=2.0,
                               stall_epochs=1)
         assert report.ok, report.violations
-        assert report.breaches == 2  # one forced stall per case
-        assert len(report.rates) == 2
-        for row in report.rates:
+        assert report.totals["breaches"] == 2  # one forced stall per case
+        assert len(report.totals["rates"]) == 2
+        for row in report.totals["rates"]:
             assert row["offered"] == pytest.approx(2.0 * row["sustainable"])
         doc = report.to_dict()
         assert doc["cases"] == 2
@@ -492,7 +540,7 @@ class TestOverloadCampaign:
     def test_injected_fault_is_caught_and_breach_fires(self):
         report = run_overload(cases=1, seed=0, epochs=8, inject_fault=True)
         assert not report.ok  # the perturbed allocation must be caught
-        assert report.breaches > 0  # and the forced stalls must bite
+        assert report.totals["breaches"] > 0  # and the forced stalls must bite
         assert any(v.check.startswith("overload.")
                    for v in report.violations)
-        assert report.violations[0].arrival_trace["epochs"] > 0
+        assert report.violations[0].replay["arrival_trace"]["epochs"] > 0

@@ -446,7 +446,8 @@ class TestChaosCampaign:
         # Violations carry everything needed to replay.
         v = report.violations[0]
         assert v.scenario["flows"]
-        assert FaultPlan.from_dict(v.fault_plan).to_dict() == v.fault_plan
+        plan = v.replay["fault_plan"]
+        assert FaultPlan.from_dict(plan).to_dict() == plan
 
     def test_report_round_trips_to_dict(self):
         report = run_chaos(cases=2, seed=1, loss_rates=(0.0,))

@@ -287,10 +287,10 @@ class TestChurnCampaign:
         assert report.ok, [v.to_dict() for v in report.violations]
         # statuses tally per committed epoch: 2 cases × 2 rates × 6.
         assert sum(report.statuses.values()) == 24
-        assert report.epochs_run == 24
+        assert report.totals["epochs_run"] == 24
         assert report.checks["churn.crash_restore_identical"]["fail"] == 0
         assert report.checks["churn.epoch_checks"]["fail"] == 0
-        assert report.admissions[ADMIT] >= 1
+        assert report.totals["admissions"][ADMIT] >= 1
         rendered = report.render()
         assert "all churn safety invariants held" in rendered
 
@@ -305,8 +305,9 @@ class TestChurnCampaign:
             "churn.final_clique_capacity", "churn.final_basic_floor"
         )
         # Violations carry a replayable timeline next to the scenario.
-        timeline = ChurnTimeline.from_dict(violation.churn_timeline)
-        assert timeline.to_dict() == violation.churn_timeline
+        doc = violation.replay["churn_timeline"]
+        timeline = ChurnTimeline.from_dict(doc)
+        assert timeline.to_dict() == doc
         assert violation.scenario["flows"]
 
     def test_report_round_trips_to_dict(self):
@@ -315,7 +316,7 @@ class TestChurnCampaign:
         assert doc["ok"] is report.ok
         assert doc["cases"] == 2
         assert set(doc["checks"]) == set(report.checks)
-        assert doc["epochs_run"] == report.epochs_run
+        assert doc["epochs_run"] == report.totals["epochs_run"]
 
 
 class TestRuntimeConfig:
