@@ -19,7 +19,8 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from ..graphs import Graph, connected_components, maximal_cliques
 from ..graphs.cliques import clique_vertex_order, restrict_cliques, sort_cliques
-from ..obs.registry import incr, phase_timer
+from ..obs.registry import incr
+from ..obs.trace import span
 from .model import Flow, Network, Scenario, Subflow, SubflowId
 
 
@@ -177,7 +178,7 @@ class ContentionAnalysis:
         if graph is not None:
             self.graph = graph
         else:
-            with phase_timer("contention.graph_build"):
+            with span("contention.graph_build"):
                 self.graph = subflow_contention_graph(
                     scenario.network, scenario.flows
                 )
@@ -185,9 +186,9 @@ class ContentionAnalysis:
             self.cliques: List[FrozenSet[SubflowId]] = list(cliques)
             incr("perf.contention.precomputed_cliques")
         else:
-            with phase_timer("contention.clique_enumeration"):
+            with span("contention.clique_enumeration"):
                 self.cliques = maximal_cliques(self.graph)
-        with phase_timer("contention.flow_grouping"):
+        with span("contention.flow_grouping"):
             self.groups = flow_groups_from_graph(
                 self.graph, scenario.flows, components
             )

@@ -42,7 +42,7 @@ from typing import Dict, FrozenSet, List, Mapping, Sequence, Set
 
 from ..graphs import maximal_cliques
 from ..lp import LinearProgram, LPSolution, lexicographic_maxmin, solve
-from ..obs.registry import incr, observe, phase_timer, set_gauge
+from ..obs.registry import incr, observe, set_gauge
 from ..obs.trace import span
 from .allocation import AllocationResult
 from .contention import ContentionAnalysis
@@ -122,7 +122,7 @@ class DistributedAllocator:
     # ------------------------------------------------------------------
     def build_local_views(self) -> Dict[NodeId, LocalView]:
         """Populate each node's overheard/known subflows and local cliques."""
-        with phase_timer("2pad.build_views"), span("2pad.build_views"):
+        with span("2pad.build_views"):
             return self._build_local_views()
 
     def _build_local_views(self) -> Dict[NodeId, LocalView]:
@@ -172,9 +172,8 @@ class DistributedAllocator:
         """
         if not self.views:
             self.build_local_views()
-        with phase_timer("2pad.propagate"), \
-                span("2pad.propagate",
-                     lossy=self.channel is not None) as prop_span:
+        with span("2pad.propagate",
+                  lossy=self.channel is not None) as prop_span:
             if self.channel is None:
                 self._propagate_constraints()
             else:
@@ -287,8 +286,7 @@ class DistributedAllocator:
         throughput maximization — shares stay proportional to the locally
         computed basic shares.
         """
-        with phase_timer("2pad.local_lp"), \
-                span("2pad.local_lp", node=str(node)):
+        with span("2pad.local_lp", node=str(node)):
             problem = self._solve_local(node)
         incr("2pad.local_lps")
         return problem
@@ -390,9 +388,7 @@ class DistributedAllocator:
         a capacity governor enforces Eq. (6) on the mixture (see
         :func:`repro.resilience.degrade.degraded_allocation`).
         """
-        with phase_timer("2pad.run"), \
-                span("2pad.run",
-                     lossy=self.channel is not None) as run_span:
+        with span("2pad.run", lossy=self.channel is not None) as run_span:
             self.build_local_views()
             self.propagate_constraints()
             if (self.channel is not None

@@ -49,7 +49,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..obs.registry import incr, phase_timer
+from ..obs.registry import incr
 from ..obs.trace import span
 from .problem import LinearProgram, LPSolution, Prices
 from .simplex import (
@@ -505,11 +505,9 @@ def solve_revised(
     names = lp.variables
     if not names:
         return LPSolution("optimal", {}, 0.0, basis=())
-    with phase_timer("lp.revised.solve"), \
-            span("lp.solve", vars=len(names),
-                 rows=len(lp.constraints),
-                 warm=start_basis is not None,
-                 backend="revised") as solve_span:
+    with span("lp.solve", vars=len(names), rows=len(lp.constraints),
+              warm=start_basis is not None,
+              backend="revised") as solve_span:
         sp = SparseLP.from_problem(lp)
         status, y, pivots, basis, pricer = _revised_leq(sp, start_basis)
         solve_span.tag(status=status, pivots=pivots)
@@ -560,9 +558,8 @@ class RevisedBackend:
         for target in targets:
             if target not in index:
                 raise KeyError(f"unknown probe target {target!r}")
-        with phase_timer("lp.revised.probe_batch"), \
-                span("lp.probe_batch", targets=len(targets),
-                     rows=len(lp.constraints), backend="revised"):
+        with span("lp.probe_batch", targets=len(targets),
+                  rows=len(lp.constraints), backend="revised"):
             out = self._probe_batch(lp, targets, index)
         incr("lp.revised.probe_batches")
         incr("lp.revised.probes", len(targets))

@@ -41,7 +41,7 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from ..obs.events import emit_event
-from ..obs.registry import incr, phase_timer
+from ..obs.registry import incr
 from ..obs.trace import current_span_id, span, tag_current
 from .problem import LinearProgram, LPSolution, Prices
 
@@ -66,11 +66,9 @@ def solve_simplex(
     names = lp.variables
     if not names:
         return LPSolution("optimal", {}, 0.0, basis=())
-    with phase_timer("lp.simplex.solve"), \
-            span("lp.solve", vars=len(names),
-                 rows=len(lp.constraints),
-                 warm=start_basis is not None,
-                 backend="simplex") as solve_span:
+    with span("lp.solve", vars=len(names), rows=len(lp.constraints),
+              warm=start_basis is not None,
+              backend="simplex") as solve_span:
         c, a, b, lb = lp.to_dense()
 
         # Shift out the lower bounds: x = y + lb with y >= 0.

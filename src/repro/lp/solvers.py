@@ -14,7 +14,7 @@ from typing import Callable, Dict, Tuple, Union
 
 import numpy as np
 
-from ..obs.registry import incr, phase_timer
+from ..obs.registry import incr
 from .problem import LinearProgram, LPSolution
 from .revised import RevisedBackend, solve_revised
 from .simplex import solve_simplex
@@ -61,8 +61,7 @@ def solve(lp: LinearProgram, backend: BackendSpec = "simplex") \
     argument.
     """
     fn, label = resolve_backend(backend)
-    with phase_timer("lp.solve"):
-        solution = fn(lp)
+    solution = fn(lp)
     incr("lp.solves")
     incr(f"lp.solves.{label}")
     if not solution.is_optimal:

@@ -5,9 +5,10 @@ Six pieces, designed to compose:
 * :mod:`~repro.obs.registry` — counters, gauges, histograms, and reentrant
   phase timers behind module-level helpers that cost one ``is None`` check
   when no registry is active;
-* :mod:`~repro.obs.trace` — hierarchical spans with deterministic ids
-  covering the epoch pipeline, LP solves, 2PA-D gossip, and checkpoints
-  (same zero-cost-when-off contract, via a shared ``NullSpan``);
+* :mod:`~repro.obs.trace` — :func:`span`, the one way to time a region:
+  hierarchical spans with deterministic ids covering the epoch pipeline,
+  LP solves, 2PA-D gossip, and checkpoints, each feeding the phase timer
+  of its name (a shared ``NullSpan`` when nothing is active);
 * :mod:`~repro.obs.events` — a bounded streaming JSONL event bus with
   explicit drop counters, torn-line-safe under parallel sweep workers;
 * :mod:`~repro.obs.export` + :mod:`~repro.obs.slo` — Prometheus
@@ -22,9 +23,9 @@ Six pieces, designed to compose:
 
 Instrumentation points live in the hot paths of the reproduction:
 clique enumeration (``contention.*``), simplex pivots and LP solves
-(``lp.*``), 2PA-D constraint propagation (``2pad.*``), and the
-discrete-event loop (``sim.*``).  See README's Observability section for
-the full metric and flag reference.
+(``lp.*``), 2PA-D constraint propagation (``2pad.*``), the epoch
+pipeline (``runtime.*``), and the discrete-event loop (``sim.*``).  See
+README's Observability section for the full metric and flag reference.
 """
 
 from .artifact import RunArtifact
@@ -57,7 +58,6 @@ from .registry import (
     get_registry,
     incr,
     observe,
-    phase_timer,
     set_gauge,
     set_registry,
     using_registry,
@@ -86,7 +86,6 @@ __all__ = [
     "get_registry",
     "set_registry",
     "using_registry",
-    "phase_timer",
     "incr",
     "observe",
     "set_gauge",

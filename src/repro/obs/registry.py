@@ -1,10 +1,12 @@
 """Unified metrics registry: counters, gauges, histograms, phase timers.
 
 The registry is the measurement substrate for the whole stack.  Hot paths
-call the module-level helpers (:func:`phase_timer`, :func:`incr`,
-:func:`observe`, :func:`set_gauge`); when no registry is active these are
-no-ops whose cost is a single ``is None`` check, so instrumented code pays
-essentially nothing in the default configuration.
+call the module-level helpers (:func:`incr`, :func:`observe`,
+:func:`set_gauge`); when no registry is active these are no-ops whose
+cost is a single ``is None`` check, so instrumented code pays essentially
+nothing in the default configuration.  Phase timers have no helper of
+their own: every timed region is a :func:`repro.obs.trace.span`, and
+closing a span adds its time to ``registry.timer(name)``.
 
 Activate a registry around a region of interest::
 
@@ -16,7 +18,7 @@ Activate a registry around a region of interest::
 
 Phase timers accumulate wall-clock *and* CPU time and are reentrant: when
 the same named timer is entered while already running (recursive or nested
-use), only the outermost enter/exit pair contributes elapsed time, while
+spans), only the outermost enter/exit pair contributes elapsed time, while
 ``calls`` counts every entry.  Distinct timer names nest freely, so
 ``lp.solve`` samples show up inside a surrounding ``2pad.run`` phase
 without double bookkeeping.
@@ -38,7 +40,6 @@ __all__ = [
     "get_registry",
     "set_registry",
     "using_registry",
-    "phase_timer",
     "incr",
     "observe",
     "set_gauge",
@@ -145,9 +146,10 @@ class Histogram:
 class PhaseTimer:
     """Accumulated wall + CPU time for one named phase.
 
-    Used as a context manager (usually via :func:`phase_timer`).  Reentrant
-    same-name nesting counts elapsed time once (outermost pair only) while
-    still counting every call.
+    Entered and exited by the spans of the same name (see
+    :func:`repro.obs.trace.span`).  Reentrant same-name nesting counts
+    elapsed time once (outermost pair only) while still counting every
+    call.
     """
 
     __slots__ = ("name", "calls", "wall_s", "cpu_s", "_depth",
@@ -325,21 +327,6 @@ class MetricsRegistry:
 _active: Optional[MetricsRegistry] = None
 
 
-class _NullTimer:
-    """Shared do-nothing context manager for the disabled path."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullTimer":
-        return self
-
-    def __exit__(self, *exc: object) -> bool:
-        return False
-
-
-_NULL_TIMER = _NullTimer()
-
-
 def get_registry() -> Optional[MetricsRegistry]:
     """The currently active registry, or ``None`` when metrics are off."""
     return _active
@@ -373,14 +360,6 @@ class using_registry:
     def __exit__(self, *exc: object) -> bool:
         set_registry(self._previous)
         return False
-
-
-def phase_timer(name: str):
-    """Timer context manager for phase ``name``; no-op when metrics are off."""
-    reg = _active
-    if reg is None:
-        return _NULL_TIMER
-    return reg.timer(name)
 
 
 def incr(name: str, amount: float = 1.0) -> None:

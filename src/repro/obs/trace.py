@@ -1,14 +1,18 @@
-"""Hierarchical spans: end-to-end tracing of the allocator pipeline.
+"""Hierarchical spans: the one way to time a region of execution.
 
 A **span** is one timed, named region of execution with a deterministic
 id, an optional parent, and free-form tags.  Spans nest: the epoch
 pipeline opens ``runtime.epoch``, each phase opens a child
 (``runtime.phase.solve``...), every LP solve inside the phase opens a
-grandchild (``lp.solve``), and so on down to 2PA-D per-flow gossip and
-checkpoint writes.  The finished trace is a tree encoded as flat JSONL
-records (one object per span, ``parent`` linking upward), so campaigns
-can answer "where does epoch time go, per phase, per LP solve, per
-gossip exchange" from a single file.
+grandchild (``lp.solve``), and so on down to contention analysis, 2PA-D
+per-flow gossip and checkpoint writes.  The finished trace is a tree
+encoded as flat JSONL records (one object per span, ``parent`` linking
+upward), so campaigns can answer "where does epoch time go, per phase,
+per LP solve, per gossip exchange" from a single file.
+
+With a registry active, closing any region (traced or not) adds its
+wall and CPU time to ``registry.timer(name)``; every region exposes
+``duration_s`` once closed.
 
 Design rules, matching :mod:`repro.obs.registry`:
 
@@ -16,11 +20,11 @@ Design rules, matching :mod:`repro.obs.registry`:
   *open* order (``"s1"``, ``"s2"``, ...), not random — two runs of the
   same seeded workload produce identical id assignments, so traces can
   be diffed across PRs and a reproducer can cite a span id.
-* **Zero-cost when off.**  Instrumentation calls :func:`span`; with no
-  tracer active it returns a shared :class:`NullSpan` whose every method
-  is a no-op — the disabled path costs one ``is None`` check and must
-  never change allocation results (the CI telemetry-smoke job asserts
-  disabled runs are bitwise identical).
+* **Zero-cost when off.**  With no tracer and no registry active,
+  :func:`span` returns a shared :class:`NullSpan` after two ``is None``
+  checks and allocates nothing; observation must never change
+  allocation results (the CI telemetry-smoke job asserts disabled runs
+  are bitwise identical).
 * **Bounded.**  A tracer keeps at most ``max_spans`` finished spans;
   overflow increments an explicit ``dropped`` counter (surfaced as
   ``obs.trace.dropped``) rather than silently growing or silently
@@ -43,6 +47,8 @@ from __future__ import annotations
 import time
 from typing import Callable, Dict, List, Optional
 
+from . import registry as _registry
+
 __all__ = [
     "Span",
     "NullSpan",
@@ -60,17 +66,18 @@ __all__ = [
 class Span:
     """One open (then finished) traced region.
 
-    Created by :meth:`SpanTracer.span` — not directly.  Used as a
-    context manager; :meth:`tag` attaches/overwrites tags while open
-    (tags recorded at close time are what the trace keeps).
+    Created by :func:`span` — not directly.  Used as a context manager;
+    :meth:`tag` attaches/overwrites tags while open (tags recorded at
+    close time are what the trace keeps).
     """
 
     __slots__ = ("span_id", "parent_id", "name", "tags", "start_s",
-                 "end_s", "_tracer")
+                 "end_s", "_tracer", "_timer")
 
     def __init__(self, tracer: "SpanTracer", span_id: str,
                  parent_id: Optional[str], name: str,
-                 tags: Dict[str, object], start_s: float) -> None:
+                 tags: Dict[str, object], start_s: float,
+                 timer: Optional[_registry.PhaseTimer]) -> None:
         self._tracer = tracer
         self.span_id = span_id
         self.parent_id = parent_id
@@ -78,6 +85,9 @@ class Span:
         self.tags = tags
         self.start_s = start_s
         self.end_s: Optional[float] = None
+        self._timer = timer
+        if timer is not None:
+            timer.__enter__()
 
     def tag(self, **tags: object) -> "Span":
         """Attach (or overwrite) tags; chainable."""
@@ -95,6 +105,8 @@ class Span:
     def __exit__(self, exc_type, exc, tb) -> bool:
         if exc_type is not None:
             self.tags.setdefault("error", exc_type.__name__)
+        if self._timer is not None:
+            self._timer.__exit__()
         self._tracer._finish(self)
         return False
 
@@ -110,14 +122,35 @@ class Span:
         }
 
 
+class TimedRegion:
+    """A region opened with a registry and no tracer: it feeds
+    ``registry.timer(name)`` and keeps only its duration."""
+
+    __slots__ = ("_timer", "_start", "duration_s")
+
+    def __init__(self, timer: _registry.PhaseTimer) -> None:
+        self._timer = timer
+        timer.__enter__()
+        self._start = timer._wall_clock()
+        self.duration_s = 0.0
+
+    def tag(self, **tags: object) -> "TimedRegion":
+        return self
+
+    def __enter__(self) -> "TimedRegion":
+        return self
+
+    def __exit__(self, *exc: object) -> bool:
+        self.duration_s = self._timer._wall_clock() - self._start
+        self._timer.__exit__()
+        return False
+
+
 class NullSpan:
     """Shared do-nothing span for the disabled path (zero-cost)."""
 
     __slots__ = ()
 
-    span_id = ""
-    parent_id = None
-    name = ""
     duration_s = 0.0
 
     def tag(self, **tags: object) -> "NullSpan":
@@ -157,11 +190,8 @@ class SpanTracer:
         self.opened = 0
 
     # ------------------------------------------------------------------
-    def span(self, name: str, **tags: object) -> Span:
-        """Open a child of the innermost open span (root when none)."""
-        return self._open(name, tags)
-
-    def _open(self, name: str, tags: Dict[str, object]) -> Span:
+    def _open(self, name: str, tags: Dict[str, object],
+              timer: Optional[_registry.PhaseTimer]) -> Span:
         """Hot path: ``tags`` is owned by the span, not copied."""
         self._next += 1
         self.opened += 1
@@ -169,7 +199,7 @@ class SpanTracer:
         parent = stack[-1].span_id if stack else None
         sp = Span(
             self, f"s{self._next}", parent, name, tags,
-            self._clock() - self._origin,
+            self._clock() - self._origin, timer,
         )
         stack.append(sp)
         return sp
@@ -256,11 +286,16 @@ class using_tracer:
 
 
 def span(name: str, **tags: object):
-    """Open a span named ``name``; the shared no-op span when tracing is off."""
+    """Open region ``name``: a :class:`Span` with a tracer active, a
+    :class:`TimedRegion` with only a registry, else :data:`NULL_SPAN`."""
     tracer = _active
+    registry = _registry._active
     if tracer is None:
-        return NULL_SPAN
-    return tracer._open(name, tags)
+        if registry is None:
+            return NULL_SPAN
+        return TimedRegion(registry.timer(name))
+    timer = None if registry is None else registry.timer(name)
+    return tracer._open(name, tags, timer)
 
 
 def current_span_id() -> Optional[str]:

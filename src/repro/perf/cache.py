@@ -26,7 +26,8 @@ from typing import Any, Callable, Optional, Tuple
 from ..core.allocation import basic_fairness_lp_allocation
 from ..core.contention import ContentionAnalysis
 from ..core.model import Scenario
-from ..obs.registry import incr, phase_timer
+from ..obs.registry import incr
+from ..obs.trace import span
 from ..scenarios.io import scenario_to_dict
 
 __all__ = [
@@ -41,7 +42,7 @@ __all__ = [
 
 def scenario_fingerprint(scenario: Scenario) -> str:
     """A content hash identifying the scenario up to structural equality."""
-    with phase_timer("perf.cache.fingerprint"):
+    with span("perf.cache.fingerprint"):
         doc = json.dumps(
             scenario_to_dict(scenario), sort_keys=True, default=str
         )

@@ -25,7 +25,8 @@ import numpy as np
 
 from ..graphs.cliques import clique_vertex_order
 from ..graphs.graph import Graph, Vertex
-from ..obs.registry import incr, phase_timer
+from ..obs.registry import incr
+from ..obs.trace import span
 
 __all__ = [
     "adjacency_matrix",
@@ -182,7 +183,7 @@ def maximal_cliques_bitset(graph: Graph) -> List[FrozenSet[Vertex]]:
     """
     if graph.num_vertices() == 0:
         return []
-    with phase_timer("perf.cliques.bitset"):
+    with span("perf.cliques.bitset"):
         masks, order = adjacency_bitmasks(graph)
         raw = bitset_cliques_from_masks(masks)
         # Decode to ascending index tuples: the bit scan yields indices

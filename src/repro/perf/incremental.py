@@ -24,7 +24,8 @@ from typing import Iterable, Optional
 from ..core.contention import ContentionAnalysis, restricted_analysis
 from ..core.model import Scenario
 from ..graphs import Graph
-from ..obs.registry import incr, phase_timer
+from ..obs.registry import incr
+from ..obs.trace import span
 
 __all__ = ["IncrementalContention"]
 
@@ -48,7 +49,7 @@ class IncrementalContention:
         unknown = wanted.difference(self.scenario.flow_ids)
         if unknown:
             raise KeyError(f"unknown flows {sorted(unknown)}")
-        with phase_timer("perf.incremental.analysis"):
+        with span("perf.incremental.analysis"):
             result = restricted_analysis(
                 self.universe,
                 [f for f in self.scenario.flows if f.flow_id in wanted],

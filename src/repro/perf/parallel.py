@@ -47,7 +47,8 @@ from typing import (
 )
 
 from ..obs.events import EventBus, get_event_bus, using_event_bus
-from ..obs.registry import get_registry, incr, phase_timer, using_registry
+from ..obs.registry import get_registry, incr, using_registry
+from ..obs.trace import span
 
 __all__ = ["ParallelSweep", "effective_jobs"]
 
@@ -148,7 +149,7 @@ class ParallelSweep:
                 items: Sequence[Any]) -> List[Any]:
         parent_bus = get_event_bus()
         results: List[Any] = []
-        with phase_timer("perf.parallel.sweep"):
+        with span("perf.parallel.sweep"):
             if parent_bus is None:
                 results = [fn(item) for item in items]
             else:
@@ -173,7 +174,7 @@ class ParallelSweep:
         parent = get_registry()
         parent_bus = get_event_bus()
         results: List[Any] = []
-        with phase_timer("perf.parallel.sweep"):
+        with span("perf.parallel.sweep"):
             with ProcessPoolExecutor(
                 max_workers=min(self.jobs, len(items))
             ) as pool:
@@ -224,7 +225,7 @@ class ParallelSweep:
         errors: Dict[int, BaseException] = {}
         pending = list(range(n))
 
-        with phase_timer("perf.parallel.sweep"):
+        with span("perf.parallel.sweep"):
             while pending:
                 # Retry budget exhausted → deterministic in-process
                 # fallback (worker faults cannot follow us here).

@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import time
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import (
@@ -55,7 +54,7 @@ from ..core.fairness_defs import basic_shares
 from ..core.model import Flow
 from ..graphs import connected_components
 from ..lp import LinearProgram, lexicographic_maxmin
-from ..obs.registry import incr, observe, phase_timer
+from ..obs.registry import incr, observe
 from ..obs.trace import current_span_id, span
 from .parallel import ParallelSweep
 from .warm import WarmLPCache
@@ -158,7 +157,7 @@ def component_problems(
     differentially.
     """
     b = capacity if capacity is not None else analysis.scenario.capacity
-    with phase_timer("perf.shard.split"):
+    with span("perf.shard.split"):
         lps: List[LinearProgram] = []
         group_sets: List[Set[str]] = []
         group_of: Dict[str, int] = {}
@@ -269,9 +268,9 @@ class ShardedSolver:
     dirty remainder is solved, across a process pool when ``jobs > 1``.
 
     Telemetry per solve: ``runtime.shard.components`` / ``dirty`` /
-    ``reused`` counters, a ``runtime.shard.parallel_ms`` observation
-    covering the dirty-solve fan-out, and a ``runtime.shard`` span; the
-    same numbers land in :attr:`last_stats` for programmatic asserts.
+    ``reused`` counters, a ``runtime.shard`` span, and the duration of
+    its dirty-solve fan-out child span as ``runtime.shard.parallel_ms``;
+    the counts land in :attr:`last_stats` for programmatic asserts.
     """
 
     def __init__(
@@ -337,8 +336,7 @@ class ShardedSolver:
         clean entries): they enter the stats as components and reused,
         so the stats always describe the caller's whole active set.
         """
-        with phase_timer("runtime.shard.solve"), \
-                span("runtime.shard") as shard_span:
+        with span("runtime.shard") as shard_span:
             results: List[Dict[str, float]] = []
             misses: List[int] = []
             for i, p in enumerate(problems):
@@ -349,9 +347,8 @@ class ShardedSolver:
                     results.append({})
                     misses.append(i)
             dirty = [problems[i] for i in misses]
-            t0 = time.perf_counter()
-            solved = self._solve_dirty(dirty) if dirty else []
-            parallel_ms = (time.perf_counter() - t0) * 1e3
+            with span("runtime.shard.parallel") as parallel_span:
+                solved = self._solve_dirty(dirty) if dirty else []
             for i, result in zip(misses, solved):
                 results[i] = result
                 if self._memo is not None:
@@ -363,7 +360,8 @@ class ShardedSolver:
             incr("runtime.shard.components", components)
             incr("runtime.shard.dirty", len(dirty))
             incr("runtime.shard.reused", reused)
-            observe("runtime.shard.parallel_ms", parallel_ms)
+            observe("runtime.shard.parallel_ms",
+                    parallel_span.duration_s * 1e3)
             shard_span.tag(
                 components=components, dirty=len(dirty), reused=reused,
             )
@@ -371,7 +369,6 @@ class ShardedSolver:
                 "components": components,
                 "dirty": len(dirty),
                 "reused": reused,
-                "parallel_ms": parallel_ms,
             }
         return results
 
@@ -579,8 +576,7 @@ class BatchAllocationEngine:
         if not candidates:
             return []
 
-        with phase_timer("batch.register"), \
-                span("runtime.batch.register") as reg_span:
+        with span("runtime.batch.register") as reg_span:
             verdicts = self._batch_verdicts(candidates, details)
             decisions = []
             for fid in candidates:
@@ -674,9 +670,7 @@ class BatchAllocationEngine:
         entries' parts count as reused in the solver's stats.  An epoch
         that raises keeps its entries dirty for the next one.
         """
-        t0 = time.perf_counter()
-        with phase_timer("batch.allocate"), \
-                span("runtime.batch.allocate") as alloc_span:
+        with span("runtime.batch.allocate") as alloc_span:
             self.epoch += 1
             dirty = sorted(self._dirty)
             flows = [
@@ -711,9 +705,7 @@ class BatchAllocationEngine:
                 self.rates.update(self._held[first].shares)
             alloc_span.tag(epoch=self.epoch, flows=len(self.rates))
         incr("batch.epochs")
-        observe(
-            "runtime.epoch.latency_ms", (time.perf_counter() - t0) * 1e3
-        )
+        observe("runtime.epoch.latency_ms", alloc_span.duration_s * 1e3)
         return dict(self.rates)
 
     def release(self, flow_ids: Iterable[str]) -> None:

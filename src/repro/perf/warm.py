@@ -25,7 +25,7 @@ from typing import Callable, Hashable, Optional, Tuple
 
 from ..lp.problem import LinearProgram, LPSolution
 from ..lp.simplex import Basis, solve_simplex
-from ..obs.registry import incr, phase_timer
+from ..obs.registry import incr
 from ..obs.trace import span
 
 #: A warm-startable solver: ``(lp, start_basis=...) -> LPSolution``.
@@ -167,8 +167,7 @@ class WarmLPCache:
         the basis (resolvable labels, nonsingular, feasible) and falls
         back to a cold solve, so a bad guess can only cost time.
         """
-        with phase_timer("perf.lp.warm.solve"), \
-                span("lp.warm.solve") as warm_span:
+        with span("lp.warm.solve") as warm_span:
             vars_sig, cons_sig = lp_structure_signature(lp)
             key = (vars_sig, cons_sig)
             start = self._get(key)

@@ -47,7 +47,8 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 from ..core.contention import ContentionAnalysis
 from ..core.distributed import DistributedAllocator
 from ..core.model import Scenario
-from ..obs.registry import incr, phase_timer
+from ..obs.registry import incr
+from ..obs.trace import span
 from ..perf.parallel import ParallelSweep
 from ..scenarios.io import scenario_to_dict
 from ..sim.rng import RngRegistry
@@ -75,7 +76,7 @@ from .faults import (
     WorkerFaultInjector,
 )
 from .overload import OverloadConfig, OverloadRuntime
-from .runtime import AllocatorRuntime, RuntimeConfig
+from .runtime import AllocatorRuntime, EpochRecord, RuntimeConfig
 
 __all__ = [
     "CaseChecks",
@@ -405,7 +406,7 @@ def run_chaos_case(
     )
     backend = ResilientLPBackend()
     try:
-        with phase_timer("resilience.case"):
+        with span("resilience.case"):
             allocator = DistributedAllocator(
                 scenario, backend=backend, analysis=analysis,
                 channel=channel,
@@ -594,6 +595,34 @@ def _runtime_checks(
     ]
 
 
+class _LastCommit:
+    """The last non-empty committed allocation and the outages it
+    committed under, tracked as the runtime's commit-time hook: the
+    final checks (and the ``fault`` hook) re-check it when every flow
+    has left, on that epoch's topology, since churn moves links and
+    nodes."""
+
+    def __init__(self, runtime: AllocatorRuntime) -> None:
+        self.runtime = runtime
+        self.last: Optional[Tuple[EpochRecord, frozenset, frozenset]] = None
+        runtime.crash_hook = self
+
+    def __call__(self, point: str, epoch: int) -> None:
+        rt = self.runtime
+        if point == "pre-checkpoint" and rt.journal[-1].shares:
+            self.last = (rt.journal[-1], rt.down_links, rt.down_nodes)
+
+    def allocation(self) -> Tuple[ContentionAnalysis, Dict[str, float]]:
+        """The contention analysis and shares to re-check at the end."""
+        rt = self.runtime
+        if rt.shares or self.last is None:
+            return rt.current_analysis(), dict(rt.shares)
+        record, down_links, down_nodes = self.last
+        topo = rt._topology(down_links, down_nodes)
+        return (topo.contention.analysis_for(topo.ordered(set(record.active))),
+                dict(record.shares))
+
+
 def _journal_tallies(runtime: AllocatorRuntime) -> Dict[str, object]:
     """Epoch-status counts and admission-action counts of one run."""
     return {
@@ -632,7 +661,8 @@ def run_churn_case(
     then the five shared runtime checks (``churn.no_raise``,
     ``churn.epoch_checks``, ``churn.admission_reasoned``,
     ``churn.final_clique_capacity``, ``churn.final_basic_floor``; see
-    :func:`_runtime_checks`) run on the final allocation, plus
+    :func:`_runtime_checks`) run on the final allocation (the last
+    non-empty committed one, see :class:`_LastCommit`), plus
     ``churn.crash_restore_identical``: a second runtime is crashed
     mid-timeline (after epoch ``epochs // 2`` is staged but before it
     commits), restored from its last checkpoint, and resumed; its final
@@ -654,13 +684,13 @@ def run_churn_case(
         )
 
     runtime = AllocatorRuntime(scenario, config())
+    last = _LastCommit(runtime)
     try:
-        with phase_timer("runtime.case"):
+        with span("runtime.case"):
             runtime.run_timeline(timeline)
     except Exception as exc:
         return _raised("churn.no_raise", exc, "runtime.case_raised")
-    checks = _runtime_checks("churn", runtime, runtime.current_analysis(),
-                             dict(runtime.shares), fault)
+    checks = _runtime_checks("churn", runtime, *last.allocation(), fault)
 
     if crash_restore and timeline.epochs >= 2:
         crash_epoch = max(1, timeline.epochs // 2)
@@ -818,6 +848,7 @@ def run_overload_case(
         jobs=jobs, stream_prefix=("overload",),
     )
     runtime = AllocatorRuntime(scenario, config)
+    last = _LastCommit(runtime)
     if (plan is not None and plan.has_worker_faults
             and jobs is not None and jobs > 1):
         # Arm the sharded solver's fault-tolerant path: the injected
@@ -834,33 +865,15 @@ def run_overload_case(
         harness.force_breach_epochs = set(range(1, stall_epochs + 1))
 
     try:
-        with phase_timer("runtime.overload.case"):
+        with span("runtime.overload.case"):
             harness.run_trace(
                 trace, bursts=plan.bursts if plan is not None else ()
             )
     except Exception as exc:
         return _raised("overload.no_raise", exc, "runtime.case_raised")
 
-    analysis = runtime.current_analysis()
-    shares = dict(runtime.shares)
-    if not shares:
-        # Finite flows may all have been served by the end of the
-        # trace; re-check the last non-empty committed allocation so
-        # the final invariants (and the ``fault`` self-test hook)
-        # always have something to bite on.  Overload traces carry no
-        # topology churn, so the current topology state is the one
-        # every epoch committed under.
-        for record in reversed(runtime.journal):
-            if record.shares:
-                topo = runtime._topology(runtime.down_links,
-                                         runtime.down_nodes)
-                analysis = topo.contention.analysis_for(
-                    topo.ordered(set(record.active)),
-                    name=f"{scenario.name}-overload-final",
-                )
-                shares = dict(record.shares)
-                break
-    checks = _runtime_checks("overload", runtime, analysis, shares, fault)
+    checks = _runtime_checks("overload", runtime, *last.allocation(),
+                             fault)
 
     checks.append((
         "overload.queue_bounded",

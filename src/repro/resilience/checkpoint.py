@@ -35,7 +35,7 @@ from pathlib import Path
 from typing import Dict, Union
 
 from ..obs.events import emit_event
-from ..obs.registry import incr, phase_timer
+from ..obs.registry import incr
 from ..obs.trace import span
 
 __all__ = [
@@ -81,8 +81,7 @@ def save_checkpoint(payload: Dict, path: Union[str, Path]) -> str:
     POSIX recipe for an all-or-nothing file swap.
     """
     path = Path(path)
-    with phase_timer("checkpoint.save"), \
-            span("checkpoint.save") as save_span:
+    with span("checkpoint.save") as save_span:
         canonical = _canonical(payload)
         digest = _digest(canonical)
         envelope = {
@@ -123,8 +122,7 @@ def load_checkpoint(path: Union[str, Path]) -> Dict:
     normal first-boot condition, not corruption).
     """
     path = Path(path)
-    with phase_timer("checkpoint.restore"), \
-            span("checkpoint.restore") as restore_span:
+    with span("checkpoint.restore") as restore_span:
         text = path.read_text()
         try:
             envelope = json.loads(text)

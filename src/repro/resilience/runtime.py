@@ -62,7 +62,6 @@ from the last checkpoint and replays to a bitwise-identical state
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass, field
 from typing import (
     Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple,
@@ -72,7 +71,7 @@ from ..core.contention import ContentionAnalysis
 from ..core.distributed import DistributedAllocator
 from ..core.model import Flow, Network, Scenario
 from ..obs.events import emit_event
-from ..obs.registry import incr, observe, phase_timer
+from ..obs.registry import incr, observe
 from ..obs.trace import span
 from ..perf.incremental import IncrementalContention
 from ..perf.shard import ShardedSolver
@@ -456,7 +455,7 @@ class AllocatorRuntime:
         )
         topo = self._topo.get(key)
         if topo is None:
-            with phase_timer("runtime.topology.build"):
+            with span("runtime.topology.build"):
                 topo = _TopologyState(self.scenario, key[0], key[1])
             self._topo[key] = topo
             incr("runtime.topology.builds")
@@ -500,10 +499,10 @@ class AllocatorRuntime:
         """Run one epoch; returns the committed record.
 
         The whole pipeline (stage + commit) runs under the
-        ``runtime.epoch`` timer and span; each of the eight phases
-        opens its own ``runtime.phase.*`` child inside.  Wall latency
-        of the complete epoch feeds the ``runtime.epoch.latency_ms``
-        histogram the SLO report summarizes.
+        ``runtime.epoch`` span; each of the eight phases opens its own
+        ``runtime.phase.*`` child inside.  The epoch span's duration
+        feeds the ``runtime.epoch.latency_ms`` histogram the SLO report
+        summarizes.
 
         The keyword flags are the overload ladder's hooks (both default
         off, leaving the epoch byte-identical to historical behaviour):
@@ -514,9 +513,7 @@ class AllocatorRuntime:
         governor (status ``overload-clamp``).
         """
         epoch = self.epoch + 1
-        t0 = time.perf_counter()
-        with phase_timer("runtime.epoch"), \
-                span("runtime.epoch", epoch=epoch) as epoch_span:
+        with span("runtime.epoch", epoch=epoch) as epoch_span:
             staged = self._stage(
                 epoch, events,
                 freeze_admission=freeze_admission,
@@ -524,8 +521,7 @@ class AllocatorRuntime:
             )
             if self.crash_hook is not None:
                 self.crash_hook("staged", epoch)
-            with phase_timer("runtime.phase.commit"), \
-                    span("runtime.phase.commit"):
+            with span("runtime.phase.commit"):
                 self._commit(*staged)
             record = staged[0]
             epoch_span.tag(
@@ -534,9 +530,7 @@ class AllocatorRuntime:
                 damped=record.damped,
                 fallback_basic=record.fallback_basic,
             )
-        observe(
-            "runtime.epoch.latency_ms", (time.perf_counter() - t0) * 1e3
-        )
+        observe("runtime.epoch.latency_ms", epoch_span.duration_s * 1e3)
         return staged[0]
 
     def run_timeline(self, timeline: ChurnTimeline) -> List[EpochRecord]:
@@ -593,8 +587,7 @@ class AllocatorRuntime:
         applied: List[Dict] = []
 
         # Phase 1 — APPLY: fold the event batch into the staged sets.
-        with phase_timer("runtime.phase.apply"), \
-                span("runtime.phase.apply") as apply_span:
+        with span("runtime.phase.apply") as apply_span:
             self._tick("apply")
             for ev in sorted(events, key=ChurnEvent.sort_key):
                 ok = True
@@ -633,8 +626,7 @@ class AllocatorRuntime:
 
         # Phase 2 — DIFF: resolve the topology for the staged outage sets
         # (cache hit or full rebuild).
-        with phase_timer("runtime.phase.diff"), \
-                span("runtime.phase.diff") as diff_span:
+        with span("runtime.phase.diff") as diff_span:
             self._tick("diff")
             topo = self._topology(down_links, down_nodes)
             diff_span.tag(
@@ -645,8 +637,7 @@ class AllocatorRuntime:
 
         # Phase 3 — SUSPEND: park active flows the new topology cannot
         # carry, then shrink newest-first until the floors fit.
-        with phase_timer("runtime.phase.suspend"), \
-                span("runtime.phase.suspend") as suspend_span:
+        with span("runtime.phase.suspend") as suspend_span:
             self._tick("suspend")
             suspended: List[str] = []
             for fid in sorted(active & set(topo.unroutable),
@@ -686,8 +677,7 @@ class AllocatorRuntime:
 
         # Phase 4 — ADMIT: FIFO retry of the waiting queue, then this
         # epoch's arrivals; publish queue-state gauges afterwards.
-        with phase_timer("runtime.phase.admit"), \
-                span("runtime.phase.admit") as admit_span:
+        with span("runtime.phase.admit") as admit_span:
             self._tick("admit")
             if self.admission.max_queue_age is not None:
                 self.admission.evict_aged(epoch)
@@ -773,8 +763,7 @@ class AllocatorRuntime:
     ):
         # Phase 5 — SOLVE: sharded centralized LP, 2PA-D memo hit, or
         # full 2PA-D, tagged with the path taken.
-        with phase_timer("runtime.phase.solve"), \
-                span("runtime.phase.solve") as solve_span:
+        with span("runtime.phase.solve") as solve_span:
             self._tick("solve")
             ids = topo.ordered(active)
             if not ids:
@@ -795,7 +784,7 @@ class AllocatorRuntime:
                 # governor — O(cliques) work, feasible by the admission
                 # predicate, the ladder's terminal safe state.
                 clamp_floors = global_basic_shares(analysis)
-                with phase_timer("runtime.alloc.clamp"):
+                with span("runtime.alloc.clamp"):
                     raw, _clamped = enforce_clique_capacity(
                         analysis, dict(clamp_floors), floors=clamp_floors
                     )
@@ -806,7 +795,7 @@ class AllocatorRuntime:
                 # Component-sharded 2PA-C: the per-component memo keyed
                 # by structural fingerprint serves unchanged components
                 # (an unchanged epoch is all reuse, no dirty solves).
-                with phase_timer("runtime.alloc.solve"):
+                with span("runtime.alloc.solve"):
                     raw = self._shard.solve(analysis)
                 status = "converged"
                 stats = self._shard.last_stats
@@ -848,7 +837,7 @@ class AllocatorRuntime:
                 )
                 channel = UnreliableChannel(injector)
                 backend = ResilientLPBackend(cache=self._warm)
-                with phase_timer("runtime.alloc.solve"):
+                with span("runtime.alloc.solve"):
                     allocator = DistributedAllocator(
                         analysis.scenario, backend=backend,
                         analysis=analysis, channel=channel,
@@ -877,8 +866,7 @@ class AllocatorRuntime:
 
         # Phase 6 — DAMPEN: hysteresis-bounded movement, never below the
         # cleared floor, re-governed for clique capacity when it bites.
-        with phase_timer("runtime.phase.dampen"), \
-                span("runtime.phase.dampen") as dampen_span:
+        with span("runtime.phase.dampen") as dampen_span:
             self._tick("dampen")
             shares = dict(raw)
             floors = global_basic_shares(analysis)
@@ -908,8 +896,7 @@ class AllocatorRuntime:
 
         # Phase 7 — VALIDATE: Eq. (6) + basic floors, falling back to
         # the floor allocation when the solved shares fail.
-        with phase_timer("runtime.phase.validate"), \
-                span("runtime.phase.validate") as validate_span:
+        with span("runtime.phase.validate") as validate_span:
             self._tick("validate")
             fallback = False
             cap = check_clique_capacity(analysis, shares, tol=_VALIDATE_TOL)

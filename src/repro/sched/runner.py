@@ -16,7 +16,8 @@ from ..core.model import NodeId, Scenario, SubflowId
 from ..mac import MacEntity, MacTimings, WirelessChannel
 from ..mac.policies import SchedulingPolicy
 from ..metrics.collector import MetricsCollector
-from ..obs.registry import incr, phase_timer, set_gauge
+from ..obs.registry import incr, set_gauge
+from ..obs.trace import span
 from ..net.packet import DataPacket
 from ..sim import RngRegistry, Simulator, Tracer, NULL_TRACER
 from ..traffic.cbr import (
@@ -117,7 +118,7 @@ class SimulationRun:
         """Simulate ``seconds`` of traffic and return the metrics."""
         if seconds <= 0:
             raise ValueError("duration must be positive")
-        with phase_timer("sim.run"):
+        with span("sim.run"):
             for idx, source in enumerate(self.sources):
                 source.start(offset=idx * self.traffic.stagger)
             horizon = seconds * US

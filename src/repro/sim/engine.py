@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import time as _time
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
 
 from ..obs.registry import get_registry
+from ..obs.trace import span
 
 Callback = Callable[[], None]
 
@@ -126,45 +126,42 @@ class Simulator:
                 f"end_time {end_time} is before now ({self._now})"
             )
         start_events = self._events_processed
-        wall_start = _time.perf_counter()
         self._running = True
-        while self._heap and self._running:
-            entry = self._heap[0]
-            if entry.time > end_time:
-                break
-            heapq.heappop(self._heap)
-            if entry.event.cancelled:
-                continue
-            self._now = entry.time
-            self._events_processed += 1
-            entry.event.callback()
+        with span("sim.run_until") as loop_span:
+            while self._heap and self._running:
+                entry = self._heap[0]
+                if entry.time > end_time:
+                    break
+                heapq.heappop(self._heap)
+                if entry.event.cancelled:
+                    continue
+                self._now = entry.time
+                self._events_processed += 1
+                entry.event.callback()
         self._now = max(self._now, end_time)
         self._running = False
-        self._record_loop_metrics(start_events, wall_start, "sim.run_until")
+        self._record_loop_metrics(start_events, loop_span.duration_s)
 
     def run(self) -> None:
         """Drain every event in the heap (careful with self-rescheduling
         processes such as traffic sources — prefer :meth:`run_until`)."""
         start_events = self._events_processed
-        wall_start = _time.perf_counter()
-        while self.step():
-            pass
-        self._record_loop_metrics(start_events, wall_start, "sim.run")
+        with span("sim.run") as loop_span:
+            while self.step():
+                pass
+        self._record_loop_metrics(start_events, loop_span.duration_s)
 
-    def _record_loop_metrics(self, start_events: int, wall_start: float,
-                             phase: str) -> None:
+    def _record_loop_metrics(self, start_events: int, elapsed: float) -> None:
         """Feed the active registry after an event-loop drain (if any).
 
-        Deliberately outside the per-event loop: with no registry active
-        the whole cost is one ``perf_counter`` call per drain, keeping
+        Deliberately outside the per-event loop: the drain's span (its
+        phase timer included) costs one region per drain, keeping
         instrumentation overhead far below the 2% budget.
         """
         registry = get_registry()
         if registry is None:
             return
         processed = self._events_processed - start_events
-        elapsed = _time.perf_counter() - wall_start
-        registry.timer(phase).add(elapsed)
         registry.counter("sim.events").inc(processed)
         registry.gauge("sim.queue_depth").set(len(self._heap))
         registry.gauge("sim.peak_queue_depth").set(self._peak_queue_depth)

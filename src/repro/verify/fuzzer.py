@@ -35,7 +35,8 @@ from ..core.allocation import (
 from ..core.bounds import bound_vs_basic_consistency
 from ..core.contention import ContentionAnalysis
 from ..core.model import Network, Scenario
-from ..obs.registry import incr, phase_timer
+from ..obs.registry import incr
+from ..obs.trace import span
 from ..scenarios.io import scenario_to_dict
 from ..scenarios.random_topology import (
     random_connected_network,
@@ -158,7 +159,7 @@ class VerificationSuite:
         b = scenario.capacity
 
         # Differential oracle: Bron–Kerbosch vs exhaustive enumeration.
-        with phase_timer("verify.cliques"):
+        with span("verify.cliques"):
             try:
                 ok = cliques_agree(
                     analysis.graph, self.brute_force_max_vertices
@@ -184,7 +185,7 @@ class VerificationSuite:
         ))
 
         # Basic allocation: proportional, feasible, below the Prop.1 bound.
-        with phase_timer("verify.allocations"):
+        with span("verify.allocations"):
             basic = basic_allocation(analysis)
             out.extend(self._allocation_checks(
                 "basic", analysis, basic.shares, b,
@@ -202,7 +203,7 @@ class VerificationSuite:
         out.extend(lp_checks)
 
         # Differential oracle: 2PA-D against 2PA-C.
-        with phase_timer("verify.2pad"):
+        with span("verify.2pad"):
             try:
                 report = check_2pad_against_centralized(
                     scenario, lp_alloc.shares, analysis=analysis,
@@ -244,7 +245,7 @@ class VerificationSuite:
         from ..perf.shard import ShardedSolver
 
         out: List[CheckOutcome] = []
-        with phase_timer("verify.sharded"):
+        with span("verify.sharded"):
             for name, jobs in (("sharded.vs_monolithic", 1),
                                ("sharded.parallel_jobs", 2)):
                 try:
@@ -310,7 +311,7 @@ class VerificationSuite:
         contending flow group, plus total-objective agreement.  Returns
         the unfaulted allocation with the outcomes.
         """
-        with phase_timer("verify.allocations"):
+        with span("verify.allocations"):
             lp_alloc = basic_fairness_lp_allocation(
                 analysis, backend=self.backend
             )
@@ -321,7 +322,7 @@ class VerificationSuite:
                 "lp", analysis, lp_shares, capacity,
                 fairness=False, prop1=False, basic_fair=True,
             )
-        with phase_timer("verify.exact_lp"):
+        with span("verify.exact_lp"):
             out.extend(self._lp_oracle_checks(analysis, lp_shares,
                                               capacity))
         return lp_alloc, out
@@ -341,7 +342,7 @@ class VerificationSuite:
         axis name (``chaos.*`` becomes ``faults.*``), so the fuzz report
         separates them from the fault-free differential oracles.
         """
-        with phase_timer(f"verify.{name}"):
+        with span(f"verify.{name}"):
             case = AXES[name].run(self, scenario, payloads, seed, index)
         return [
             CheckOutcome(f"{name}.{check.split('.', 1)[1]}",
@@ -592,7 +593,8 @@ def _run_faults(suite: VerificationSuite, scenario: Scenario,
 
     (plan,) = payloads
     return run_chaos_case(scenario, plan, RngRegistry(seed),
-                          prefix=("verify", index, "faults", "channel"))
+                          prefix=("verify", index, "faults", "channel"),
+                          fault=suite.fault)
 
 
 def _draw_churn(registry: RngRegistry, index: int,
@@ -780,7 +782,7 @@ def _run_case(
     bit-identical report.
     """
     registry = RngRegistry(seed)
-    with phase_timer("verify.case"):
+    with span("verify.case"):
         scenario = generate_scenario(registry, index)
         outcomes = suite.run(scenario)
         payloads: Dict[str, Tuple[object, ...]] = {}
@@ -812,7 +814,7 @@ def _run_case(
     def payload_fails(i: int, candidate) -> bool:
         return fails_with(minimal, replay[:i] + [candidate] + replay[i + 1:])
 
-    with phase_timer("verify.shrink"):
+    with span("verify.shrink"):
         # The scenario first, then each payload in the axis's order,
         # every step against the others' current values.
         minimal = shrink_scenario(scenario,

@@ -127,7 +127,7 @@ class TestRegistry:
         obs.incr("never")
         obs.observe("never", 1.0)
         obs.set_gauge("never", 1.0)
-        ctx = obs.phase_timer("never")
+        ctx = obs.span("never")
         with ctx:
             pass
         # Nothing was created anywhere.
@@ -149,7 +149,7 @@ class TestRegistry:
             obs.incr("c", 2)
             obs.set_gauge("g", 3)
             obs.observe("h", 1.0)
-            with obs.phase_timer("t"):
+            with obs.span("t"):
                 pass
         snap = reg.snapshot()
         assert snap["counters"] == {"c": 2.0}
@@ -164,7 +164,7 @@ class TestRegistry:
             obs.incr("my.counter", 5)
             obs.set_gauge("my.gauge", 1.5)
             obs.observe("my.hist", 2.0)
-            with obs.phase_timer("my.phase"):
+            with obs.span("my.phase"):
                 pass
         text = render_profile(reg)
         for needle in ("my.counter", "my.gauge", "my.hist", "my.phase"):
@@ -207,7 +207,7 @@ class TestArtifact:
                           config={"duration": 1.0})
         with obs.using_registry() as reg:
             obs.incr("lp.solves", 4)
-            with obs.phase_timer("lp.solve"):
+            with obs.span("lp.solve"):
                 pass
         art.attach_registry(reg)
         art.results = {"total_effective": 123}

@@ -293,6 +293,47 @@ class TestPipelineSpanCoverage:
         assert phases and all(r["parent"] == epoch["span"]
                               for r in phases)
 
+    def test_analysis_and_split_nest_under_the_solve_phase(self):
+        """The contention-analysis and component-split steps show in the
+        trace under the solve phase, and every phase timer is a span."""
+        with using_registry() as reg:
+            with using_tracer() as tracer:
+                runtime = AllocatorRuntime(fig1.make_scenario())
+                runtime.advance([ChurnEvent(0, "flow-up", flow="1"),
+                                 ChurnEvent(0, "flow-up", flow="2")])
+                runtime.advance([ChurnEvent(1, "flow-up", flow="3")])
+        records = tracer.to_records()
+        by_id = {r["span"]: r for r in records}
+
+        def under_solve(record):
+            parent = record["parent"]
+            while parent is not None:
+                if by_id[parent]["name"] == "runtime.phase.solve":
+                    return True
+                parent = by_id[parent]["parent"]
+            return False
+
+        for name in ("perf.shard.split", "perf.incremental.analysis"):
+            nested = [r for r in records if r["name"] == name]
+            assert nested and all(under_solve(r) for r in nested), name
+        names = {r["name"] for r in records}
+        assert set(reg.timers) <= names, sorted(set(reg.timers) - names)
+
+    def test_epoch_latency_sampled_without_a_tracer(self):
+        """A registry alone still gets one latency sample per committed
+        epoch, each the duration of that epoch's span."""
+        with using_registry() as reg:
+            runtime = AllocatorRuntime(fig1.make_scenario())
+            runtime.advance([ChurnEvent(0, "flow-up", flow="1")])
+            runtime.advance([ChurnEvent(1, "flow-up", flow="2")])
+            runtime.advance([])
+        samples = reg.histograms["runtime.epoch.latency_ms"].values
+        assert len(samples) == len(runtime.journal) == 3
+        assert all(v > 0.0 for v in samples)
+        epoch = reg.timers["runtime.epoch"]
+        assert epoch.calls == 3
+        assert sum(samples) <= epoch.wall_s * 1e3
+
     def test_distributed_protocol_emits_spans(self):
         from repro.core import DistributedAllocator
 

@@ -268,20 +268,10 @@ class _AxisFaultOnly(VerificationSuite):
 
 
 @pytest.fixture
-def axis_suite(monkeypatch):
+def axis_suite():
     """A suite whose only failures come from one replay axis."""
 
     def make(axis):
-        if axis == "faults":
-            # The faults axis runs the chaos case without the suite's
-            # fault hook: perturb its allocation at the source instead.
-            import functools
-
-            import repro.resilience.campaign as campaign
-
-            monkeypatch.setattr(campaign, "run_chaos_case", functools.partial(
-                campaign.run_chaos_case, fault=inject_share_fault,
-            ))
         return _AxisFaultOnly(fault=inject_share_fault, **{axis: True})
 
     return make
@@ -361,6 +351,27 @@ class TestReplayAxes:
         failed = _replay(axis, 1, scenario_from_dict(failure.shrunk),
                          payloads)
         assert failure.check in failed
+
+
+    def test_churn_fault_bites_after_every_flow_departs(self):
+        """Verify case 2 of seed 0 ends its churn timeline with no flow
+        active, after links and nodes changed since the last non-empty
+        commit: the injected fault must still fail the final capacity
+        check, re-checked on the topology that allocation committed
+        under."""
+        from repro.resilience import AllocatorRuntime, RuntimeConfig
+        from repro.verify.fuzzer import AXES
+
+        registry = RngRegistry(0)
+        scenario = generate_scenario(registry, 2)
+        (timeline,) = AXES["churn"].draw(registry, 2, scenario)
+        runtime = AllocatorRuntime(scenario, RuntimeConfig(
+            seed=0, hysteresis=0.3, stream_prefix=("verify", 2, "churn"),
+        ))
+        runtime.run_timeline(timeline)
+        assert runtime.shares == {}
+        failed = _replay("churn", 2, scenario, {"churn_timeline": timeline})
+        assert "churn.final_clique_capacity" in failed
 
 
 class TestBackendAxis:
