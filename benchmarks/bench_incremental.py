@@ -6,13 +6,13 @@ restricted pivot sweeps, probe skipping); against the actual pre-perf
 commit the same timelines measure several times higher again.
 
 The dynamic experiment re-runs phase 1 at every flow arrival/departure.
-This file quantifies the three layers that make that cheap — contention
+This file quantifies the two layers that make that cheap — contention
 analysis restricted from a once-analyzed universe
-(:class:`repro.perf.incremental.IncrementalContention`),
-warm-started LP re-solves (:class:`repro.perf.warm.WarmLPCache`), and
-active-set memoization — against the cold path (full contention rebuild
-with the set-based clique kernel plus cold simplex solves at every
-event), which is what the code did before the perf layer existed.
+(:class:`repro.perf.incremental.IncrementalContention`) and active-set
+memoization — against the cold path (full contention rebuild with the
+set-based clique kernel plus a simplex solve at every event), which is
+what the code did before the perf layer existed.  Both paths solve
+every LP with the plain ``"simplex"`` backend.
 
 Both paths must produce identical allocation sequences; every bench
 asserts that before reporting a time.
@@ -27,7 +27,6 @@ from repro.core.contention import ContentionAnalysis, subflow_contention_graph
 from repro.core.model import Scenario
 from repro.graphs.cliques import maximal_cliques_set
 from repro.perf.incremental import IncrementalContention
-from repro.perf.warm import WarmLPCache
 from repro.scenarios import make_random_scenario
 
 
@@ -63,9 +62,8 @@ def _cold_sequence(scenario, steps):
 
 
 def _fast_sequence(scenario, steps):
-    """The perf layer: incremental contention + warm LP + active-set memo."""
+    """The perf layer: incremental contention + active-set memo."""
     inc = IncrementalContention(scenario)
-    warm = WarmLPCache()
     memo = {}
     out = []
     for act in steps:
@@ -73,7 +71,7 @@ def _fast_sequence(scenario, steps):
         if key not in memo:
             analysis = inc.analysis_for(act, name="bench-active")
             res = basic_fairness_lp_allocation(analysis,
-                                               backend=warm.solver)
+                                               backend="simplex")
             memo[key] = dict(res.shares)
         out.append(dict(memo[key]))
     return out
@@ -158,8 +156,7 @@ def test_emit_perf_dynamic(perf_section):
                      "re-arrives (17 events, 9 distinct active sets)"),
         "cold_path": ("full contention rebuild (set-kernel cliques) + "
                       "cold simplex per event"),
-        "fast_path": ("IncrementalContention + WarmLPCache + "
-                      "active-set memo"),
+        "fast_path": "IncrementalContention + active-set memo",
         "points": points,
         "headline_speedup": headline ** (1.0 / len(ratios)),
     })

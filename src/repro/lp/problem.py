@@ -9,7 +9,9 @@ All of the paper's phase-1 optimizations are linear programs of the form
 where ``x`` are per-flow equal-per-hop shares ``r̂_i``, the ``A_ub`` rows
 come from clique capacity constraints (Eq. 6), and ``lb`` encodes the basic
 shares (Eq. 7).  This module provides a named-variable builder that both the
-from-scratch simplex solver and the scipy cross-check backend consume.
+from-scratch simplex solver and the scipy cross-check backend consume, and
+the :class:`LPSolution` they return: status, values, objective, and the
+final basis' duals and reduced costs, computed on first access.
 """
 
 from __future__ import annotations
@@ -197,12 +199,6 @@ Prices = Tuple[Optional[Tuple[float, ...]], Optional[Tuple[float, ...]]]
 class LPSolution:
     """Result of an LP solve.
 
-    ``basis`` (when the solver provides one) describes the final simplex
-    basis in a solver-defined, structure-stable encoding; feeding it back
-    into :func:`repro.lp.simplex.solve_simplex` warm-starts the next solve
-    of a structurally identical problem.  Backends without basis support
-    leave it ``None``.
-
     ``duals`` (one price per constraint row, ``>= 0`` at a maximum) and
     ``reduced_costs`` (``c_j - pi . A_j`` per variable, ``<= 0`` at a
     maximum, exactly 0 for basic variables) are read from the final
@@ -216,7 +212,6 @@ class LPSolution:
     status: str                      # "optimal" | "infeasible" | "unbounded"
     values: Dict[str, float]
     objective: float
-    basis: Optional[Tuple[Tuple[str, int], ...]] = None
     pricer: Optional[Callable[[], Prices]] = field(
         default=None, repr=False, compare=False
     )

@@ -25,10 +25,8 @@ maintains only a factorized basis:
   like the dense solver's basis-pure recompute), so any path that lands
   on a given basis reports the same values.
 * **Standard form** — byte-compatible with the dense solver: the same
-  lower-bound shift, the same slack/surplus/artificial column layout,
-  and the same structure-stable :data:`~repro.lp.simplex.Basis` labels,
-  so a basis produced by either backend warm-starts the other and
-  :class:`repro.perf.warm.WarmLPCache` works unchanged.
+  lower-bound shift and the same slack/surplus/artificial column
+  layout.
 * **Batched probes** — :meth:`RevisedBackend.probe_max_values` solves a
   family of LPs that differ only in their objective (the max-min
   ladder's per-variable saturation probes) against one shared
@@ -43,7 +41,6 @@ including the one-ulp borderline instances in ``tests/regressions/``.
 
 from __future__ import annotations
 
-import logging
 from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -52,13 +49,7 @@ import numpy as np
 from ..obs.registry import incr
 from ..obs.trace import span
 from .problem import LinearProgram, LPSolution, Prices
-from .simplex import (
-    Basis,
-    Pricer,
-    _finish_prices,
-    _note_stale_basis,
-    _unconstrained_prices,
-)
+from .simplex import Pricer, _finish_prices, _unconstrained_prices
 from .sparse import CSCMatrix, SparseLP
 
 __all__ = ["BasisFactors", "RevisedBackend", "solve_revised"]
@@ -68,8 +59,6 @@ _EPS = 1e-9
 REFACTOR_EVERY = 64
 #: Consecutive degenerate pivots before pricing falls back to Bland.
 _DEGENERATE_SWITCH = 40
-
-_LOG = logging.getLogger(__name__)
 
 try:  # pragma: no cover - exercised implicitly on scipy installs
     from scipy.sparse import csc_matrix as _scipy_csc
@@ -156,7 +145,7 @@ class BasisFactors:
 class _StandardForm:
     """The dense solver's standard form, column-sparse.
 
-    Column layout, labels, and the lower-bound shift are identical to
+    Column layout and the lower-bound shift are identical to
     :func:`repro.lp.simplex._simplex_leq`: structural columns first,
     then one slack per ``<=`` row, one surplus and one artificial per
     negated (``>=``) row, in row order.
@@ -184,9 +173,6 @@ class _StandardForm:
         self.total = n + num_slack + num_surplus + num_art
         self.art_start = n + num_slack + num_surplus
 
-        self.col_label: List[Tuple[str, int]] = [
-            ("v", j) for j in range(n)
-        ] + [("?", k) for k in range(self.total - n)]
         self.unit_row = np.zeros(self.total - n, dtype=np.int64)
         self.unit_sign = np.zeros(self.total - n)
         self.initial_basis = np.empty(self.m, dtype=np.int64)
@@ -197,10 +183,8 @@ class _StandardForm:
             if ge[i]:
                 self.unit_row[surplus_j - n] = i
                 self.unit_sign[surplus_j - n] = -1.0
-                self.col_label[surplus_j] = ("g", i)
                 self.unit_row[art_j - n] = i
                 self.unit_sign[art_j - n] = 1.0
-                self.col_label[art_j] = ("a", i)
                 self.initial_basis[i] = art_j
                 self.art_cols.append(art_j)
                 surplus_j += 1
@@ -208,12 +192,8 @@ class _StandardForm:
             else:
                 self.unit_row[slack_j - n] = i
                 self.unit_sign[slack_j - n] = 1.0
-                self.col_label[slack_j] = ("s", i)
                 self.initial_basis[i] = slack_j
                 slack_j += 1
-        self.label_index = {
-            label: j for j, label in enumerate(self.col_label)
-        }
 
     # ------------------------------------------------------------------
     def column(self, j: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -377,80 +357,41 @@ def _drive_out_artificials(
     return factors
 
 
-def _install_warm_basis(
-    sf: _StandardForm, start_basis: Basis
-) -> Tuple[Optional[Tuple[BasisFactors, np.ndarray, np.ndarray]], str]:
-    """Factorize ``start_basis``; mirrors the dense ``_install_basis``
-    contract (and its staleness reason strings)."""
-    if len(start_basis) != sf.m:
-        return None, "row-count"
-    cols: List[int] = []
-    for label in start_basis:
-        j = sf.label_index.get(tuple(label))
-        if j is None or j >= sf.art_start:
-            return None, "unknown-label"
-        cols.append(j)
-    if len(set(cols)) != sf.m:
-        return None, "duplicate-column"
-    basis = np.asarray(cols, dtype=np.int64)
-    try:
-        factors, x_b = sf.refactor(basis)
-    except (RuntimeError, np.linalg.LinAlgError):
-        return None, "singular"
-    if not np.all(np.isfinite(x_b)) or np.any(x_b < -1e-7):
-        return None, "infeasible-point"
-    x_b[x_b < 0.0] = 0.0
-    return (factors, x_b, basis), ""
-
-
 def _revised_leq(
-    sp: SparseLP, start_basis: Optional[Basis] = None
-) -> Tuple[str, Optional[np.ndarray], int, Optional[Basis],
-           Optional[Pricer]]:
+    sp: SparseLP,
+) -> Tuple[str, Optional[np.ndarray], int, Optional[Pricer]]:
     """Maximize ``c'y`` s.t. ``A y <= b_shifted``, ``y >= 0``.
 
     Same return contract as the dense ``_simplex_leq``: ``(status, y,
-    pivots, basis, pricer)``.
+    pivots, pricer)``.
     """
     pivots = 0
     m, n = sp.a.shape
     if m == 0:
         if np.any(sp.c > _EPS):
-            return "unbounded", None, pivots, None, None
-        return "optimal", np.zeros(n), pivots, (), partial(
+            return "unbounded", None, pivots, None
+        return "optimal", np.zeros(n), pivots, partial(
             _unconstrained_prices, sp.c
         )
 
     sf = _StandardForm(sp)
-    warm_state = None
-    if start_basis is not None:
-        incr("perf.lp.warm.attempts")
-        warm_state, stale_reason = _install_warm_basis(sf, start_basis)
-        if warm_state is not None:
-            incr("perf.lp.warm.installed")
-        else:
-            _note_stale_basis(stale_reason, len(start_basis), m)
-
-    if warm_state is not None:
-        factors, x_b, basis = warm_state
-    else:
-        basis = sf.initial_basis.copy()
-        factors, x_b = sf.refactor(basis)
-        if sf.art_cols:
-            obj1 = np.zeros(sf.total)
-            obj1[sf.art_cols] = -1.0
-            status, iters, factors, x_b = _run_revised(
-                sf, factors, x_b, basis, obj1
-            )
-            pivots += iters
-            if status == "unbounded":  # pragma: no cover - bounded
-                return "infeasible", None, pivots, None, None
-            phase1_obj = float(sum(
-                x_b[i] for i in range(m) if basis[i] >= sf.art_start
-            ))
-            if phase1_obj > 1e-7:
-                return "infeasible", None, pivots, None, None
-            factors = _drive_out_artificials(sf, factors, basis)
+    basis = sf.initial_basis.copy()
+    factors, x_b = sf.refactor(basis)
+    if sf.art_cols:
+        obj1 = np.zeros(sf.total)
+        obj1[sf.art_cols] = -1.0
+        status, iters, factors, x_b = _run_revised(
+            sf, factors, x_b, basis, obj1
+        )
+        pivots += iters
+        if status == "unbounded":  # pragma: no cover - bounded
+            return "infeasible", None, pivots, None
+        phase1_obj = float(sum(
+            x_b[i] for i in range(m) if basis[i] >= sf.art_start
+        ))
+        if phase1_obj > 1e-7:
+            return "infeasible", None, pivots, None
+        factors = _drive_out_artificials(sf, factors, basis)
 
     obj2 = np.zeros(sf.total)
     obj2[:n] = sp.c
@@ -460,12 +401,11 @@ def _revised_leq(
     )
     pivots += iters
     if status == "unbounded":
-        return "unbounded", None, pivots, None, None
+        return "unbounded", None, pivots, None
 
     # Basis-pure final values and prices: recompute from pristine data
     # so the reported point, duals and reduced costs depend only on the
-    # final basis, not the pivot path (warm and cold solves landing on
-    # one basis agree bitwise).
+    # final basis, not the pivot path.
     try:
         factors, x_b = sf.refactor(basis)
     except (RuntimeError, np.linalg.LinAlgError):  # pragma: no cover
@@ -473,8 +413,7 @@ def _revised_leq(
     y = np.zeros(sf.total)
     y[basis] = x_b
     y[np.abs(y) < 1e-12] = 0.0
-    final: Basis = tuple(sf.col_label[int(j)] for j in basis)
-    return "optimal", y[:n], pivots, final, partial(
+    return "optimal", y[:n], pivots, partial(
         _basis_prices, sf, factors, obj2, basis
     )
 
@@ -492,24 +431,19 @@ def _basis_prices(
     return _finish_prices(pi, reduced, basis, sf.n, sf.ge_rows)
 
 
-def solve_revised(
-    lp: LinearProgram, start_basis: Optional[Basis] = None
-) -> LPSolution:
+def solve_revised(lp: LinearProgram) -> LPSolution:
     """Solve ``lp`` with the sparse revised simplex.
 
     Drop-in for :func:`repro.lp.simplex.solve_simplex`: same status
-    semantics, same structure-stable basis labels (so warm starts and
-    :class:`~repro.perf.warm.WarmLPCache` interoperate across backends),
-    same basic-share lower-bound shift.
+    semantics, same basic-share lower-bound shift.
     """
     names = lp.variables
     if not names:
-        return LPSolution("optimal", {}, 0.0, basis=())
+        return LPSolution("optimal", {}, 0.0)
     with span("lp.solve", vars=len(names), rows=len(lp.constraints),
-              warm=start_basis is not None,
               backend="revised") as solve_span:
         sp = SparseLP.from_problem(lp)
-        status, y, pivots, basis, pricer = _revised_leq(sp, start_basis)
+        status, y, pivots, pricer = _revised_leq(sp)
         solve_span.tag(status=status, pivots=pivots)
     incr("lp.revised.solves")
     incr("lp.revised.pivots", pivots)
@@ -518,8 +452,7 @@ def solve_revised(
     x = y + sp.lb
     values = {v: float(x[j]) for j, v in enumerate(names)}
     return LPSolution(
-        "optimal", values, lp.objective_value(values), basis=basis,
-        pricer=pricer,
+        "optimal", values, lp.objective_value(values), pricer=pricer,
     )
 
 
@@ -536,9 +469,8 @@ class RevisedBackend:
 
     __name__ = "revised"
 
-    def __call__(self, lp: LinearProgram,
-                 start_basis: Optional[Basis] = None) -> LPSolution:
-        return solve_revised(lp, start_basis=start_basis)
+    def __call__(self, lp: LinearProgram) -> LPSolution:
+        return solve_revised(lp)
 
     def probe_max_values(
         self, lp: LinearProgram, targets: Sequence[str]

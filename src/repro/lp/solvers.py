@@ -5,7 +5,9 @@ The default backend is the library's own dense simplex implementation;
 ``"revised"`` selects the sparse revised-simplex backend (same contract,
 built for large instances); the scipy backend exists so tests (and
 cautious users) can verify the from-scratch solvers agree on every LP the
-paper's algorithms generate.
+paper's algorithms generate.  A backend is any callable
+``LinearProgram -> LPSolution``; every solve starts cold (phase 1 from
+the slack basis), so a backend carries no state between solves.
 """
 
 from __future__ import annotations
@@ -34,8 +36,8 @@ def resolve_backend(backend: BackendSpec) -> Tuple[Backend, str]:
     """Resolve a backend spec to ``(callable, label)``.
 
     ``backend`` is either a registered backend name or a callable
-    ``LinearProgram -> LPSolution`` (e.g. a stateful warm-starting
-    solver from :class:`repro.perf.warm.WarmLPCache`).  Callers that
+    ``LinearProgram -> LPSolution`` (e.g. the fallback chain
+    :class:`repro.resilience.degrade.ResilientLPBackend`).  Callers that
     can exploit optional capabilities — :func:`repro.lp.maxmin`'s
     batched saturation probes look for a ``probe_max_values`` method —
     should resolve once and inspect the returned callable.

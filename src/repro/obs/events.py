@@ -3,9 +3,10 @@
 The metrics registry aggregates; the event bus *streams*.  An event is
 one JSON object — ``{"record": "event", "seq": N, "source": ..., "kind":
 ..., ...fields}`` — emitted at a discrete moment (epoch committed, flow
-admitted, checkpoint written, warm basis rejected) and appended to a
-JSONL file the instant it happens, so a long churn campaign can be
-watched with ``tail -f`` instead of waiting for the end-of-run artifact.
+admitted, checkpoint written, a flow's constraint exchange not
+converged) and appended to a JSONL file the instant it happens, so a
+long churn campaign can be watched with ``tail -f`` instead of waiting
+for the end-of-run artifact.
 
 Guarantees:
 

@@ -59,7 +59,6 @@ __all__ = [
     "using_tracer",
     "span",
     "current_span_id",
-    "tag_current",
 ]
 
 
@@ -301,25 +300,12 @@ def span(name: str, **tags: object):
 def current_span_id() -> Optional[str]:
     """Innermost open span id, or ``None`` (tracing off / at the root).
 
-    Instrumentation uses this to stamp *metrics* with trace context —
-    e.g. a stale warm-basis fallback event carries the span id of the
-    LP solve that triggered it, so the fallback is attributable to a
-    specific epoch/probe in the trace tree.
+    Instrumentation uses this to stamp errors and events with trace
+    context — e.g. a failed sharded component solve carries the span id
+    of the ``runtime.shard`` solve that raised it, so the failure is
+    attributable to a specific epoch in the trace tree.
     """
     tracer = _active
     if tracer is None:
         return None
     return tracer.current_span_id()
-
-
-def tag_current(**tags: object) -> None:
-    """Tag the innermost open span from code that did not open it.
-
-    Lets deep helpers (e.g. the warm-start installer inside the simplex
-    solver) annotate the enclosing solve span without threading span
-    objects through their signatures.  No-op when tracing is off or no
-    span is open.
-    """
-    tracer = _active
-    if tracer is not None and tracer._stack:
-        tracer._stack[-1].tags.update(tags)

@@ -1,5 +1,5 @@
-"""Performance layer: fast kernels, incremental re-analysis, warm LP
-re-solves, caching, and a deterministic parallel sweep runner.
+"""Performance layer: fast kernels, incremental re-analysis, sharded
+LP solves, caching, and a deterministic parallel sweep runner.
 
 Every entry point here is a drop-in accelerator for an existing code
 path and is validated to produce **bit-identical** results against the
@@ -11,8 +11,9 @@ plain implementation it replaces:
 * :class:`~repro.perf.incremental.IncrementalContention` — analyses
   of changing active sets without a rebuild: the universe's cliques,
   enumerated once, restricted to each active set.
-* :class:`~repro.perf.warm.WarmLPCache` — basis reuse across the
-  structurally-identical LP re-solves of the dynamic experiment.
+* :class:`~repro.perf.shard.ShardedSolver` — the phase-1 LP solved
+  per contention component, with a memo that serves unchanged
+  components across epochs.
 * :class:`~repro.perf.cache.AnalysisCache` — content-hash-keyed,
   size-bounded memoization of :class:`ContentionAnalysis` and the
   phase-1 LP allocation.
@@ -46,7 +47,6 @@ from .shard import (
     component_fingerprint,
     component_problems,
 )
-from .warm import WarmLPCache
 
 __all__ = [
     "AnalysisCache",
@@ -55,7 +55,6 @@ __all__ = [
     "IncrementalContention",
     "ParallelSweep",
     "ShardedSolver",
-    "WarmLPCache",
     "component_fingerprint",
     "component_problems",
     "adjacency_bitmasks",

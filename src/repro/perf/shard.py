@@ -57,7 +57,6 @@ from ..lp import LinearProgram, lexicographic_maxmin
 from ..obs.registry import incr, observe
 from ..obs.trace import current_span_id, span
 from .parallel import ParallelSweep
-from .warm import WarmLPCache
 
 __all__ = [
     "BatchAllocationEngine",
@@ -205,10 +204,9 @@ def component_problems(
     return problems
 
 
-def _solve_component_with(
-    problem: ComponentProblem, backend
-) -> Dict[str, float]:
-    """Solve one component's lexicographic max-min LP with ``backend``.
+def _solve_component(problem: ComponentProblem) -> Dict[str, float]:
+    """Solve one component's lexicographic max-min LP (module-level, so
+    picklable as the pool-worker entry).
 
     The failure message mirrors the monolithic
     :func:`~repro.core.allocation.basic_fairness_lp_allocation` so a
@@ -216,7 +214,7 @@ def _solve_component_with(
     """
     sol = lexicographic_maxmin(
         problem.lp, problem.weights, fix_objective=True,
-        backend=backend,
+        backend=problem.backend,
     )
     if not sol.is_optimal:
         raise ShardResultError(
@@ -225,11 +223,6 @@ def _solve_component_with(
             component=problem.index,
         )
     return {fid: sol[f"r_{fid}"] for fid in problem.group_ids}
-
-
-def _solve_component(problem: ComponentProblem) -> Dict[str, float]:
-    """Module-level, picklable pool-worker entry (cold solve)."""
-    return _solve_component_with(problem, problem.backend)
 
 
 def _solve_component_guarded(payload) -> Dict[str, float]:
@@ -300,14 +293,6 @@ class ShardedSolver:
         self._memo: Optional["OrderedDict[str, Dict[str, float]]"] = (
             OrderedDict() if memo else None
         )
-        # Warm-start basis reuse for dirty solves that run in-process.
-        # Warm and cold solves are bitwise identical (the cache only
-        # seeds the simplex basis), so this never affects results; pool
-        # workers solve cold because the cache can't cross processes.
-        self._warm: Optional[WarmLPCache] = (
-            WarmLPCache(max_entries=self.max_entries)
-            if backend == "simplex" else None
-        )
         self.last_stats: Dict[str, float] = {}
 
     # ------------------------------------------------------------------
@@ -375,7 +360,8 @@ class ShardedSolver:
     def _solve_dirty(
         self, dirty: List[ComponentProblem]
     ) -> List[Dict[str, float]]:
-        """Solve the memo misses, in-process or across the pool."""
+        """Solve the memo misses across the pool (in-process when the
+        sweep runs serial: one job or one dirty component)."""
         guarded = (self.task_timeout is not None
                    or self.task_retries > 0
                    or self.fault_injector is not None)
@@ -386,16 +372,6 @@ class ShardedSolver:
             retry_backoff_s=self.retry_backoff_s,
         )
         try:
-            if (self._warm is not None
-                    and (sweep.jobs <= 1 or len(dirty) <= 1)):
-                # The sweep would run serial anyway: solve in-process
-                # with warm-started bases instead of cold (worker faults
-                # can't reach in-process solves, so the injector is moot
-                # here).
-                return [
-                    _solve_component_with(p, self._warm.solver)
-                    for p in dirty
-                ]
             if guarded:
                 injector = self.fault_injector
                 payloads = [
@@ -431,9 +407,9 @@ class ShardedSolver:
     def dump_state(self) -> Optional[List[List[object]]]:
         """JSON-ready memo dump, LRU order preserved.
 
-        Mirrors :meth:`WarmLPCache.dump_state`: a restored solver must
-        reproduce the same reuse/eviction behaviour as one that never
-        crashed, so entries keep their recency order.
+        A restored solver must reproduce the same reuse/eviction
+        behaviour as one that never crashed, so entries keep their
+        recency order.
         """
         if self._memo is None:
             return None

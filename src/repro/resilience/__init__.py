@@ -15,8 +15,7 @@ purpose — and trustworthy anyway:
 * :mod:`~repro.resilience.degrade` — the graceful-degradation ladder
   (local LP for confirmed flows, basic-share clamp for unconfirmed ones,
   a floor-aware clique-capacity governor for the mixture) and the LP
-  fallback chain warm float simplex → cold float simplex →
-  exact-Fraction solver;
+  fallback chain float simplex → exact-Fraction solver;
 * :mod:`~repro.resilience.epochs` — seeded, serializable, shrinkable
   churn timelines (link up/down, node crash/rejoin, flow
   arrival/departure) partitioned into epochs;

@@ -3,9 +3,9 @@
 A checkpoint is a single JSON document wrapping the complete committed
 state of an :class:`~repro.resilience.runtime.AllocatorRuntime` — the
 epoch journal, active flow set, topology outage sets, admission queue,
-committed shares, and the performance caches (warm LP bases, per-topology
-component-clique caches) that make restart cheap.  Three properties make
-it crash-consistent:
+committed shares, and the performance caches (the lossless 2PA-D share
+memo, the sharded solver's per-component memo) that make restart cheap.
+Three properties make it crash-consistent:
 
 * **atomic replace** — the document is written to a temp file in the
   target directory, fsync'd, and ``os.replace``'d over the destination,

@@ -20,15 +20,14 @@ fully converge (see :mod:`repro.resilience.channel`):
    ``<= B / load_k``).
 
 **LP fallback chain** (:class:`ResilientLPBackend`): a drop-in LP backend
-that tries the warm-started float simplex
-(:class:`~repro.perf.warm.WarmLPCache`), then a cold float simplex
-solve, then the exact-``Fraction`` reference solver from
-:mod:`repro.verify.exact_lp`.  A stage *fails* when it raises or returns
-a malformed solution (unknown status, or an "optimal" with non-finite
-values); a clean ``optimal``/``infeasible``/``unbounded`` verdict is an
-answer, not a failure.  Every demotion increments the
-``resilience.lp.fallback`` counter (plus a per-stage counter), so chaos
-run artifacts show exactly how often the float path had to be rescued.
+that tries the float simplex, then the exact-``Fraction`` reference
+solver from :mod:`repro.verify.exact_lp`.  A stage *fails* when it
+raises or returns a malformed solution (unknown status, or an "optimal"
+with non-finite values); a clean ``optimal``/``infeasible``/
+``unbounded`` verdict is an answer, not a failure.  Every demotion
+increments the ``resilience.lp.fallback`` counter (plus a per-stage
+counter), so chaos run artifacts show exactly how often the float path
+had to be rescued.
 """
 
 from __future__ import annotations
@@ -45,7 +44,6 @@ from ..lp.revised import solve_revised
 from ..lp.simplex import solve_simplex
 from ..obs.registry import incr
 from ..obs.trace import span
-from ..perf.warm import WarmLPCache
 
 __all__ = [
     "ResilientLPBackend",
@@ -235,7 +233,7 @@ def degraded_allocation(allocator) -> AllocationResult:
 
 
 class ResilientLPBackend:
-    """LP backend with a warm → cold-float → exact-Fraction fallback chain.
+    """LP backend with a float → exact-Fraction fallback chain.
 
     Usable anywhere a ``backend`` is accepted (it is a callable
     ``LinearProgram -> LPSolution``)::
@@ -246,53 +244,30 @@ class ResilientLPBackend:
     ``fallbacks`` counts demotions; the same number lands on the
     ``resilience.lp.fallback`` counter of the active metrics registry.
 
-    ``backend`` names the float solver the warm and cold stages run
-    (``"simplex"`` or ``"revised"``, or any warm-startable callable):
-    the warm stage's :class:`WarmLPCache` is built over it (unless an
-    explicit pre-configured ``cache`` is supplied) and the cold stage
-    calls it basis-free.  The exact-``Fraction`` stage is backend-
+    ``backend`` names the solver the float stage runs (``"simplex"``
+    or ``"revised"``).  The exact-``Fraction`` stage is backend-
     independent ground truth either way.
     """
 
-    def __init__(self, cache: Optional[WarmLPCache] = None,
-                 backend: str = "simplex") -> None:
+    def __init__(self, backend: str = "simplex") -> None:
         if backend not in ("simplex", "revised"):
             raise ValueError(
                 f"ResilientLPBackend backend must be 'simplex' or "
                 f"'revised', got {backend!r}"
             )
         self.backend = backend
-        if cache is not None:
-            self.cache = cache
-        elif backend == "revised":
-            # Late global lookup (not a bound reference) so tests can
-            # monkeypatch ``degrade.solve_revised`` to force demotions,
-            # mirroring the dense path's ``degrade.solve_simplex`` seam.
-            self.cache = WarmLPCache(
-                solve_fn=lambda lp, start_basis=None:
-                    solve_revised(lp, start_basis=start_basis)
-            )
-        else:
-            self.cache = WarmLPCache()
         self.fallbacks = 0
         #: Stage name -> times that stage produced the accepted solution.
-        self.served: Dict[str, int] = {"warm": 0, "cold": 0, "exact": 0}
+        self.served: Dict[str, int] = {"float": 0, "exact": 0}
 
-    # Stages are resolved late so tests can monkeypatch the underlying
-    # solvers to force demotions down the chain.
+    # Stages are resolved late (module globals, not bound references)
+    # so tests can monkeypatch ``degrade.solve_simplex`` /
+    # ``degrade.solve_revised`` to force demotions down the chain.
     def _stages(self) -> List[Tuple[str, Callable[[LinearProgram],
                                                   LPSolution]]]:
-        if self.backend == "revised":
-            cold: Callable[[LinearProgram], LPSolution] = (
-                lambda lp: solve_revised(lp)
-            )
-        else:
-            cold = lambda lp: solve_simplex(lp)  # noqa: E731
-        return [
-            ("warm", self.cache.solver),
-            ("cold", cold),
-            ("exact", self._solve_exact),
-        ]
+        solve_float = (solve_revised if self.backend == "revised"
+                       else solve_simplex)
+        return [("float", solve_float), ("exact", self._solve_exact)]
 
     @staticmethod
     def _solve_exact(lp: LinearProgram) -> LPSolution:

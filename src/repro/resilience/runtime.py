@@ -75,7 +75,6 @@ from ..obs.registry import incr, observe
 from ..obs.trace import span
 from ..perf.incremental import IncrementalContention
 from ..perf.shard import ShardedSolver
-from ..perf.warm import WarmLPCache
 from ..routing.dsr import DsrProtocol
 from ..scenarios.io import scenario_from_dict, scenario_to_dict
 from ..sim.rng import RngRegistry
@@ -409,8 +408,6 @@ class AllocatorRuntime:
             max_queue=self.config.max_queue,
             max_queue_age=self.config.max_queue_age,
         )
-        #: Warm LP bases for the 2PA-D resilient backend.
-        self._warm = WarmLPCache()
         #: Lossless 2PA-D shares per ``(topology, active set)``.
         self._memo: Dict[Tuple[str, frozenset], Dict] = {}
         #: Component-sharded centralized solver; its per-component memo
@@ -836,7 +833,7 @@ class AllocatorRuntime:
                     plan, registry, prefix=prefix + ("channel",)
                 )
                 channel = UnreliableChannel(injector)
-                backend = ResilientLPBackend(cache=self._warm)
+                backend = ResilientLPBackend()
                 with span("runtime.alloc.solve"):
                     allocator = DistributedAllocator(
                         analysis.scenario, backend=backend,
@@ -1021,7 +1018,6 @@ class AllocatorRuntime:
             "admission": self.admission.snapshot(),
             "last_convergence": dict(self.last_convergence),
             "caches": {
-                "warm": self._warm.dump_state(),
                 "memo": memo,
                 "shard": (self._shard.dump_state()
                           if self._shard is not None else None),
@@ -1087,8 +1083,6 @@ class AllocatorRuntime:
         rt.admission.restore(payload.get("admission", {}))
         rt.last_convergence = dict(payload.get("last_convergence", {}))
         caches = payload.get("caches", {})
-        if caches.get("warm"):
-            rt._warm.load_state(caches["warm"])
         if rt._shard is not None and caches.get("shard"):
             rt._shard.load_state(caches["shard"])
         for entry in caches.get("memo") or []:

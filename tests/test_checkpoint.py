@@ -238,9 +238,9 @@ class TestCrashRestoreDifferential:
 
     def test_checkpoint_with_retired_keys_restores(self, tmp_path):
         """Checkpoints written when the runtime still had configurable
-        solve modes carry their keys, no shard memo, and a per-topology
-        clique-cache dump; they restore, ignore all three, and replay to
-        the uninterrupted run's state."""
+        solve modes carry their keys, no shard memo, a per-topology
+        clique-cache dump, and a warm-start LP basis dump; they restore,
+        ignore all four, and replay to the uninterrupted run's state."""
         scenario = fig6.make_scenario()
         timeline = _drawn_timeline(scenario, "legacy")
         baseline = AllocatorRuntime(scenario, RuntimeConfig(seed=3))
@@ -277,6 +277,19 @@ class TestCrashRestoreDifferential:
                 "cliques": [sorted([s.flow, s.hop] for s in c)
                             for c in cliques],
             }],
+        }
+        assert "warm" not in payload["caches"]
+        # The basis-cache layout runtimes wrote while LP solves could
+        # start warm: bases keyed by (variables, constraint supports),
+        # plus the latest basis per variable tuple.
+        variables = ["r_1", "r_2", "__maxmin_t__"]
+        supports = [["r_1"], ["r_1"], ["r_1", "r_2"], ["r_1", "r_2"],
+                    ["__maxmin_t__", "r_1"], ["__maxmin_t__", "r_2"]]
+        basis = [["s", 0], ["s", 1], ["v", 1], ["v", 0], ["v", 2],
+                 ["s", 5]]
+        payload["caches"]["warm"] = {
+            "bases": [[[variables, supports], basis]],
+            "latest": [[variables, supports, basis]],
         }
         legacy = str(tmp_path / "legacy.ckpt.json")
         save_checkpoint(payload, legacy)

@@ -13,6 +13,7 @@ from repro.lp import (
     solve_scipy,
     solve_simplex,
 )
+from repro.obs.registry import using_registry
 from repro.obs.trace import using_tracer
 from repro.verify import lp_objective_matches, solve_exact
 
@@ -163,6 +164,32 @@ class TestScipyBackend:
     def test_unknown_backend(self):
         with pytest.raises(ValueError):
             solve(LinearProgram(), backend="nope")
+
+
+class TestBackendSpec:
+    """``solve`` takes a plain callable as its backend."""
+
+    def test_callable_backend_threads_through_solve(self):
+        calls = []
+
+        def dense_twin(lp):
+            calls.append(lp)
+            return solve_simplex(lp)
+
+        lp = make_lp({"x": 1.0, "y": 2.0},
+                     [({"x": 1.0, "y": 1.0}, 4.0), ({"y": 1.0}, 3.0)],
+                     {"x": 0.5})
+        with using_registry() as reg:
+            sol = solve(lp, backend=dense_twin)
+        assert sol.is_optimal
+        assert sol.values == solve_simplex(lp).values
+        assert calls == [lp]
+        assert reg.counters["lp.solves.dense_twin"].value == 1
+
+    def test_unknown_string_backend_still_raises(self):
+        lp = make_lp({"x": 1.0}, [({"x": 1.0}, 2.0)])
+        with pytest.raises(ValueError, match="unknown LP backend"):
+            solve(lp, backend="no-such-backend")
 
 
 @settings(max_examples=60, deadline=None)

@@ -28,6 +28,7 @@ from repro.lp import (
     solve_simplex,
 )
 from repro.obs.registry import using_registry
+from repro.obs.trace import using_tracer
 from repro.resilience import ResilientLPBackend
 from repro.scenarios import (
     cross,
@@ -138,23 +139,6 @@ class TestDuals:
             if sol.is_optimal:
                 assert_optimal_dual(lp, sol)
 
-    @pytest.mark.parametrize("solve_fn", [solve_simplex, solve_revised])
-    def test_warm_and_cold_on_one_basis_give_bitwise_equal_prices(
-        self, solve_fn
-    ):
-        analysis = ContentionAnalysis(fig6.make_scenario())
-        group = analysis.groups[0]
-        seed_lp = build_basic_fairness_lp(analysis, group,
-                                          analysis.scenario.capacity)
-        lp = build_basic_fairness_lp(analysis, group,
-                                     analysis.scenario.capacity * 1.25)
-        warm = solve_fn(lp, start_basis=solve_fn(seed_lp).basis)
-        cold = solve_fn(lp)
-        assert warm.basis == cold.basis
-        assert warm.duals == cold.duals
-        assert warm.reduced_costs == cold.reduced_costs
-        assert any(warm.duals)
-
 
 class TestDegenerateCases:
     def test_unbounded_status_exact(self):
@@ -221,54 +205,28 @@ class TestDegenerateCases:
         assert hit, "data file no longer pins the one-ulp artifact"
 
 
-class TestWarmStartInterop:
-    """Both backends share the structure-stable basis label encoding."""
+class TestBackendSpanTag:
+    """Every ``lp.solve`` span says which backend produced it."""
 
     @staticmethod
-    def _lp(cap=4.0, ycap=3.0):
+    def _solve_span(solve_fn):
         lp = LinearProgram()
         lp.maximize({"x": 1.0, "y": 2.0})
-        lp.add_constraint({"x": 1.0, "y": 1.0}, cap)
-        lp.add_constraint({"y": 1.0}, ycap)
+        lp.add_constraint({"x": 1.0, "y": 1.0}, 4.0)
+        lp.add_constraint({"y": 1.0}, 3.0)
         lp.set_lower_bound("x", 0.5)
-        return lp
+        with using_tracer() as tracer:
+            solve_fn(lp)
+        return next(r for r in tracer.to_records()
+                    if r["name"] == "lp.solve")
 
-    def test_same_final_basis_and_values_cold(self):
-        dense = solve_simplex(self._lp())
-        revised = solve_revised(self._lp())
-        assert revised.basis == dense.basis
-        assert revised.values == dense.values
+    def test_revised_solve_span_tagged(self):
+        assert self._solve_span(solve_revised)["tags"]["backend"] == \
+            "revised"
 
-    def test_dense_basis_warm_starts_revised(self):
-        dense = solve_simplex(self._lp())
-        with using_registry() as reg:
-            warm = solve_revised(self._lp(5.0, 2.5),
-                                 start_basis=dense.basis)
-        cold = solve_revised(self._lp(5.0, 2.5))
-        assert warm.values == cold.values
-        assert warm.objective == cold.objective
-        assert reg.counters["perf.lp.warm.installed"].value == 1
-
-    def test_revised_basis_warm_starts_dense(self):
-        revised = solve_revised(self._lp())
-        warm = solve_simplex(self._lp(5.0, 2.5),
-                             start_basis=revised.basis)
-        cold = solve_simplex(self._lp(5.0, 2.5))
-        assert warm.values == cold.values
-
-    def test_stale_basis_falls_back_with_same_reasons(self):
-        cases = [
-            ((("v", 0),), "row-count"),
-            ((("v", 17), ("s", 0)), "unknown-label"),
-            ((("v", 0), ("v", 0)), "duplicate-column"),
-        ]
-        for stale, reason in cases:
-            with using_registry() as reg:
-                warm = solve_revised(self._lp(), start_basis=stale)
-            cold = solve_revised(self._lp())
-            assert warm.values == cold.values
-            key = f"lp.warm.stale_basis.{reason}"
-            assert reg.counters[key].value == 1, reason
+    def test_dense_solve_span_tagged(self):
+        assert self._solve_span(solve_simplex)["tags"]["backend"] == \
+            "simplex"
 
 
 class TestBatchedProbes:
@@ -327,18 +285,23 @@ class TestBatchedProbes:
 
 
 class TestResilientChainRevised:
-    def test_revised_backend_chain_serves_warm(self):
+    def test_revised_backend_chain_serves_float(self):
         backend = ResilientLPBackend(backend="revised")
         analysis = ContentionAnalysis(fig6.make_scenario())
-        alloc = basic_fairness_lp_allocation(analysis, backend=backend)
+        with using_registry() as reg:
+            alloc = basic_fairness_lp_allocation(analysis,
+                                                 backend=backend)
         ref = basic_fairness_lp_allocation(analysis, backend="revised")
         for fid, rate in ref.shares.items():
             assert abs(alloc.shares[fid] - rate) <= RATE_TOL
-        assert backend.served["warm"] > 0
+        assert backend.served["float"] > 0
+        assert backend.served["exact"] == 0
         assert backend.fallbacks == 0
+        assert reg.counters["lp.revised.solves"].value > 0
+        assert "lp.simplex.solves" not in reg.counters
 
-    def test_forced_demotion_reaches_cold_then_exact(self, monkeypatch):
-        def boom(lp, start_basis=None):
+    def test_forced_demotion_reaches_exact(self, monkeypatch):
+        def boom(lp):
             raise RuntimeError("forced failure")
 
         monkeypatch.setattr("repro.resilience.degrade.solve_revised", boom)
@@ -349,8 +312,8 @@ class TestResilientChainRevised:
         solution = backend(lp)
         assert solution.is_optimal
         assert abs(solution.values["x"] - 2.0) <= RATE_TOL
-        assert backend.served["exact"] == 1
-        assert backend.fallbacks == 2  # warm and cold both demoted
+        assert backend.served == {"float": 0, "exact": 1}
+        assert backend.fallbacks == 1  # the float stage demoted once
 
     def test_rejects_unknown_backend(self):
         with pytest.raises(ValueError):
@@ -367,3 +330,14 @@ class TestSolverFrontend:
         assert sol.is_optimal
         assert reg.counters["lp.solves.revised"].value == 1
         assert reg.counters["lp.revised.solves"].value == 1
+
+    def test_same_values_as_dense_cold(self):
+        lp = LinearProgram()
+        lp.maximize({"x": 1.0, "y": 2.0})
+        lp.add_constraint({"x": 1.0, "y": 1.0}, 4.0)
+        lp.add_constraint({"y": 1.0}, 3.0)
+        lp.set_lower_bound("x", 0.5)
+        dense = solve_simplex(lp)
+        revised = solve_revised(lp)
+        assert revised.values == dense.values  # bitwise, not approx
+        assert revised.objective == dense.objective

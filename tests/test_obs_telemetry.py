@@ -358,51 +358,6 @@ class TestPipelineSpanCoverage:
 
 
 # ----------------------------------------------------------------------
-# Warm-start fallback attribution (satellite: span-tagged counters)
-# ----------------------------------------------------------------------
-
-class TestWarmFallbackAttribution:
-    @staticmethod
-    def _lp():
-        from repro.lp import LinearProgram
-
-        lp = LinearProgram()
-        lp.maximize({"x": 1.0})
-        lp.add_constraint({"x": 1.0}, 4.0)
-        return lp
-
-    def test_stale_basis_event_names_triggering_span(self):
-        from repro.lp.simplex import solve_simplex
-
-        stale = (("s", 0), ("s", 1))  # wrong row count for a 1-row LP
-        with using_registry() as reg:
-            with using_tracer() as tracer:
-                with using_event_bus() as bus:
-                    solution = solve_simplex(self._lp(), start_basis=stale)
-        assert solution.is_optimal
-        assert reg.counters["lp.warm.stale_basis"].value == 1
-        solve = next(r for r in tracer.to_records()
-                     if r["name"] == "lp.solve")
-        assert solve["tags"]["warm"] is True
-        assert "stale_basis" in solve["tags"]
-        (event,) = [e for e in bus.pending
-                    if e["kind"] == "lp.warm.stale_basis"]
-        assert event["span"] == solve["span"]
-        assert event["reason"] == solve["tags"]["stale_basis"]
-
-    def test_clean_warm_start_emits_no_fallback_event(self):
-        from repro.lp.simplex import solve_simplex
-
-        first = solve_simplex(self._lp())
-        with using_registry() as reg:
-            with using_event_bus() as bus:
-                solve_simplex(self._lp(), start_basis=first.basis)
-        assert "lp.warm.stale_basis" not in reg.counters
-        assert not [e for e in bus.pending
-                    if e["kind"] == "lp.warm.stale_basis"]
-
-
-# ----------------------------------------------------------------------
 # Exporter + SLO report
 # ----------------------------------------------------------------------
 

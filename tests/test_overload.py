@@ -484,10 +484,10 @@ class TestShardResultError:
     def test_bare_worker_exception_is_wrapped_and_counted(self, monkeypatch):
         analysis = ContentionAnalysis(fig1.make_scenario())
 
-        def explode(problem, backend):
+        def explode(problem):
             raise ValueError("synthetic solver failure")
 
-        monkeypatch.setattr(shard_mod, "_solve_component_with", explode)
+        monkeypatch.setattr(shard_mod, "_solve_component", explode)
         with using_registry(MetricsRegistry()) as reg:
             with pytest.raises(ShardResultError) as excinfo:
                 ShardedSolver(jobs=1).solve(analysis)

@@ -338,18 +338,17 @@ class TestLPFallbackChain:
             analysis, analysis.groups[0], scenario.capacity
         )
 
-    def test_warm_path_serves_by_default(self):
+    def test_float_path_serves_by_default(self):
         backend = ResilientLPBackend()
         solution = backend(self._lp())
         assert solution.status == "optimal"
         assert backend.fallbacks == 0
-        assert backend.served["warm"] == 1
+        assert backend.served == {"float": 1, "exact": 0}
 
     def test_forced_demotions_reach_exact_solver(self, monkeypatch):
         def boom(*_args, **_kwargs):
             raise RuntimeError("float simplex disabled for test")
 
-        monkeypatch.setattr("repro.perf.warm.solve_simplex", boom)
         monkeypatch.setattr("repro.resilience.degrade.solve_simplex", boom)
         registry = MetricsRegistry()
         obs.set_registry(registry)
@@ -360,18 +359,17 @@ class TestLPFallbackChain:
             obs.set_registry(None)
         assert solution.status == "optimal"
         assert all(math.isfinite(v) for v in solution.values.values())
-        assert backend.fallbacks == 2
-        assert backend.served == {"warm": 0, "cold": 0, "exact": 1}
+        assert backend.fallbacks == 1
+        assert backend.served == {"float": 0, "exact": 1}
         counters = registry.snapshot()["counters"]
-        assert counters["resilience.lp.fallback"] == 2
-        assert counters["resilience.lp.fallback.warm"] == 1
-        assert counters["resilience.lp.fallback.cold"] == 1
+        assert counters["resilience.lp.fallback"] == 1
+        assert counters["resilience.lp.fallback.float"] == 1
+        assert "resilience.lp.fallback.exact" not in counters
 
     def test_whole_chain_failing_raises(self, monkeypatch):
         def boom(*_args, **_kwargs):
             raise RuntimeError("no solver")
 
-        monkeypatch.setattr("repro.perf.warm.solve_simplex", boom)
         monkeypatch.setattr("repro.resilience.degrade.solve_simplex", boom)
         monkeypatch.setattr(ResilientLPBackend, "_solve_exact",
                             staticmethod(boom))
@@ -387,7 +385,6 @@ class TestLPFallbackChain:
         def boom(*_args, **_kwargs):
             raise RuntimeError("float simplex disabled for test")
 
-        monkeypatch.setattr("repro.perf.warm.solve_simplex", boom)
         monkeypatch.setattr("repro.resilience.degrade.solve_simplex", boom)
         backend = ResilientLPBackend()
         exact = DistributedAllocator(

@@ -271,13 +271,12 @@ class TestRuntimeShardSeam:
         ]
         assert cold_journal_mismatches(scenario, runtime.journal) == []
 
-    def test_island_churn_matches_a_warm_monolithic_loop_bitwise(self):
+    def test_island_churn_matches_a_cold_monolithic_loop_bitwise(self):
         """Churn touching island 0 only: every committed epoch equals a
         monolithic reference loop (universe analysis restricted to the
-        active set, one whole-network solve on a shared warm basis cache,
-        an active-set memo), and only the dirty island is re-solved."""
+        active set, one cold whole-network solve, an active-set memo),
+        and only the dirty island is re-solved."""
         from repro.perf.incremental import IncrementalContention
-        from repro.perf.warm import WarmLPCache
 
         k, epochs = 3, 4
         scenario = ladder_islands(k)
@@ -294,14 +293,13 @@ class TestRuntimeShardSeam:
         finally:
             obs.set_registry(None)
 
-        inc, warm, memo = IncrementalContention(scenario), WarmLPCache(), {}
+        inc, memo = IncrementalContention(scenario), {}
         reference = []
         for active in steps:
             key = frozenset(active)
             if key not in memo:
                 memo[key] = dict(basic_fairness_lp_allocation(
                     inc.analysis_for(active, name="reference-active"),
-                    backend=warm.solver,
                 ).shares)
             reference.append(memo[key])
         assert journal == reference
