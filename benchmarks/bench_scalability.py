@@ -377,7 +377,9 @@ def test_emit_perf_sharded_alloc(perf_section):
 
     ``batch_100k``: 100,000 one-hop flows over 12,500 star islands
     registered and allocated through :class:`BatchAllocationEngine` in
-    one epoch, then one release/re-register churn cycle; p50/p99 epoch
+    one epoch, then one release/re-register churn cycle.  The islands
+    are identical (same clique, weights, and name order), so the shape
+    memo solves the first epoch's 12,500 components as one LP; p50/p99 epoch
     latency comes from the ``runtime.epoch.latency_ms`` histogram via
     the standard SLO report.  (The sharded-vs-monolithic churn ratio
     this section once gated is measured end to end by allocbench's
@@ -401,7 +403,9 @@ def test_emit_perf_sharded_alloc(perf_section):
         assert all(d.action == ADMIT for d in decisions)
         rates = engine.allocate()
         assert len(rates) == len(flow_ids)
-        assert engine.solver.last_stats["dirty"] == 12_500
+        first = dict(engine.solver.last_stats)
+        assert first["components"] == 12_500
+        assert first["dirty"] == 1
         # One churn cycle: island 0 leaves and returns; every epoch
         # after the first reuses all cached components.
         engine.release(island0)
@@ -417,9 +421,11 @@ def test_emit_perf_sharded_alloc(perf_section):
     assert latency["count"] == 3
     perf_section("sharded_alloc", {
         "kernel": "component-sharded batch allocation (per-component "
-                  "store + dirty tracking)",
+                  "store + shape-keyed memo) over 12,500 identical "
+                  "islands",
         "batch_100k": {
             "islands": 12_500,
+            "first_epoch_shapes": first["dirty"],
             "flows": len(flow_ids),
             "admitted": len(decisions),
             "register_ms": register_s * 1e3,

@@ -183,9 +183,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sharded", action="store_true",
                    help="also run the component-sharded differential "
                         "axis: ShardedSolver at jobs=1/2 vs the "
-                        "monolithic LP, and every epoch of a runtime "
-                        "journal vs a cold monolithic solve, all "
-                        "asserted bitwise identical")
+                        "monolithic LP, a flow-relabeled copy served "
+                        "from a primed memo vs its monolithic LP, and "
+                        "every epoch of a runtime journal vs a cold "
+                        "monolithic solve, all asserted bitwise "
+                        "identical")
     p.add_argument("--overload", action="store_true",
                    help="also run every case through the "
                         "overload-protected runtime under an open-loop "

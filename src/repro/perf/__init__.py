@@ -12,8 +12,9 @@ plain implementation it replaces:
   of changing active sets without a rebuild: the universe's cliques,
   enumerated once, restricted to each active set.
 * :class:`~repro.perf.shard.ShardedSolver` — the phase-1 LP solved
-  per contention component, with a memo that serves unchanged
-  components across epochs.
+  per contention component, with a memo keyed by LP shape that serves
+  unchanged components across epochs and same-shaped components
+  under any flow ids.
 * :class:`~repro.perf.cache.AnalysisCache` — content-hash-keyed,
   size-bounded memoization of :class:`ContentionAnalysis` and the
   phase-1 LP allocation.

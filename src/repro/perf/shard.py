@@ -16,11 +16,13 @@ layers exploit that:
   same basic-share lower bounds) — the foundation of the bitwise
   sharded==monolithic guarantee.
 * :class:`ShardedSolver` solves the problems with a per-component memo
-  keyed by a structural fingerprint (dirty tracking: churn that leaves
-  a component's flows, cliques, weights, and capacity untouched reuses
-  its cached shares) and fans the dirty components across a
-  :class:`~repro.perf.parallel.ParallelSweep` process pool, merging in
-  component order — the merged result is bitwise identical to the
+  keyed by the problem's *shape* (dirty tracking: churn that leaves a
+  component's structure, weights, and capacity untouched reuses its
+  cached shares, and so does any other component that forms the same
+  LP under different flow ids), solves each distinct missing shape
+  once, fans those solves across a
+  :class:`~repro.perf.parallel.ParallelSweep` process pool, and merges
+  in component order — the merged result is bitwise identical to the
   serial monolithic solve at any job count.
 * :class:`BatchAllocationEngine` fronts the solver with a
   register / allocate / release batch API in the shape of psim's
@@ -31,12 +33,14 @@ layers exploit that:
   makes each epoch's cost follow the churn, not the universe; active
   cliques are restricted from the universe's, never enumerated.
 
-Fingerprints hash the LP *structure* in solver-visible order (column
-order affects simplex pivoting, hence bitwise results), with each
-constraint's coefficients in column order and constraint labels left
-out — labels embed the analysis-local clique index, which shifts when
-other components churn.  Nothing in a fingerprint depends on the hash
-seed, so a memo dumped by one interpreter is fully served in another.
+A shape key (:func:`component_fingerprint`) hashes the LP in
+solver-visible order with every variable replaced by its column
+position; the only trace of the names it keeps is their sort order,
+which the max-min progress guard reads.  Memo values are share lists
+in column order, mapped back onto each problem's own flow ids, so a
+hit is the same dense LP run through the same pivots whatever its
+flows are called.  Nothing in a key depends on the hash seed, so a
+memo dumped by one interpreter is fully served in another.
 """
 
 from __future__ import annotations
@@ -108,32 +112,41 @@ class ComponentProblem:
 def component_fingerprint(
     lp: LinearProgram, weights: Dict[str, float], backend: str
 ) -> str:
-    """Structural hash of one component problem.
+    """Name-free shape key of one component problem.
 
     Everything that can influence the solved shares participates, in
-    the order it will reach the solver: variable registration order,
-    objective terms, each constraint's coefficient pairs in variable
-    registration order with its bound (capacity rides in the bounds),
-    lower bounds, the max-min weights, and the backend.  A constraint's
-    coefficient *insertion* order is left out: it follows clique
-    frozenset iteration, which varies with the hash seed, and
-    ``to_dense`` ignores it.  Constraint labels are excluded on purpose
-    — they carry the clique index within the analysis the problem was
-    split from, which changes when unrelated components churn.
+    the order it will reach the solver, with each variable written as
+    its column (registration) position: the backend, the variable
+    count, the name-sort permutation (column positions in name order),
+    objective terms, each constraint's coefficient pairs sorted by
+    position with its bound (capacity rides in the bounds), lower
+    bounds, and the max-min weights.
+
+    The permutation is the one thing names decide in a solve: the
+    max-min progress guard freezes ``min(free)``, the smallest free
+    *name*, and through it the order of later rounds' rows.  With it
+    in the key, two problems that share a key are the same dense LP
+    solved through the same pivots, so their shares agree position by
+    position, bitwise.  A constraint's coefficient *insertion* order is
+    left out (it follows clique frozenset iteration, which varies with
+    the hash seed, and ``to_dense`` ignores it), and so are constraint
+    labels, which carry the clique index within the analysis the
+    problem was split from.
     """
-    column = {v: j for j, v in enumerate(lp.variables)}
+    names = lp.variables
+    column = {v: j for j, v in enumerate(names)}
     doc = [
         backend,
-        lp.variables,
-        [[v, c] for v, c in lp.objective.items()],
+        len(names),
+        sorted(range(len(names)), key=names.__getitem__),
+        [(column[v], c) for v, c in lp.objective.items()],
         [
-            [sorted(([v, c] for v, c in con.coeffs.items()),
-                    key=lambda pair: column[pair[0]]),
-             con.bound]
+            (sorted((column[v], c) for v, c in con.coeffs.items()),
+             con.bound)
             for con in lp.constraints
         ],
-        [[v, b] for v, b in lp.lower_bounds.items()],
-        [[v, w] for v, w in weights.items()],
+        [(column[v], b) for v, b in lp.lower_bounds.items()],
+        [(column[v], w) for v, w in weights.items()],
     ]
     blob = json.dumps(doc, separators=(",", ":")).encode("utf-8")
     return hashlib.sha256(blob).hexdigest()
@@ -204,9 +217,9 @@ def component_problems(
     return problems
 
 
-def _solve_component(problem: ComponentProblem) -> Dict[str, float]:
+def _solve_component(problem: ComponentProblem) -> List[float]:
     """Solve one component's lexicographic max-min LP (module-level, so
-    picklable as the pool-worker entry).
+    picklable as the pool-worker entry); shares in ``group_ids`` order.
 
     The failure message mirrors the monolithic
     :func:`~repro.core.allocation.basic_fairness_lp_allocation` so a
@@ -222,10 +235,10 @@ def _solve_component(problem: ComponentProblem) -> Dict[str, float]:
             f"{problem.lp.pretty()}",
             component=problem.index,
         )
-    return {fid: sol[f"r_{fid}"] for fid in problem.group_ids}
+    return [sol[f"r_{fid}"] for fid in problem.group_ids]
 
 
-def _solve_component_guarded(payload) -> Dict[str, float]:
+def _solve_component_guarded(payload) -> List[float]:
     """Pool entry for fault-injected runs: ``(problem, spec | None)``.
 
     The spec (a :class:`~repro.resilience.faults.WorkerFaultSpec`, duck
@@ -239,7 +252,7 @@ def _solve_component_guarded(payload) -> Dict[str, float]:
     return _solve_component(problem)
 
 
-def _solve_component_unguarded(payload) -> Dict[str, float]:
+def _solve_component_unguarded(payload) -> List[float]:
     """In-process fallback twin of the guarded entry: no fault shim.
 
     Worker faults model a bad *worker environment*, so the deterministic
@@ -257,8 +270,9 @@ class ShardedSolver:
     ``basic_fairness_lp_allocation(analysis, backend=...).shares`` —
     bitwise, at any ``jobs`` setting — because components are solved
     with the identical LPs and merged in component order.  Components
-    whose fingerprint is cached are *reused* (dirty tracking); only the
-    dirty remainder is solved, across a process pool when ``jobs > 1``.
+    whose shape key is cached are *reused* (dirty tracking); each
+    distinct shape left is solved once, across a process pool when
+    ``jobs > 1``.  The memo is an LRU of at most ``max_entries`` shapes.
 
     Telemetry per solve: ``runtime.shard.components`` / ``dirty`` /
     ``reused`` counters, a ``runtime.shard`` span, and the duration of
@@ -270,7 +284,6 @@ class ShardedSolver:
         self,
         backend: str = "simplex",
         jobs: Optional[int] = 1,
-        memo: bool = True,
         max_entries: int = 65536,
         task_timeout: Optional[float] = None,
         task_retries: int = 0,
@@ -290,9 +303,8 @@ class ShardedSolver:
         self.retry_backoff_s = float(retry_backoff_s)
         self.fault_injector = fault_injector
         self.max_entries = int(max_entries)
-        self._memo: Optional["OrderedDict[str, Dict[str, float]]"] = (
-            OrderedDict() if memo else None
-        )
+        #: Shape key -> shares in ``group_ids`` order, LRU order.
+        self._memo: "OrderedDict[str, List[float]]" = OrderedDict()
         self.last_stats: Dict[str, float] = {}
 
     # ------------------------------------------------------------------
@@ -315,31 +327,39 @@ class ShardedSolver:
     ) -> List[Dict[str, float]]:
         """Shares of each of ``problems``, in order.
 
-        Memo hits are reused; the misses — the dirty components — are
-        solved in one fan-out.  ``held`` counts components the caller
-        serves from its own store without asking (the batch engine's
-        clean entries): they enter the stats as components and reused,
-        so the stats always describe the caller's whole active set.
+        Memo hits are reused.  The misses are grouped by shape key, and
+        only the first problem of each shape goes into the one fan-out;
+        every problem of that shape takes its result, mapped onto its
+        own flow ids by position.  ``dirty`` counts the distinct shapes
+        solved, ``reused`` every other component.  ``held`` counts
+        components the caller serves from its own store without asking
+        (the batch engine's clean entries): they enter the stats as
+        components and reused, so the stats always describe the
+        caller's whole active set.
         """
+        memo = self._memo
         with span("runtime.shard") as shard_span:
-            results: List[Dict[str, float]] = []
-            misses: List[int] = []
-            for i, p in enumerate(problems):
-                if self._memo is not None and p.fingerprint in self._memo:
-                    results.append(self._memo[p.fingerprint])
-                    self._memo.move_to_end(p.fingerprint)
-                else:
-                    results.append({})
-                    misses.append(i)
-            dirty = [problems[i] for i in misses]
+            cached: List[Optional[List[float]]] = []
+            dirty: Dict[str, ComponentProblem] = {}
+            for p in problems:
+                shares = memo.get(p.fingerprint)
+                if shares is not None:
+                    memo.move_to_end(p.fingerprint)
+                elif p.fingerprint not in dirty:
+                    dirty[p.fingerprint] = p
+                cached.append(shares)
             with span("runtime.shard.parallel") as parallel_span:
-                solved = self._solve_dirty(dirty) if dirty else []
-            for i, result in zip(misses, solved):
-                results[i] = result
-                if self._memo is not None:
-                    self._memo[problems[i].fingerprint] = result
-                    while len(self._memo) > self.max_entries:
-                        self._memo.popitem(last=False)
+                solved = dict(zip(
+                    dirty, self._solve_dirty(list(dirty.values()))
+                )) if dirty else {}
+            for key, shares in solved.items():
+                memo[key] = shares
+                while len(memo) > self.max_entries:
+                    memo.popitem(last=False)
+            results = [
+                dict(zip(p.group_ids, solved.get(p.fingerprint, shares)))
+                for p, shares in zip(problems, cached)
+            ]
             components = len(problems) + held
             reused = components - len(dirty)
             incr("runtime.shard.components", components)
@@ -359,9 +379,10 @@ class ShardedSolver:
 
     def _solve_dirty(
         self, dirty: List[ComponentProblem]
-    ) -> List[Dict[str, float]]:
-        """Solve the memo misses across the pool (in-process when the
-        sweep runs serial: one job or one dirty component)."""
+    ) -> List[List[float]]:
+        """Solve one problem per missing shape across the pool
+        (in-process when the sweep runs serial: one job or one dirty
+        shape); worker fault specs index this de-duplicated list."""
         guarded = (self.task_timeout is not None
                    or self.task_retries > 0
                    or self.fault_injector is not None)
@@ -404,30 +425,28 @@ class ShardedSolver:
     # ------------------------------------------------------------------
     # Checkpoint support (repro.resilience.checkpoint)
     # ------------------------------------------------------------------
-    def dump_state(self) -> Optional[List[List[object]]]:
-        """JSON-ready memo dump, LRU order preserved.
+    def dump_state(self) -> List[List[object]]:
+        """JSON-ready memo dump, ``[key, [share, ...]]`` in LRU order.
 
         A restored solver must reproduce the same reuse/eviction
         behaviour as one that never crashed, so entries keep their
         recency order.
         """
-        if self._memo is None:
-            return None
-        return [
-            [fp, [[fid, share] for fid, share in entry.items()]]
-            for fp, entry in self._memo.items()
-        ]
+        return [[key, list(shares)] for key, shares in self._memo.items()]
 
     def load_state(self, doc: Iterable[Sequence[object]]) -> None:
         """Restore a :meth:`dump_state` dump (value-neutral on mismatch:
-        a stale fingerprint simply never hits again and is evicted)."""
-        if self._memo is None:
-            return
+        a stale key simply never hits again and is evicted).
+
+        Entries of the name-keyed layout written before shape keys
+        (``[fp, [[fid, share], ...]]``) are skipped: a name key can
+        never equal a shape key, so they could never hit.
+        """
         self._memo.clear()
-        for fp, pairs in doc:
-            self._memo[str(fp)] = {
-                str(fid): float(share) for fid, share in pairs
-            }
+        for key, shares in doc:
+            if any(isinstance(s, (list, tuple)) for s in shares):
+                continue
+            self._memo[str(key)] = [float(s) for s in shares]
             while len(self._memo) > self.max_entries:
                 self._memo.popitem(last=False)
 

@@ -34,7 +34,7 @@ from ..core.allocation import (
 )
 from ..core.bounds import bound_vs_basic_consistency
 from ..core.contention import ContentionAnalysis
-from ..core.model import Network, Scenario
+from ..core.model import Flow, Network, Scenario
 from ..obs.registry import incr
 from ..obs.trace import span
 from ..scenarios.io import scenario_to_dict
@@ -108,6 +108,27 @@ def inject_share_fault(shares: Dict[str, float],
     return faulted
 
 
+def _bitwise_outcome(
+    name: str,
+    run: Callable[[], Tuple[Dict[str, float], Dict[str, float]]],
+) -> CheckOutcome:
+    """Check ``run()``'s ``(sharded, monolithic)`` shares are equal with
+    ``==``; a raise is a failure too."""
+    try:
+        shares, expected = run()
+        ok = shares == expected
+        details = "" if ok else "; ".join(
+            f"{fid}: sharded {shares.get(fid)!r} != "
+            f"monolithic {expected.get(fid)!r}"
+            for fid in sorted(set(shares) | set(expected))
+            if shares.get(fid) != expected.get(fid)
+        )[:400]
+    except Exception as exc:
+        ok = False
+        details = f"{type(exc).__name__}: {exc}"
+    return CheckOutcome(name, PASS if ok else FAIL, details)
+
+
 class VerificationSuite:
     """Runs every oracle + invariant against one scenario.
 
@@ -141,10 +162,11 @@ class VerificationSuite:
         )
         #: Also run the component-sharded differential axis — the
         #: :class:`~repro.perf.shard.ShardedSolver` at jobs=1 and jobs>1
-        #: against the monolithic LP, plus an :class:`AllocatorRuntime`
-        #: journal against a cold monolithic solve of every epoch —
-        #: ``repro verify --sharded``.  Every comparison is bitwise
-        #: (``==`` on floats): sharding is exact.
+        #: against the monolithic LP, a flow-relabeled copy through a
+        #: solver primed on the original, plus an
+        #: :class:`AllocatorRuntime` journal against a cold monolithic
+        #: solve of every epoch — ``repro verify --sharded``.  Every
+        #: comparison is bitwise (``==`` on floats): sharding is exact.
         self.sharded = sharded
         #: Float LP solver under test (``repro verify --backend``): every
         #: allocation the suite checks and the float side of the
@@ -238,9 +260,10 @@ class VerificationSuite:
         injected fault) is the bitwise reference: flows in different
         components share no clique, so the sharded solve is exact and
         every comparison here is plain ``==`` on floats, no tolerance.
-        The runtime check replays a short arrival/departure timeline
-        and compares every committed epoch with a cold monolithic solve
-        of its active flows.
+        The relabeled check serves a renamed copy from a memo primed on
+        the original's shapes; the runtime check replays a short
+        arrival/departure timeline and compares every committed epoch
+        with a cold monolithic solve of its active flows.
         """
         from ..perf.shard import ShardedSolver
 
@@ -248,24 +271,48 @@ class VerificationSuite:
         with span("verify.sharded"):
             for name, jobs in (("sharded.vs_monolithic", 1),
                                ("sharded.parallel_jobs", 2)):
-                try:
-                    shares = ShardedSolver(
-                        backend=self.backend, jobs=jobs
-                    ).solve(analysis)
-                    ok = shares == lp_shares
-                    details = "" if ok else "; ".join(
-                        f"{fid}: sharded {shares.get(fid)!r} != "
-                        f"monolithic {lp_shares.get(fid)!r}"
-                        for fid in sorted(set(shares) | set(lp_shares))
-                        if shares.get(fid) != lp_shares.get(fid)
-                    )[:400]
-                except Exception as exc:
-                    ok = False
-                    details = f"{type(exc).__name__}: {exc}"
-                out.append(CheckOutcome(name, PASS if ok else FAIL,
-                                        details))
+                out.append(_bitwise_outcome(name, lambda: (
+                    ShardedSolver(backend=self.backend, jobs=jobs)
+                    .solve(analysis),
+                    lp_shares,
+                )))
+            out.append(self._sharded_relabeled_check(scenario, analysis))
             out.append(self._sharded_runtime_check(scenario))
         return out
+
+    def _sharded_relabeled_check(
+        self, scenario: Scenario, analysis: ContentionAnalysis
+    ) -> CheckOutcome:
+        """A flow-relabeled copy, solved through a solver primed on the
+        original, against the cold monolithic solve of the copy.
+
+        Every flow gets a new id of the same rank in name order, so
+        every component of the copy is the original's shape: the copy
+        is served from the memo, mapped by position onto the new ids.
+        """
+        from ..perf.shard import ShardedSolver
+
+        rename = {fid: f"x{k:04d}"
+                  for k, fid in enumerate(sorted(scenario.flow_ids))}
+        copy = Scenario(
+            scenario.network,
+            [Flow(rename[f.flow_id], f.path, f.weight)
+             for f in scenario.flows],
+            name=f"{scenario.name}-relabeled",
+            capacity=scenario.capacity,
+        )
+
+        def run() -> Tuple[Dict[str, float], Dict[str, float]]:
+            solver = ShardedSolver(backend=self.backend)
+            solver.solve(analysis)
+            relabeled = ContentionAnalysis(copy)
+            return solver.solve(relabeled), dict(
+                basic_fairness_lp_allocation(
+                    relabeled, backend=self.backend
+                ).shares
+            )
+
+        return _bitwise_outcome("sharded.relabeled", run)
 
     def _sharded_runtime_check(self, scenario: Scenario) -> CheckOutcome:
         """The runtime journal against a cold monolithic solve per epoch."""
@@ -890,10 +937,11 @@ def run_fuzz(
 
     ``sharded=True`` additionally runs the component-sharded
     differential axis per case — :class:`~repro.perf.shard.ShardedSolver`
-    at jobs=1 and jobs=2 against the monolithic LP allocation, and a
-    centralized runtime journal against a cold monolithic solve of each
-    epoch — asserting bitwise identity throughout (``sharded.*``
-    checks).
+    at jobs=1 and jobs=2 against the monolithic LP allocation, a
+    flow-relabeled copy through a solver primed on the original against
+    the copy's monolithic allocation, and a centralized runtime journal
+    against a cold monolithic solve of each epoch — asserting bitwise
+    identity throughout (``sharded.*`` checks).
     """
     fault = inject_share_fault if inject_fault else None
     suite = VerificationSuite(

@@ -4,10 +4,10 @@
 *universe* contention component and rebuilds only the entries that
 ``register`` / ``release`` dirtied.  The contract under test:
 
-* after every epoch, ``allocate()`` equals a cold, memo-less
-  ``ShardedSolver`` solve of ``active_analysis()`` bitwise, key order
-  included — while active components split and merge under seeded
-  open-loop churn;
+* after every epoch, ``allocate()`` equals a cold monolithic
+  :func:`~repro.core.allocation.basic_fairness_lp_allocation` of
+  ``active_analysis()`` bitwise, key order included — while active
+  components split and merge under seeded open-loop churn;
 * every ``register`` verdict equals the reference batch-then-greedy
   algorithm run over the *whole* trial subgraph (the engine probes only
   the universe components its candidates touch);
@@ -24,6 +24,7 @@ import numpy as np
 import pytest
 
 from repro import obs
+from repro.core.allocation import basic_fairness_lp_allocation
 from repro.core.contention import (
     ContentionAnalysis,
     contention_graph_from_pairs,
@@ -31,11 +32,7 @@ from repro.core.contention import (
 from repro.core.model import Flow, Network, Scenario, Subflow, SubflowId
 from repro.graphs import connected_components
 from repro.obs.registry import MetricsRegistry
-from repro.perf.shard import (
-    BatchAllocationEngine,
-    ShardedSolver,
-    ShardResultError,
-)
+from repro.perf.shard import BatchAllocationEngine, ShardResultError
 from repro.resilience.admission import (
     ADMIT,
     REASON_FLOOR,
@@ -181,7 +178,7 @@ def reference_admits(
 
 
 def cold_shares(engine: BatchAllocationEngine) -> Dict[str, float]:
-    return ShardedSolver(memo=False).solve(engine.active_analysis())
+    return basic_fairness_lp_allocation(engine.active_analysis()).shares
 
 
 def most_parts(universe: ContentionAnalysis, analysis) -> int:
@@ -238,8 +235,8 @@ class TestStoreDifferential:
 
             analysis = engine.active_analysis()
             try:
-                reference = ShardedSolver(memo=False).solve(analysis)
-            except ShardResultError:
+                reference = basic_fairness_lp_allocation(analysis).shares
+            except RuntimeError:
                 # A departure left an admitted flow's floor infeasible
                 # (the shortcut's L after its group shrank): the engine
                 # fails exactly where the cold solve does.
@@ -411,4 +408,7 @@ class TestCostFollowsChange:
         engine.allocate()
         hist = registry.snapshot()["histograms"]
         assert hist["runtime.shard.parallel_ms"]["count"] == 1
-        assert engine.solver.last_stats["dirty"] == 10
+        # Ten islands, three weight patterns: one solve per shape.
+        assert engine.solver.last_stats == {
+            "components": 10, "dirty": 3, "reused": 7,
+        }

@@ -236,11 +236,10 @@ class TestCrashRestoreDifferential:
         assert restored._shard.dump_state() == runtime._shard.dump_state()
         assert _canonical(restored) == _canonical(runtime)
 
-    def test_checkpoint_with_retired_keys_restores(self, tmp_path):
-        """Checkpoints written when the runtime still had configurable
-        solve modes carry their keys, no shard memo, a per-topology
-        clique-cache dump, and a warm-start LP basis dump; they restore,
-        ignore all four, and replay to the uninterrupted run's state."""
+    @staticmethod
+    def _crashed_fig6(tmp_path):
+        """fig6 over a drawn timeline: the uninterrupted baseline, and
+        the checkpoint payload of a run that crashed halfway."""
         scenario = fig6.make_scenario()
         timeline = _drawn_timeline(scenario, "legacy")
         baseline = AllocatorRuntime(scenario, RuntimeConfig(seed=3))
@@ -259,8 +258,16 @@ class TestCrashRestoreDifferential:
         victim.crash_hook = hook
         with pytest.raises(_SimulatedCrash):
             victim.run_timeline(timeline)
+        return scenario, timeline, baseline, load_checkpoint(path), crash_at
 
-        payload = load_checkpoint(path)
+    def test_checkpoint_with_retired_keys_restores(self, tmp_path):
+        """Checkpoints written when the runtime still had configurable
+        solve modes carry their keys, no shard memo, a per-topology
+        clique-cache dump, and a warm-start LP basis dump; they restore,
+        ignore all four, and replay to the uninterrupted run's state."""
+        scenario, timeline, baseline, payload, crash_at = (
+            self._crashed_fig6(tmp_path)
+        )
         payload["config"].update(
             sharded=False, incremental=False, warm_lp=False, memo=False,
             validate=False, queue_rejected=False, max_retries=9,
@@ -310,6 +317,33 @@ class TestCrashRestoreDifferential:
             return json.dumps(doc, sort_keys=True)
 
         assert state(restored) == state(baseline)
+
+    def test_checkpoint_with_name_keyed_shard_memo_restores(self, tmp_path):
+        """Checkpoints written while the shard memo was keyed by variable
+        names store ``[fingerprint, [[flow, share], ...]]`` entries.
+        They restore; a name key can never hit, so the entries are
+        dropped, and the replay journal equals the uninterrupted run's."""
+        scenario, timeline, baseline, payload, crash_at = (
+            self._crashed_fig6(tmp_path)
+        )
+        # This exact run's memo, as the name-keyed solver dumped it.
+        payload["caches"]["shard"] = [
+            ["d2856199ae7c3d005a291c196d2207bf"
+             "b87fbe98cfc0d00a430d7c6659b0118f", [["5", 1.0]]],
+            ["6646a2a7d53cd3ba6172264757a94fb6"
+             "c6f7c41eb645affc6b996f3855b1a4b6", [["2", 0.5], ["3", 0.5]]],
+            ["1a357060491fcb932190c713cc3aee62"
+             "b38f395b5b3a02970e0726562d8f2330",
+             [["2", 0.5], ["3", 0.5], ["4", 0.5]]],
+        ]
+        legacy = str(tmp_path / "name-keyed.ckpt.json")
+        save_checkpoint(payload, legacy)
+
+        restored = AllocatorRuntime.restore(legacy, scenario=scenario)
+        assert restored.epoch == crash_at - 1
+        assert restored._shard.dump_state() == []
+        restored.run_timeline(timeline)
+        assert restored.journal == baseline.journal
 
     def test_restored_runtime_keeps_checkpointing_in_place(self, tmp_path):
         """A restored runtime inherits the checkpoint location it was

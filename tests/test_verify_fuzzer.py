@@ -201,6 +201,39 @@ class TestChurnMode:
         assert report.checks["churn.crash_restore_identical"][PASS] == 3
 
 
+class TestShardedMode:
+    def test_sharded_mode_adds_differential_checks(self):
+        report = run_fuzz(cases=3, seed=0, sharded=True)
+        assert report.ok, [f.to_dict() for f in report.failures]
+        for check in ("sharded.vs_monolithic", "sharded.parallel_jobs",
+                      "sharded.relabeled", "sharded.runtime_centralized"):
+            assert report.checks[check][PASS] == 3, check
+
+    def test_relabeled_check_catches_shares_mapped_to_the_wrong_flows(
+        self, monkeypatch
+    ):
+        """A memo that hands cached shares out in reverse position order
+        fails the relabeled copy on a case with unequal shares."""
+        from repro.perf import shard
+
+        solve_problems = shard.ShardedSolver.solve_problems
+
+        def reversed_hits(self, problems, held=0):
+            primed = {key for key, _ in self.dump_state()}
+            results = solve_problems(self, problems, held)
+            return [
+                dict(zip(p.group_ids, reversed(list(r.values()))))
+                if p.fingerprint in primed else r
+                for p, r in zip(problems, results)
+            ]
+
+        monkeypatch.setattr(shard.ShardedSolver, "solve_problems",
+                            reversed_hits)
+        report = run_fuzz(cases=3, seed=0, sharded=True)
+        assert report.checks["sharded.relabeled"][FAIL] >= 1
+        assert report.checks["sharded.vs_monolithic"][FAIL] == 0
+
+
 #: Reproducer fields of each replay axis, in the order they shrink.
 AXIS_FIELDS = {
     "faults": ("fault_plan",),
