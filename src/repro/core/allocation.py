@@ -53,12 +53,6 @@ class AllocationResult:
         """Shares as fractions of B."""
         return {f: s / self.capacity for f, s in self.shares.items()}
 
-    def subflow_share(self, sid: SubflowId) -> float:
-        """Share of one subflow (equal-per-hop unless overridden)."""
-        if sid in self.subflow_shares:
-            return self.subflow_shares[sid]
-        return self.shares[sid.flow]
-
 
 def naive_allocation(
     analysis: ContentionAnalysis, capacity: float = None

@@ -95,9 +95,8 @@ class DistributedAllocator:
         self.scenario = scenario
         self.backend = backend
         # A precomputed analysis (e.g. restricted from a universe by
-        # repro.core.contention.restricted_analysis, or shared via
-        # repro.perf.cache) skips the O(S^2) rebuild; it must describe
-        # exactly this scenario.  The local cliques of 2PA-D below are
+        # repro.core.contention.restricted_analysis) skips the O(S^2)
+        # rebuild; it must describe exactly this scenario.  The local cliques of 2PA-D below are
         # built from each node's view, not from it.
         self.analysis = (analysis if analysis is not None
                          else ContentionAnalysis(scenario))

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from ..perf.cache import cached_contention_analysis
+from ..core import ContentionAnalysis
 from ..scenarios import fig1, fig6
 from .simulation_tables import run_table2, run_table3
 from .table1 import run_table1
@@ -67,7 +67,7 @@ def build_report(
         "SCENARIO 1 (Fig. 1)\n\n"
         + render_topology(scenario1, width=64, height=8)
         + "\n\n"
-        + render_contention_matrix(cached_contention_analysis(scenario1))
+        + render_contention_matrix(ContentionAnalysis(scenario1))
     )
 
     examples = run_all(verbose=False)

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List
 
 from ..core import (
+    ContentionAnalysis,
     basic_fairness_lp_allocation,
     basic_shares,
     check_allocation_schedulability,
@@ -28,10 +29,6 @@ from ..graphs import (
     greedy_coloring,
     is_proper_coloring,
     num_colors,
-)
-from ..perf.cache import (
-    cached_basic_fairness_allocation,
-    cached_contention_analysis,
 )
 from ..scenarios import fig1, fig2, fig3, fig4, fig5
 
@@ -81,9 +78,9 @@ class ExampleReport:
 def example_fig1() -> ExampleReport:
     """Fig. 1 + Sec. III worked comparison: end-to-end vs single-hop."""
     scenario = fig1.make_scenario()
-    analysis = cached_contention_analysis(scenario)
+    analysis = ContentionAnalysis(scenario)
     fairness = fairness_constrained_allocation(analysis)
-    optimal = cached_basic_fairness_allocation(scenario)
+    optimal = basic_fairness_lp_allocation(analysis)
     two_tier = single_hop_optimal_allocation(analysis)
     return ExampleReport(
         name="Fig. 1 / Sec. III comparison",
@@ -119,11 +116,11 @@ def example_fig2() -> ExampleReport:
     """Fig. 2: fairness definitions, single-hop vs multi-hop."""
     single = fig2.make_single_hop_scenario()
     single_alloc = fairness_constrained_allocation(
-        cached_contention_analysis(single)
+        ContentionAnalysis(single)
     )
     multi = fig2.make_multi_hop_scenario()
     unfair = fig2.unfair_time_share_allocation(multi)
-    fair = cached_basic_fairness_allocation(multi)
+    fair = basic_fairness_lp_allocation(ContentionAnalysis(multi))
     return ExampleReport(
         name="Fig. 2 fairness cases",
         computed={
@@ -232,7 +229,7 @@ def example_fig5() -> ExampleReport:
 def example_naive_vs_basic() -> ExampleReport:
     """Sec. II-D: virtual length beats hop count in the basic shares."""
     scenario = fig3.make_chain_scenario(hops=6)
-    analysis = cached_contention_analysis(scenario)
+    analysis = ContentionAnalysis(scenario)
     naive = naive_allocation(analysis)
     from ..core import basic_allocation
 

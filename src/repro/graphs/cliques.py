@@ -2,9 +2,10 @@
 
 The optimal allocation strategies of Sec. III constrain the per-flow share
 once per *maximal* clique of the subflow contention graph (the paper calls
-these "maximum cliques": cliques not contained in any other clique).  The
-graphs are small, so the classic Bron–Kerbosch algorithm with pivoting is
-more than fast enough and is implemented here from scratch.
+these "maximum cliques": cliques not contained in any other clique).
+Enumeration is Bron–Kerbosch with pivoting: :func:`maximal_cliques` runs
+the bitset kernel of :mod:`repro.perf.cliques`, and the set-based
+:func:`maximal_cliques_set` here is its reference implementation.
 """
 
 from __future__ import annotations
@@ -12,10 +13,6 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, Hashable, Iterable, List, Sequence, Set, Tuple
 
 from .graph import Graph, Vertex
-
-#: Vertex count below which the plain set-based kernel is used directly;
-#: tiny graphs do not amortize the bitset adjacency build.
-_BITSET_MIN_VERTICES = 8
 
 
 def clique_vertex_order(graph: Graph) -> List[Vertex]:
@@ -74,17 +71,13 @@ def maximal_cliques(graph: Graph) -> List[FrozenSet[Vertex]]:
     (size descending, then member vertex-index order) so that LP
     constraint ordering is reproducible run to run.
 
-    Dispatches to the bitset kernel of :mod:`repro.perf.cliques` for
-    graphs of :data:`_BITSET_MIN_VERTICES` or more vertices; the set-based
-    reference implementation (:func:`maximal_cliques_set`) handles tiny
-    graphs and serves as the differential oracle for the kernel.  Both
-    produce bit-identical output.
+    Runs the bitset kernel of :mod:`repro.perf.cliques` on every graph;
+    the set-based :func:`maximal_cliques_set` produces bit-identical
+    output and serves as its differential oracle.
     """
-    if graph.num_vertices() >= _BITSET_MIN_VERTICES:
-        from ..perf.cliques import maximal_cliques_bitset
+    from ..perf.cliques import maximal_cliques_bitset
 
-        return maximal_cliques_bitset(graph)
-    return maximal_cliques_set(graph)
+    return maximal_cliques_bitset(graph)
 
 
 def maximal_cliques_set(graph: Graph) -> List[FrozenSet[Vertex]]:
@@ -92,7 +85,8 @@ def maximal_cliques_set(graph: Graph) -> List[FrozenSet[Vertex]]:
 
     Kept as an independent implementation of the clique kernel: the
     differential tests require ``maximal_cliques_set(g) ==
-    maximal_cliques_bitset(g)`` on arbitrary graphs.
+    maximal_cliques_bitset(g)`` on arbitrary graphs.  No runtime path
+    calls it; tests and ``benchmarks/`` do.
     """
     if graph.num_vertices() == 0:
         return []

@@ -127,12 +127,6 @@ class LinearProgram:
         """Variable names in registration order."""
         return list(self._order)
 
-    def num_variables(self) -> int:
-        return len(self._order)
-
-    def num_constraints(self) -> int:
-        return len(self.constraints)
-
     # ------------------------------------------------------------------
     # Dense matrix form (for solvers)
     # ------------------------------------------------------------------

@@ -25,10 +25,6 @@ class QueueStats:
     dropped: int = 0
     dequeued: int = 0
 
-    @property
-    def occupancy_delta(self) -> int:
-        """Packets currently held (enqueued - dequeued - dropped-at-entry)."""
-        return self.enqueued - self.dequeued
 
 
 class DropTailQueue:

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 import time
-from typing import Callable, Dict, Iterator, List, Optional
+from typing import Callable, Dict, List, Optional
 
 __all__ = [
     "Counter",
@@ -301,17 +301,6 @@ class MetricsRegistry:
                 cpu_s=float(t.get("cpu_s", 0.0)),
                 calls=int(t.get("calls", 0)),
             )
-
-    def sample_records(self) -> Iterator[Dict[str, object]]:
-        """One flat record per metric, for JSONL streaming."""
-        for name, c in sorted(self.counters.items()):
-            yield {"record": "counter", "name": name, "value": c.value}
-        for name, g in sorted(self.gauges.items()):
-            yield {"record": "gauge", "name": name, "value": g.value}
-        for name, h in sorted(self.histograms.items()):
-            yield {"record": "histogram", "name": name, **h.summary()}
-        for name, t in sorted(self.timers.items()):
-            yield {"record": "timer", "name": name, **t.summary()}
 
     def clear(self) -> None:
         self.counters.clear()

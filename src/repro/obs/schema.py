@@ -17,7 +17,7 @@ Version history:
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 __all__ = [
     "SCHEMA_NAME",
@@ -136,15 +136,3 @@ def validate_artifact(doc: object) -> Dict[str, object]:
                       f"expected {'/'.join(t.__name__ for t in types)}")
     return doc
 
-
-def describe_schema() -> List[str]:
-    """Human-readable field reference (used by README / --help tooling)."""
-    lines = [f"{SCHEMA_NAME} v{SCHEMA_VERSION}"]
-    for key, types in _TOP_LEVEL.items():
-        lines.append(
-            f"  {key}: {'/'.join(t.__name__ for t in types)}"
-        )
-    lines.append("  metrics sections: " + ", ".join(_METRIC_SECTIONS))
-    lines.append("  slo (optional, v2): epoch_latency_ms percentiles + "
-                 "phase/component attribution")
-    return lines

@@ -1,13 +1,12 @@
-"""Performance layer: fast kernels, incremental re-analysis, sharded
-LP solves, caching, and a deterministic parallel sweep runner.
+"""Performance layer: the clique kernel, incremental re-analysis,
+sharded LP solves, and a deterministic parallel sweep runner.
 
-Every entry point here is a drop-in accelerator for an existing code
-path and is validated to produce **bit-identical** results against the
-plain implementation it replaces:
+Every entry point here is validated to produce **bit-identical**
+results against a plain reference implementation:
 
 * :func:`~repro.perf.cliques.maximal_cliques_bitset` — bitset
-  Bron–Kerbosch, dispatched automatically by
-  :func:`repro.graphs.maximal_cliques`.
+  Bron–Kerbosch, the kernel behind :func:`repro.graphs.maximal_cliques`
+  (the set-based reference is a test oracle only).
 * :class:`~repro.perf.incremental.IncrementalContention` — analyses
   of changing active sets without a rebuild: the universe's cliques,
   enumerated once, restricted to each active set.
@@ -15,9 +14,6 @@ plain implementation it replaces:
   per contention component, with a memo keyed by LP shape that serves
   unchanged components across epochs and same-shaped components
   under any flow ids.
-* :class:`~repro.perf.cache.AnalysisCache` — content-hash-keyed,
-  size-bounded memoization of :class:`ContentionAnalysis` and the
-  phase-1 LP allocation.
 * :class:`~repro.perf.parallel.ParallelSweep` — process-pool fan-out
   with one seeded RNG stream per task and ordered result merge.
 
@@ -25,17 +21,8 @@ All kernels report ``perf.*`` counters and timers through the
 :mod:`repro.obs` registry, so speedups land in run artifacts.
 """
 
-from .cache import (
-    AnalysisCache,
-    cached_basic_fairness_allocation,
-    cached_contention_analysis,
-    clear_default_cache,
-    default_cache,
-    scenario_fingerprint,
-)
 from .cliques import (
     adjacency_bitmasks,
-    adjacency_matrix,
     bitset_cliques_from_masks,
     maximal_cliques_bitset,
 )
@@ -50,7 +37,6 @@ from .shard import (
 )
 
 __all__ = [
-    "AnalysisCache",
     "BatchAllocationEngine",
     "ComponentProblem",
     "IncrementalContention",
@@ -59,13 +45,7 @@ __all__ = [
     "component_fingerprint",
     "component_problems",
     "adjacency_bitmasks",
-    "adjacency_matrix",
     "bitset_cliques_from_masks",
-    "cached_basic_fairness_allocation",
-    "cached_contention_analysis",
-    "clear_default_cache",
-    "default_cache",
     "effective_jobs",
     "maximal_cliques_bitset",
-    "scenario_fingerprint",
 ]

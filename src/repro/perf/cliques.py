@@ -10,18 +10,16 @@ sets of Bron–Kerbosch become three integers — intersections are single
 set kernel, growing with graph size, while producing bit-identical
 output (same cliques, same canonical order);
 ``tests/test_perf_cliques.py`` holds the two kernels equal on the
-fuzzer's random graphs.
+fuzzer's random graphs.  It is faster on tiny graphs too, so
+:func:`repro.graphs.maximal_cliques` calls it for every graph.
 
 The adjacency masks are built from a precomputed single-bit table
-(``sum`` over neighbor indices); very large graphs route through a numpy
-boolean adjacency matrix with vectorized row packing (``np.packbits``).
+(``sum`` over neighbor indices).
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Sequence, Tuple
-
-import numpy as np
+from typing import FrozenSet, List, Sequence, Tuple
 
 from ..graphs.cliques import clique_vertex_order
 from ..graphs.graph import Graph, Vertex
@@ -29,7 +27,6 @@ from ..obs.registry import incr
 from ..obs.trace import span
 
 __all__ = [
-    "adjacency_matrix",
     "adjacency_bitmasks",
     "maximal_cliques_bitset",
     "bitset_cliques_from_masks",
@@ -41,13 +38,6 @@ except AttributeError:  # pragma: no cover - legacy interpreters
     def _popcount(x: int) -> int:
         return bin(x).count("1")
 
-#: Vertex count from which the numpy packbits mask builder takes over.
-#: Below this the bit-table ``sum`` build wins on every measured graph
-#: (contention graphs up to |V|=327 and dense G(n, 0.5..0.9) up to
-#: n=400); the matrix route is kept for very large dense graphs where
-#: row packing amortizes.
-_NUMPY_BUILD_MIN_VERTICES = 512
-
 #: Pivot-scan budget per Bron–Kerbosch node.  Scanning all of P|X for
 #: the Tomita pivot costs more than the weaker pivot saves: capping at
 #: the first 8 candidates grew the recursion by < 1.2x on every
@@ -56,52 +46,19 @@ _NUMPY_BUILD_MIN_VERTICES = 512
 _PIVOT_SCAN_CAP = 8
 
 
-def adjacency_matrix(
-    graph: Graph, order: Sequence[Vertex] = None
-) -> Tuple[np.ndarray, List[Vertex]]:
-    """Boolean adjacency matrix of ``graph`` in canonical vertex order.
-
-    Returns ``(matrix, order)`` where ``matrix[i, j]`` is True iff the
-    ``i``-th and ``j``-th vertices of ``order`` are adjacent.  ``order``
-    defaults to :func:`repro.graphs.cliques.clique_vertex_order`.
-    """
-    if order is None:
-        order = clique_vertex_order(graph)
-    index = {v: i for i, v in enumerate(order)}
-    n = len(order)
-    matrix = np.zeros((n, n), dtype=bool)
-    for v in order:
-        i = index[v]
-        nbrs = [index[u] for u in graph.neighbors(v)]
-        if nbrs:
-            matrix[i, nbrs] = True
-    return matrix, list(order)
-
-
-def _masks_from_matrix(matrix: np.ndarray) -> List[int]:
-    """Pack each boolean adjacency row into a Python int bitmask."""
-    packed = np.packbits(matrix, axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in packed]
-
-
 def adjacency_bitmasks(
     graph: Graph, order: Sequence[Vertex] = None
 ) -> Tuple[List[int], List[Vertex]]:
     """Per-vertex neighborhood bitmasks in canonical vertex order.
 
     Bit ``j`` of ``masks[i]`` is set iff vertices ``order[i]`` and
-    ``order[j]`` are adjacent.  Very large graphs route through the
-    numpy adjacency matrix (vectorized packing); below the threshold a
-    precomputed single-bit table plus ``sum`` over neighbor indices is
-    faster (each mask is a sum of distinct powers of two, so ``sum``
-    is a union).
+    ``order[j]`` are adjacent.  Each mask is a ``sum`` over a
+    precomputed single-bit table (a sum of distinct powers of two is a
+    union).
     """
     if order is None:
         order = clique_vertex_order(graph)
     n = len(order)
-    if n >= _NUMPY_BUILD_MIN_VERTICES:
-        matrix, order = adjacency_matrix(graph, order)
-        return _masks_from_matrix(matrix), list(order)
     index = {v: i for i, v in enumerate(order)}
     bits = [1 << i for i in range(n)]
     bit_of = bits.__getitem__

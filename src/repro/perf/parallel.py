@@ -8,9 +8,9 @@ merged output is bit-identical to running the same tasks serially:
 * tasks carry their own seeds (each draws from its own
   :class:`~repro.sim.rng.RngRegistry` stream), so no randomness is
   shared across workers;
-* results are merged strictly in submission order (``Executor.map``
-  preserves input order), so downstream aggregation sees exactly the
-  serial sequence;
+* results are merged strictly in submission order, whatever order the
+  workers finish in, so downstream aggregation sees exactly the serial
+  sequence;
 * each worker runs under its own metrics registry and ships a lossless
   :meth:`~repro.obs.registry.MetricsRegistry.mergeable_snapshot` home,
   which the parent folds into the active registry in task order —
@@ -22,19 +22,21 @@ merged output is bit-identical to running the same tasks serially:
   order, so the merged event stream — and any JSONL file it is being
   streamed to — is deterministic and never contains torn lines.
 
-``jobs=1`` (or an unavailable process pool — sandboxes without fork)
-degrades to the plain serial loop over the same function, which is also
-the reference the bit-identity tests compare against.
+``jobs=1``, a single task, or an unavailable process pool (sandboxes
+without fork) degrades to the plain serial loop over the same function,
+which is also the reference the bit-identity tests compare against.
 
-A sweep can additionally be made *fault tolerant* (``task_timeout`` /
-``task_retries`` / an explicit ``serial_fn``): tasks are then submitted
-through a guarded wave loop that detects crashed workers
-(``BrokenProcessPool``), times out hung ones via a stall watchdog,
-retries survivors in a fresh pool with deterministic jittered backoff,
-and finally runs any task that exhausted its retry budget in-process —
-worker faults are environmental, the task function itself is pure, so
-the in-process fallback is exact.  With no fault firing, the guarded
-path returns byte-identical results, metrics, and event streams.
+There is one pool path, a wave loop that tolerates worker faults: it
+detects crashed workers (``BrokenProcessPool``), times out hung ones
+via a stall watchdog (``task_timeout``), retries survivors in a fresh
+pool with deterministic jittered backoff (``task_retries``), and runs
+any task that exhausted its retry budget in-process — worker faults are
+environmental, the task function itself is pure, so the in-process
+fallback is exact.  With the defaults (no timeout, no retries) no stall
+is ever declared and a crashed task finishes in-process; with no fault
+firing, every setting returns byte-identical results, metrics, and
+event streams.  A sweep with a ``task_timeout`` pools even a single
+task, so the faults it is armed against can fire.
 """
 
 from __future__ import annotations
@@ -119,25 +121,19 @@ class ParallelSweep:
         """``[fn(x) for x in items]`` across the pool.
 
         ``serial_fn`` is the in-process twin used whenever a task runs
-        in the parent (jobs=1, pool unavailable, or fault fallback);
-        passing it — or setting ``task_timeout``/``task_retries`` —
-        selects the guarded fault-tolerant pool path.  It must compute
-        exactly what ``fn`` computes minus any worker-only fault shims.
+        in the parent (jobs=1, a single task, pool unavailable, or fault
+        fallback).  It must compute exactly what ``fn`` computes minus
+        any worker-only fault shims.
         """
         items = list(items)
-        guarded = (serial_fn is not None or self.task_timeout is not None
-                   or self.task_retries > 0)
         inproc = serial_fn if serial_fn is not None else fn
-        if self.jobs <= 1 or len(items) <= 1:
+        # One task runs in-process unless the sweep is armed with a
+        # timeout: then it pools, so worker faults can fire.
+        pool_min = 1 if self.task_timeout is not None else 2
+        if self.jobs <= 1 or len(items) < pool_min:
             return self._serial(inproc, items)
-        if guarded:
-            try:
-                return self._guarded(fn, items, inproc)
-            except (ImportError, OSError, PermissionError):
-                incr("perf.parallel.pool_fallbacks")
-                return self._serial(inproc, items)
         try:
-            return self._pooled(fn, items)
+            return self._guarded(fn, items, inproc)
         except (ImportError, OSError, PermissionError):
             # No usable process pool (restricted sandbox): same results,
             # one process.
@@ -167,32 +163,6 @@ class ParallelSweep:
         incr("perf.parallel.serial_runs")
         return results
 
-    def _pooled(self, fn: Callable[[Any], Any],
-                items: Sequence[Any]) -> List[Any]:
-        from concurrent.futures import ProcessPoolExecutor
-
-        parent = get_registry()
-        parent_bus = get_event_bus()
-        results: List[Any] = []
-        with span("perf.parallel.sweep"):
-            with ProcessPoolExecutor(
-                max_workers=min(self.jobs, len(items))
-            ) as pool:
-                # Executor.map yields in submission order regardless of
-                # completion order — the deterministic-merge guarantee.
-                for result, metrics, events in pool.map(
-                    _worker,
-                    [(fn, item, i) for i, item in enumerate(items)],
-                ):
-                    results.append(result)
-                    if parent is not None:
-                        parent.merge_snapshot(metrics)
-                    if parent_bus is not None:
-                        parent_bus.absorb(events)
-        incr("perf.parallel.tasks", len(items))
-        incr("perf.parallel.pool_runs")
-        return results
-
     def _guarded(self, fn: Callable[[Any], Any], items: Sequence[Any],
                  serial_fn: Callable[[Any], Any]) -> List[Any]:
         """Fault-tolerant pooled map: crash/hang detection + retries.
@@ -202,14 +172,16 @@ class ParallelSweep:
         if no future completes for ``task_timeout`` seconds, whatever is
         still outstanding is declared hung, the pool is abandoned
         (``shutdown(wait=False)`` — never join a hung worker), and the
-        stragglers go into the next wave.  ``BrokenProcessPool`` marks
-        the wave's unfinished tasks as crashed, with the same retry
-        treatment.  A task that fails ``task_retries + 1`` pool attempts
-        runs in-process via ``serial_fn``.  Genuine task exceptions are
-        never retried; the lowest-index one is re-raised after every
-        task resolves, matching serial semantics.  Results, metrics, and
-        events merge in submission order, so a fault-free guarded run is
-        byte-identical to the classic pooled path.
+        stragglers go into the next wave.  Every other wave joins its
+        pool, so a fault-free map leaves no live worker behind.
+        ``BrokenProcessPool`` marks the wave's unfinished tasks as
+        crashed, with the same retry treatment.  A task that fails
+        ``task_retries + 1`` pool attempts runs in-process via
+        ``serial_fn``.  Genuine task exceptions are never retried; the
+        lowest-index one is re-raised after every task resolves,
+        matching serial semantics.  Results, metrics, and events merge
+        in submission order, so a fault-free run is byte-identical to
+        the serial loop.
         """
         from concurrent.futures import (
             FIRST_COMPLETED, ProcessPoolExecutor, wait,
@@ -269,7 +241,7 @@ class ParallelSweep:
                     pending = []
                     break
                 outstanding = set(future_task)
-                crashed = False
+                crashed = stalled = False
                 while outstanding:
                     done, outstanding = wait(
                         outstanding, timeout=self.task_timeout,
@@ -281,6 +253,7 @@ class ParallelSweep:
                         # starved behind a hung worker.
                         incr("perf.parallel.task_timeouts",
                              len(outstanding))
+                        stalled = True
                         break
                     for future in done:
                         i = future_task[future]
@@ -294,7 +267,7 @@ class ParallelSweep:
                             finished[i] = True
                     if crashed:
                         break
-                pool.shutdown(wait=False, cancel_futures=True)
+                pool.shutdown(wait=not stalled, cancel_futures=True)
                 if crashed:
                     incr("perf.parallel.task_crashes")
                 failed = [i for i in pending if not finished[i]]

@@ -239,7 +239,7 @@ def _solve_component(problem: ComponentProblem) -> List[float]:
 
 
 def _solve_component_guarded(payload) -> List[float]:
-    """Pool entry for fault-injected runs: ``(problem, spec | None)``.
+    """Pool entry of every dirty solve: ``(problem, spec | None)``.
 
     The spec (a :class:`~repro.resilience.faults.WorkerFaultSpec`, duck
     typed to avoid an import cycle) misbehaves *inside the worker* —
@@ -292,9 +292,9 @@ class ShardedSolver:
     ) -> None:
         self.backend = backend
         self.jobs = jobs
-        # Fault-tolerance knobs: any of these selects the guarded sweep
-        # path (crash detection, stall timeout, bounded retry, serial
-        # fallback).  ``fault_injector`` is a
+        # Fault-tolerance knobs of the sweep (stall timeout, bounded
+        # retry; a ``task_timeout`` also pools a single dirty shape so
+        # armed faults can fire).  ``fault_injector`` is a
         # :class:`~repro.resilience.faults.WorkerFaultInjector` (duck
         # typed: anything with ``spec_for(position, total)``) used by
         # chaos campaigns to make workers misbehave on purpose.
@@ -381,31 +381,27 @@ class ShardedSolver:
         self, dirty: List[ComponentProblem]
     ) -> List[List[float]]:
         """Solve one problem per missing shape across the pool
-        (in-process when the sweep runs serial: one job or one dirty
-        shape); worker fault specs index this de-duplicated list."""
-        guarded = (self.task_timeout is not None
-                   or self.task_retries > 0
-                   or self.fault_injector is not None)
+        (in-process when the sweep runs serial: one job, or one dirty
+        shape and no ``task_timeout``); worker fault specs index this
+        de-duplicated list."""
         sweep = ParallelSweep(
             self.jobs,
             task_timeout=self.task_timeout,
             task_retries=self.task_retries,
             retry_backoff_s=self.retry_backoff_s,
         )
+        injector = self.fault_injector
+        payloads = [
+            (p,
+             injector.spec_for(pos, len(dirty))
+             if injector is not None else None)
+            for pos, p in enumerate(dirty)
+        ]
         try:
-            if guarded:
-                injector = self.fault_injector
-                payloads = [
-                    (p,
-                     injector.spec_for(pos, len(dirty))
-                     if injector is not None else None)
-                    for pos, p in enumerate(dirty)
-                ]
-                return sweep.map(
-                    _solve_component_guarded, payloads,
-                    serial_fn=_solve_component_unguarded,
-                )
-            return sweep.map(_solve_component, dirty)
+            return sweep.map(
+                _solve_component_guarded, payloads,
+                serial_fn=_solve_component_unguarded,
+            )
         except ShardResultError as exc:
             incr("runtime.shard.worker_errors")
             if exc.span_id is None:

@@ -124,10 +124,6 @@ class ChurnTimeline:
             tuple(sorted(self.events, key=ChurnEvent.sort_key)),
         )
 
-    @property
-    def quiet(self) -> bool:
-        return not self.events
-
     def epoch_events(self, epoch: int) -> List[ChurnEvent]:
         """Events taking effect at ``epoch``, in canonical order."""
         return [e for e in self.events if e.epoch == epoch]

@@ -40,8 +40,7 @@ index, events)``:
    lives on only as a test oracle), or full 2PA-D through the resilience
    stack (lossy channel, degradation ladder, LP fallback chain) with a
    per-epoch fault plan drawn from a *fresh* seeded registry, so replay
-   after restore consumes identical randomness; lossless 2PA-D results
-   are memoized per active set.
+   after restore consumes identical randomness.
 6. **Dampen.**  With ``hysteresis=h``, a flow's share moves at most a
    fraction ``h`` per epoch (no flapping), but never below
    ``min(solver share, basic floor)``; a damped allocation is re-passed
@@ -61,7 +60,6 @@ from the last checkpoint and replays to a bitwise-identical state
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import (
     Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple,
@@ -111,14 +109,6 @@ def _link_key(a: str, b: str) -> Tuple[str, str]:
     return (a, b) if a <= b else (b, a)
 
 
-def _topo_key_str(down_links: Iterable[Tuple[str, str]],
-                  down_nodes: Iterable[str]) -> str:
-    return json.dumps(
-        [sorted([a, b] for a, b in down_links), sorted(down_nodes)],
-        separators=(",", ":"),
-    )
-
-
 @dataclass(frozen=True)
 class RuntimeConfig:
     """Knobs of one runtime; serialized into every checkpoint.
@@ -132,9 +122,9 @@ class RuntimeConfig:
     only break payload equality between differently-parallel replicas.
 
     There is one solve pipeline: universe-restricted contention, the
-    component-sharded centralized solve, the active-set memo for
-    lossless 2PA-D, and per-epoch validation always run.  The monolithic
-    2PA-C solve they are bitwise equal to is a test oracle
+    component-sharded centralized solve (or 2PA-D), and per-epoch
+    validation always run.  The monolithic 2PA-C solve they are bitwise
+    equal to is a test oracle
     (:func:`repro.verify.oracles.cold_journal_mismatches`).
     :meth:`from_dict` ignores the keys of earlier, configurable
     pipelines, so their checkpoints still load.
@@ -303,7 +293,6 @@ class _TopologyState:
     ) -> None:
         self.down_links = frozenset(_link_key(a, b) for a, b in down_links)
         self.down_nodes = frozenset(down_nodes)
-        self.key_str = _topo_key_str(self.down_links, self.down_nodes)
         self.pristine = not self.down_links and not self.down_nodes
         self.routed: Dict[str, Flow] = {}
         self.unroutable: Dict[str, str] = {}
@@ -408,8 +397,6 @@ class AllocatorRuntime:
             max_queue=self.config.max_queue,
             max_queue_age=self.config.max_queue_age,
         )
-        #: Lossless 2PA-D shares per ``(topology, active set)``.
-        self._memo: Dict[Tuple[str, frozenset], Dict] = {}
         #: Component-sharded centralized solver; its per-component memo
         #: serves unchanged components across epochs.
         self._shard: Optional[ShardedSolver] = (
@@ -553,8 +540,8 @@ class AllocatorRuntime:
 
         Convenience for callers that think in active *sets* rather than
         event streams (the dynamic experiment).  Always advances one
-        epoch, even on a no-op diff — a re-solve of an unchanged set is
-        memoized, so the cost is one cache hit.
+        epoch, even on a no-op diff — in centralized mode the shard memo
+        serves an unchanged set without a dirty solve.
         """
         wanted = set(flow_ids)
         unknown = wanted - set(self._base_index)
@@ -758,8 +745,8 @@ class AllocatorRuntime:
         self, epoch: int, topo: _TopologyState, active: Set[str],
         clamp_basic: bool = False,
     ):
-        # Phase 5 — SOLVE: sharded centralized LP, 2PA-D memo hit, or
-        # full 2PA-D, tagged with the path taken.
+        # Phase 5 — SOLVE: sharded centralized LP or full 2PA-D, tagged
+        # with the path taken.
         with span("runtime.phase.solve") as solve_span:
             self._tick("solve")
             ids = topo.ordered(active)
@@ -770,9 +757,6 @@ class AllocatorRuntime:
             analysis = topo.contention.analysis_for(
                 ids, name=f"{self.scenario.name}-active"
             )
-            lossless = (self.config.loss == 0.0
-                        and self.config.crash_prob == 0.0)
-            memo_key = (topo.key_str, frozenset(ids))
             convergence: Dict[str, object] = {}
 
             if clamp_basic:
@@ -797,8 +781,7 @@ class AllocatorRuntime:
                 status = "converged"
                 stats = self._shard.last_stats
                 if stats.get("components", 0) and not stats.get("dirty", 0):
-                    # Fully memo-served epoch — the sharded analogue of
-                    # a global memo hit.
+                    # Fully memo-served epoch: no component was solved.
                     incr("runtime.alloc.memo_hits")
                 solve_span.tag(
                     path="sharded",
@@ -806,12 +789,6 @@ class AllocatorRuntime:
                     dirty=int(stats.get("dirty", 0)),
                     reused=int(stats.get("reused", 0)),
                 )
-            elif lossless and memo_key in self._memo:
-                entry = self._memo[memo_key]
-                raw = dict(entry["shares"])
-                status = str(entry["status"])
-                incr("runtime.alloc.memo_hits")
-                solve_span.tag(path="memo")
             else:
                 # Distributed 2PA-D through the PR-4 resilience stack.  A
                 # fresh registry per epoch keyed only by (seed, prefix,
@@ -820,7 +797,7 @@ class AllocatorRuntime:
                 # before.
                 registry = RngRegistry(self.config.seed)
                 prefix = tuple(self.config.stream_prefix) + (epoch,)
-                if lossless:
+                if self.config.loss == 0.0 and self.config.crash_prob == 0.0:
                     plan = FaultPlan()
                 else:
                     plan = FaultPlan.draw(
@@ -855,9 +832,6 @@ class AllocatorRuntime:
                         if not info.get("confirmed")
                     ),
                 }
-                if lossless:
-                    self._memo[memo_key] = {"shares": dict(raw),
-                                            "status": status}
                 solve_span.tag(path="distributed")
             solve_span.tag(flows=len(ids), status=status)
 
@@ -996,14 +970,6 @@ class AllocatorRuntime:
         structure is not cached state: each topology re-derives it from
         the scenario.
         """
-        memo = [
-            {
-                "key": [tk, sorted(ids)],
-                "shares": dict(entry["shares"]),
-                "status": entry["status"],
-            }
-            for (tk, ids), entry in self._memo.items()
-        ]
         return {
             "scenario": scenario_to_dict(self.scenario),
             "config": self.config.to_dict(),
@@ -1018,7 +984,6 @@ class AllocatorRuntime:
             "admission": self.admission.snapshot(),
             "last_convergence": dict(self.last_convergence),
             "caches": {
-                "memo": memo,
                 "shard": (self._shard.dump_state()
                           if self._shard is not None else None),
             },
@@ -1085,13 +1050,6 @@ class AllocatorRuntime:
         caches = payload.get("caches", {})
         if rt._shard is not None and caches.get("shard"):
             rt._shard.load_state(caches["shard"])
-        for entry in caches.get("memo") or []:
-            tk, ids = entry["key"]
-            rt._memo[(str(tk), frozenset(str(f) for f in ids))] = {
-                "shares": {str(k): float(v)
-                           for k, v in entry["shares"].items()},
-                "status": str(entry["status"]),
-            }
         expected = payload.get("contention_edges")
         if expected is not None:
             actual = rt._current_edges()

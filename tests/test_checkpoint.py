@@ -136,10 +136,12 @@ class _SimulatedCrash(BaseException):
 
 
 #: (scenario factory, mode, loss) — covers the centralized LP path, the
-#: lossy distributed 2PA-D path, and a larger centralized topology.
+#: lossy and lossless distributed 2PA-D paths, and a larger centralized
+#: topology.
 CRASH_MATRIX = [
     ("fig1", fig1.make_scenario, "centralized", 0.0),
     ("fig4", fig4.make_scenario, "distributed", 0.2),
+    ("fig4-lossless", fig4.make_scenario, "distributed", 0.0),
     ("fig6", fig6.make_scenario, "centralized", 0.0),
 ]
 
@@ -263,8 +265,9 @@ class TestCrashRestoreDifferential:
     def test_checkpoint_with_retired_keys_restores(self, tmp_path):
         """Checkpoints written when the runtime still had configurable
         solve modes carry their keys, no shard memo, a per-topology
-        clique-cache dump, and a warm-start LP basis dump; they restore,
-        ignore all four, and replay to the uninterrupted run's state."""
+        clique-cache dump, a warm-start LP basis dump, and a lossless
+        2PA-D memo; they restore, ignore all five, and replay to the
+        uninterrupted run's state."""
         scenario, timeline, baseline, payload, crash_at = (
             self._crashed_fig6(tmp_path)
         )
@@ -298,6 +301,14 @@ class TestCrashRestoreDifferential:
             "bases": [[[variables, supports], basis]],
             "latest": [[variables, supports, basis]],
         }
+        assert "memo" not in payload["caches"]
+        # The lossless 2PA-D memo layout: shares and status per
+        # (topology key, active set).
+        payload["caches"]["memo"] = [{
+            "key": ["[[],[]]", ["2", "3"]],
+            "shares": {"2": 0.5, "3": 0.5},
+            "status": "converged",
+        }]
         legacy = str(tmp_path / "legacy.ckpt.json")
         save_checkpoint(payload, legacy)
 
@@ -306,6 +317,7 @@ class TestCrashRestoreDifferential:
         assert restored.config == RuntimeConfig(
             seed=3, checkpoint_path=legacy
         )
+        assert "memo" not in restored.state_payload()["caches"]
         restored.run_timeline(timeline)
 
         def state(runtime):

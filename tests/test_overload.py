@@ -438,6 +438,23 @@ class TestWorkerFaultEquivalence:
         )
         assert _solve_or_error(stressed, analysis) == reference
 
+    def test_armed_single_shape_solve_still_pools(self):
+        # fig1 is one contending group, so the solve has one dirty
+        # shape; an armed sweep pools it anyway, so the crash fires.
+        analysis = ContentionAnalysis(fig1.make_scenario())
+        reference = ShardedSolver(jobs=1).solve(analysis)
+        injector = WorkerFaultInjector(
+            crashes=(WorkerCrash(component=0, attempts=1),)
+        )
+        stressed = ShardedSolver(
+            jobs=2, task_timeout=5.0, task_retries=2,
+            fault_injector=injector,
+        )
+        with using_registry(MetricsRegistry()) as reg:
+            assert stressed.solve(analysis) == reference
+            assert stressed.last_stats["dirty"] == 1
+            assert reg.counters["perf.parallel.task_crashes"].value >= 1
+
     def test_worker_hang_matches_serial_solve(self):
         # fig4 has four contending groups, so jobs=2 really fans out to
         # the pool and the hang can bite a live worker.

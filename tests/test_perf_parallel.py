@@ -2,6 +2,7 @@
 ordered merging, and worker-metric folding."""
 
 import json
+import multiprocessing
 
 from repro.experiments.ablations import scaling_study
 from repro.obs.registry import MetricsRegistry, using_registry
@@ -173,6 +174,20 @@ class TestGuardedFaultTolerance:
             square, items, serial_fn=square
         )
         assert guarded == classic == [x * x for x in items]
+
+    def test_fault_free_map_joins_its_workers(self):
+        before = set(multiprocessing.active_children())
+        for sweep in (ParallelSweep(2),
+                      ParallelSweep(2, task_timeout=30.0, task_retries=2)):
+            assert sweep.map(square, list(range(4))) == [0, 1, 4, 9]
+            assert set(multiprocessing.active_children()) <= before
+
+    def test_armed_sweep_pools_a_single_task(self):
+        with using_registry() as reg:
+            out = ParallelSweep(2, task_timeout=30.0).map(square, [3])
+        assert out == [9]
+        assert reg.counters["perf.parallel.pool_runs"].value == 1
+        assert "perf.parallel.serial_runs" not in reg.counters
 
     def test_hung_task_times_out_and_retries(self, tmp_path):
         token = str(tmp_path / "hang.tokens")
