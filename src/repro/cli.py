@@ -176,10 +176,11 @@ def build_parser() -> argparse.ArgumentParser:
                         "the churn safety invariants (failures shrink "
                         "the timeline)")
     p.add_argument("--backend", choices=("simplex", "revised"),
-                   default="simplex",
-                   help="float LP solver under test (default simplex); "
-                        "'revised' fuzzes the sparse revised-simplex "
-                        "backend against the same exact-Fraction oracle")
+                   default="revised",
+                   help="float LP solver under test (default revised, "
+                        "the production backend); 'simplex' fuzzes the "
+                        "dense tableau reference against the same "
+                        "exact-Fraction oracle")
     p.add_argument("--sharded", action="store_true",
                    help="also run the component-sharded differential "
                         "axis: ShardedSolver at jobs=1/2 vs the "

@@ -21,10 +21,9 @@ optima — reproducing the (3B/4, B/4, 3B/8, 3B/8) example of Sec. III.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from ..lp import LinearProgram, LPSolution, lexicographic_maxmin, solve
-from .bounds import fairness_upper_bound
 from .contention import ContentionAnalysis
 from .fairness_defs import basic_shares, naive_subflow_shares
 from .model import Flow, SubflowId
@@ -137,7 +136,7 @@ def build_basic_fairness_lp(
 def basic_fairness_lp_allocation(
     analysis: ContentionAnalysis,
     capacity: float = None,
-    backend: str = "simplex",
+    backend: str = "revised",
     refine_maxmin: bool = True,
 ) -> AllocationResult:
     """Prop. 2: maximize total effective throughput under basic fairness.
@@ -178,7 +177,7 @@ def basic_fairness_lp_allocation(
 def single_hop_optimal_allocation(
     analysis: ContentionAnalysis,
     capacity: float = None,
-    backend: str = "simplex",
+    backend: str = "revised",
 ) -> AllocationResult:
     """Two-tier analysis: per-*subflow* shares, single-hop objective.
 
@@ -256,7 +255,7 @@ def total_single_hop_throughput(result: AllocationResult) -> float:
 def feasible_fairness_allocation(
     analysis: ContentionAnalysis,
     capacity: float = None,
-    backend: str = "simplex",
+    backend: str = "revised",
 ) -> AllocationResult:
     """The *achievable* fairness-constrained optimum.
 

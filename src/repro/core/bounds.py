@@ -11,7 +11,7 @@ but not always (the pentagon of Fig. 5).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Sequence
+from typing import Dict, Sequence
 
 from .contention import ContentionAnalysis
 from .model import Flow

@@ -20,7 +20,7 @@ is testable on its own.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Sequence
+from typing import Dict, List
 
 from .allocation import AllocationResult, basic_fairness_lp_allocation
 from .contention import ContentionAnalysis
@@ -91,7 +91,7 @@ class CentralizedCoordinator:
         broadcast = coordinator.broadcast() # node -> its subflow shares
     """
 
-    def __init__(self, scenario: Scenario, backend: str = "simplex") -> None:
+    def __init__(self, scenario: Scenario, backend: str = "revised") -> None:
         self.scenario = scenario
         self.backend = backend
         self.reports = collect_flow_reports(scenario)
@@ -133,7 +133,7 @@ class CentralizedCoordinator:
 
 
 def run_centralized(
-    scenario: Scenario, backend: str = "simplex"
+    scenario: Scenario, backend: str = "revised"
 ) -> AllocationResult:
     """One-shot convenience wrapper around the coordinator."""
     return CentralizedCoordinator(scenario, backend).run()

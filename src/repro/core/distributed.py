@@ -38,15 +38,15 @@ constraint views.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Mapping, Sequence, Set
+from typing import Dict, FrozenSet, List, Mapping, Set
 
 from ..graphs import maximal_cliques
-from ..lp import LinearProgram, LPSolution, lexicographic_maxmin, solve
+from ..lp import LinearProgram, LPSolution, lexicographic_maxmin
 from ..obs.registry import incr, observe, set_gauge
 from ..obs.trace import span
 from .allocation import AllocationResult
 from .contention import ContentionAnalysis
-from .model import Flow, Network, NodeId, Scenario, Subflow, SubflowId
+from .model import NodeId, Scenario, SubflowId
 
 Clique = FrozenSet[SubflowId]
 
@@ -88,7 +88,7 @@ class DistributedAllocator:
     def __init__(
         self,
         scenario: Scenario,
-        backend: str = "simplex",
+        backend: str = "revised",
         analysis: ContentionAnalysis = None,
         channel=None,
     ) -> None:
@@ -443,7 +443,7 @@ class DistributedAllocator:
 
 def run_distributed(
     scenario: Scenario,
-    backend: str = "simplex",
+    backend: str = "revised",
     analysis: ContentionAnalysis = None,
     channel=None,
 ) -> AllocationResult:

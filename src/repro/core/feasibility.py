@@ -21,7 +21,7 @@ computes how far a given share vector can actually be realized.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Tuple
 
 from ..graphs import Graph, maximal_independent_sets
 from ..lp import LinearProgram, solve
@@ -47,7 +47,7 @@ def check_schedulability(
     graph: Graph,
     subflow_rates: Mapping[SubflowId, float],
     capacity: float = 1.0,
-    backend: str = "simplex",
+    backend: str = "revised",
 ) -> FeasibilityReport:
     """Fractional-schedule feasibility of per-subflow rates.
 
@@ -98,7 +98,7 @@ def check_allocation_schedulability(
     analysis: ContentionAnalysis,
     flow_shares: Mapping[str, float],
     capacity: float = None,
-    backend: str = "simplex",
+    backend: str = "revised",
 ) -> FeasibilityReport:
     """Schedulability of an equal-per-hop flow allocation.
 
@@ -118,7 +118,7 @@ def max_feasible_scaling(
     graph: Graph,
     subflow_rates: Mapping[SubflowId, float],
     capacity: float = 1.0,
-    backend: str = "simplex",
+    backend: str = "revised",
 ) -> float:
     """Largest λ such that ``λ · rates`` is schedulable.
 

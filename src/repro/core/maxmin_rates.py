@@ -28,7 +28,7 @@ Two entry points:
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from .allocation import AllocationResult
 from .contention import ContentionAnalysis

@@ -16,7 +16,7 @@ These go beyond the paper's tables and probe *why* 2PA behaves as it does:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from ..core import (
     ContentionAnalysis,
@@ -28,8 +28,7 @@ from ..core import (
     satisfies_basic_fairness,
 )
 from ..mac import MacTimings
-from ..net.queues import DEFAULT_CAPACITY
-from ..sched import build_2pa, build_80211, build_two_tier
+from ..sched import build_2pa, build_80211
 from ..scenarios import fig1, fig3, make_random_scenario
 
 

@@ -25,9 +25,9 @@ each epoch's active flows (asserted in ``tests/test_perf_incremental.py``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
-from ..core.model import Flow, Scenario, SubflowId
+from ..core.model import Scenario, SubflowId
 from ..mac import MacTimings
 from ..mac.policies import FairBackoffPolicy
 from ..resilience.runtime import AllocatorRuntime, RuntimeConfig

@@ -8,10 +8,10 @@ and the two simulation tables with the paper's reference values inline.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..core import ContentionAnalysis
-from ..scenarios import fig1, fig6
+from ..scenarios import fig1
 from .simulation_tables import run_table2, run_table3
 from .table1 import run_table1
 from .visualize import render_contention_matrix, render_topology

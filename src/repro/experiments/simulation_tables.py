@@ -14,7 +14,7 @@ stabilize within a few seconds of simulated time.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from ..core.model import Scenario, SubflowId
 from ..mac import MacTimings

@@ -17,11 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List
 
-from ..core import (
-    ContentionAnalysis,
-    DistributedAllocator,
-    run_centralized,
-)
+from ..core import DistributedAllocator, run_centralized
 from ..core.distributed import LocalProblem
 from ..scenarios import fig6
 

@@ -9,10 +9,10 @@ charts for allocations and measured throughput.  These back the
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import List, Mapping, Optional, Sequence
 
 from ..core.contention import ContentionAnalysis
-from ..core.model import Network, Scenario, SubflowId
+from ..core.model import Scenario, SubflowId
 
 
 def render_topology(

@@ -10,7 +10,7 @@ the bitset kernel of :mod:`repro.perf.cliques`, and the set-based
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Hashable, Iterable, List, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
 
 from .graph import Graph, Vertex
 

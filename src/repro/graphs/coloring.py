@@ -15,7 +15,7 @@ coloring is also provided for arbitrary contention graphs.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Sequence
+from typing import Dict, List, Sequence
 
 from .graph import Graph, Vertex
 

@@ -13,7 +13,7 @@ depend on an external graph package.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Hashable, Iterable, Iterator, List, Set, Tuple
 
 Vertex = Hashable
 

@@ -1,24 +1,26 @@
-"""Solver front-end: from-scratch simplex by default, scipy as cross-check.
+"""Solver front-end: the revised simplex by default, references beside it.
 
 ``solve(lp)`` is the single entry point used by the allocation algorithms.
-The default backend is the library's own dense simplex implementation;
-``"revised"`` selects the sparse revised-simplex backend (same contract,
-built for large instances); the scipy backend exists so tests (and
-cautious users) can verify the from-scratch solvers agree on every LP the
-paper's algorithms generate.  A backend is any callable
-``LinearProgram -> LPSolution``; every solve starts cold (phase 1 from
-the slack basis), so a backend carries no state between solves.
+The default backend is ``"revised"``, the library's own sparse revised
+simplex, which is also the only backend that runs a small lexicographic
+max-min call on one warm session
+(:meth:`~repro.lp.revised.RevisedBackend.maxmin_session`) and batches a
+larger call's saturation probes (``probe_max_values``).  ``"simplex"``
+selects the dense tableau, kept as the explicit reference the
+differential checks compare against; the scipy backend exists so tests
+(and cautious users) can verify the from-scratch solvers agree on every
+LP the paper's algorithms generate.  A backend is any callable
+``LinearProgram -> LPSolution``; every ``solve`` starts cold (phase 1
+from the slack basis), so a backend carries no state between solves.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Dict, Tuple, Union
 
-import numpy as np
-
 from ..obs.registry import incr
 from .problem import LinearProgram, LPSolution
-from .revised import RevisedBackend, solve_revised
+from .revised import RevisedBackend
 from .simplex import solve_simplex
 
 Backend = Callable[[LinearProgram], LPSolution]
@@ -38,9 +40,9 @@ def resolve_backend(backend: BackendSpec) -> Tuple[Backend, str]:
     ``backend`` is either a registered backend name or a callable
     ``LinearProgram -> LPSolution`` (e.g. the fallback chain
     :class:`repro.resilience.degrade.ResilientLPBackend`).  Callers that
-    can exploit optional capabilities — :func:`repro.lp.maxmin`'s
-    batched saturation probes look for a ``probe_max_values`` method —
-    should resolve once and inspect the returned callable.
+    can exploit optional capabilities — :func:`repro.lp.maxmin` looks for
+    ``maxmin_session`` and ``probe_max_values`` methods — should resolve
+    once and inspect the returned callable.
     """
     if callable(backend):
         return backend, getattr(backend, "__name__", "custom")
@@ -53,9 +55,9 @@ def resolve_backend(backend: BackendSpec) -> Tuple[Backend, str]:
         ) from None
 
 
-def solve(lp: LinearProgram, backend: BackendSpec = "simplex") \
+def solve(lp: LinearProgram, backend: BackendSpec = "revised") \
         -> LPSolution:
-    """Solve ``lp`` with the requested backend (default: own simplex).
+    """Solve ``lp`` with the requested backend (default: ``revised``).
 
     ``backend`` is a registered backend name (``simplex``, ``revised``,
     ``scipy``) or a callable ``LinearProgram -> LPSolution``; callables
@@ -120,6 +122,6 @@ def cross_check(lp: LinearProgram, tol: float = 1e-7) -> LPSolution:
 
 register_backend("simplex", solve_simplex)
 register_backend("scipy", solve_scipy)
-# A RevisedBackend *instance* (not the bare function) so capability
-# probes — maxmin's batched saturation solves — find probe_max_values.
+# A RevisedBackend *instance* (not the bare function) so the capability
+# probes in lexicographic_maxmin find maxmin_session and probe_max_values.
 register_backend("revised", RevisedBackend())

@@ -18,13 +18,14 @@ index/value-array representation the revised simplex needs:
 Everything is plain numpy; scipy is only touched by the LU
 factorization in :mod:`repro.lp.revised`.  The hypothesis suite in
 ``tests/test_lp_sparse.py`` pins these classes against their dense numpy
-equivalents (build round-trip, slicing, matvec/rmatvec).
+equivalents (builders, CSC conversion, matvec/rmatvec).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from functools import cached_property
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -54,41 +55,32 @@ class CSRMatrix:
     # Construction
     # ------------------------------------------------------------------
     @classmethod
-    def from_dense(cls, dense: np.ndarray) -> "CSRMatrix":
-        dense = np.asarray(dense, dtype=float)
-        if dense.ndim != 2:
-            raise ValueError("from_dense expects a 2-D array")
-        m, n = dense.shape
-        indptr = np.zeros(m + 1, dtype=np.int64)
-        cols, vals = [], []
-        for i in range(m):
-            nz = np.flatnonzero(dense[i])
-            indptr[i + 1] = indptr[i] + nz.size
-            cols.append(nz)
-            vals.append(dense[i, nz])
-        indices = (np.concatenate(cols) if cols
-                   else np.zeros(0, dtype=np.int64))
-        data = np.concatenate(vals) if vals else np.zeros(0)
-        return cls(m, n, indptr, indices.astype(np.int64), data)
+    def from_coo(cls, num_rows: int, num_cols: int, rows, cols,
+                 data) -> "CSRMatrix":
+        """Build from coordinate triples (at most one per position)."""
+        rows = np.asarray(rows, dtype=np.int64)
+        cols = np.asarray(cols, dtype=np.int64)
+        order = np.lexsort((cols, rows))
+        indptr = np.zeros(num_rows + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=num_rows), out=indptr[1:])
+        return cls(num_rows, int(num_cols), indptr, cols[order],
+                   np.asarray(data, dtype=float)[order])
 
     @classmethod
     def from_rows(
         cls, rows: Sequence[Sequence[Tuple[int, float]]], num_cols: int
     ) -> "CSRMatrix":
         """Build from per-row ``(col, value)`` pairs (zeros dropped)."""
-        indptr = np.zeros(len(rows) + 1, dtype=np.int64)
-        cols, vals = [], []
+        r: List[int] = []
+        c: List[int] = []
+        v: List[float] = []
         for i, row in enumerate(rows):
-            entries = sorted((int(j), float(v)) for j, v in row
-                             if float(v) != 0.0)
-            indptr[i + 1] = indptr[i] + len(entries)
-            cols.extend(j for j, _ in entries)
-            vals.extend(v for _, v in entries)
-        return cls(
-            len(rows), int(num_cols), indptr,
-            np.asarray(cols, dtype=np.int64),
-            np.asarray(vals, dtype=float),
-        )
+            for j, value in row:
+                if value:
+                    r.append(i)
+                    c.append(j)
+                    v.append(value)
+        return cls.from_coo(len(rows), num_cols, r, c, v)
 
     # ------------------------------------------------------------------
     # Views and conversions
@@ -101,76 +93,11 @@ class CSRMatrix:
     def nnz(self) -> int:
         return int(self.indices.size)
 
-    def to_dense(self) -> np.ndarray:
-        out = np.zeros((self.num_rows, self.num_cols))
-        row_of = np.repeat(
-            np.arange(self.num_rows), np.diff(self.indptr)
-        )
-        out[row_of, self.indices] = self.data
-        return out
-
-    def row(self, i: int) -> Tuple[np.ndarray, np.ndarray]:
-        """``(column indices, values)`` of row ``i`` (views, not copies)."""
-        lo, hi = int(self.indptr[i]), int(self.indptr[i + 1])
-        return self.indices[lo:hi], self.data[lo:hi]
-
-    def select_rows(self, rows: Sequence[int]) -> "CSRMatrix":
-        """A new CSRMatrix of the given rows, in the given order."""
-        rows = [int(i) for i in rows]
-        indptr = np.zeros(len(rows) + 1, dtype=np.int64)
-        chunks_i, chunks_v = [], []
-        for k, i in enumerate(rows):
-            idx, val = self.row(i)
-            indptr[k + 1] = indptr[k] + idx.size
-            chunks_i.append(idx)
-            chunks_v.append(val)
-        indices = (np.concatenate(chunks_i) if chunks_i
-                   else np.zeros(0, dtype=np.int64))
-        data = np.concatenate(chunks_v) if chunks_v else np.zeros(0)
-        return CSRMatrix(len(rows), self.num_cols, indptr, indices, data)
-
-    def select_columns(self, cols: Sequence[int]) -> "CSRMatrix":
-        """A new CSRMatrix of the given columns, in the given order."""
-        cols = [int(j) for j in cols]
-        remap = -np.ones(self.num_cols, dtype=np.int64)
-        for new_j, old_j in enumerate(cols):
-            remap[old_j] = new_j
-        keep = remap[self.indices] >= 0
-        new_indices = remap[self.indices[keep]]
-        new_data = self.data[keep]
-        row_of = np.repeat(
-            np.arange(self.num_rows), np.diff(self.indptr)
-        )[keep]
-        kept_per_row = np.bincount(row_of, minlength=self.num_rows) \
-            if row_of.size else np.zeros(self.num_rows, dtype=np.int64)
-        indptr = np.zeros(self.num_rows + 1, dtype=np.int64)
-        np.cumsum(kept_per_row, out=indptr[1:])
-        # Re-sort each row by the new column order.
-        out_i = np.empty_like(new_indices)
-        out_v = np.empty_like(new_data)
-        for i in range(self.num_rows):
-            lo, hi = int(indptr[i]), int(indptr[i + 1])
-            order = np.argsort(new_indices[lo:hi], kind="stable")
-            out_i[lo:hi] = new_indices[lo:hi][order]
-            out_v[lo:hi] = new_data[lo:hi][order]
-        return CSRMatrix(self.num_rows, len(cols), indptr, out_i, out_v)
-
     def to_csc(self) -> "CSCMatrix":
-        order = np.lexsort((
+        return CSCMatrix.from_coo(
+            self.num_rows, self.num_cols,
             np.repeat(np.arange(self.num_rows), np.diff(self.indptr)),
-            self.indices,
-        )) if self.nnz else np.zeros(0, dtype=np.int64)
-        rows = np.repeat(
-            np.arange(self.num_rows), np.diff(self.indptr)
-        )[order]
-        data = self.data[order]
-        cols = self.indices[order]
-        indptr = np.zeros(self.num_cols + 1, dtype=np.int64)
-        np.add.at(indptr, cols + 1, 1)
-        np.cumsum(indptr, out=indptr)
-        return CSCMatrix(
-            self.num_rows, self.num_cols, indptr,
-            rows.astype(np.int64), data,
+            self.indices, self.data,
         )
 
     # ------------------------------------------------------------------
@@ -217,6 +144,17 @@ class CSCMatrix:
     indices: np.ndarray
     data: np.ndarray
 
+    @classmethod
+    def from_coo(cls, num_rows: int, num_cols: int, rows: np.ndarray,
+                 cols: np.ndarray, data: np.ndarray) -> "CSCMatrix":
+        """Build from coordinate triples (at most one per position)."""
+        order = np.lexsort((rows, cols))
+        indptr = np.zeros(num_cols + 1, dtype=np.int64)
+        np.cumsum(np.bincount(cols, minlength=num_cols), out=indptr[1:])
+        return cls(num_rows, num_cols, indptr,
+                   np.asarray(rows, dtype=np.int64)[order],
+                   np.asarray(data, dtype=float)[order])
+
     @property
     def shape(self) -> Tuple[int, int]:
         return (self.num_rows, self.num_cols)
@@ -225,28 +163,32 @@ class CSCMatrix:
     def nnz(self) -> int:
         return int(self.indices.size)
 
+    @cached_property
+    def _col_of(self) -> np.ndarray:
+        return np.repeat(np.arange(self.num_cols), np.diff(self.indptr))
+
     def column(self, j: int) -> Tuple[np.ndarray, np.ndarray]:
         """``(row indices, values)`` of column ``j`` (views, not copies)."""
         lo, hi = int(self.indptr[j]), int(self.indptr[j + 1])
         return self.indices[lo:hi], self.data[lo:hi]
 
     def to_dense(self) -> np.ndarray:
+        """The dense matrix (the revised backend prices small forms
+        densely)."""
         out = np.zeros((self.num_rows, self.num_cols))
-        col_of = np.repeat(
-            np.arange(self.num_cols), np.diff(self.indptr)
-        )
-        out[self.indices, col_of] = self.data
+        out[self.indices, self._col_of] = self.data
         return out
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """``A @ x`` via one pass over the nonzeros."""
+        return np.bincount(self.indices,
+                           weights=self.data * np.asarray(x)[self._col_of],
+                           minlength=self.num_rows)
 
     def rmatvec(self, y: np.ndarray) -> np.ndarray:
         """``A.T @ y``: the per-iteration pricing pass."""
-        y = np.asarray(y, dtype=float)
-        if self.nnz == 0:
-            return np.zeros(self.num_cols)
-        col_of = np.repeat(
-            np.arange(self.num_cols), np.diff(self.indptr)
-        )
-        return np.bincount(col_of, weights=self.data * y[self.indices],
+        return np.bincount(self._col_of,
+                           weights=self.data * np.asarray(y)[self.indices],
                            minlength=self.num_cols)
 
 
@@ -254,10 +196,10 @@ class CSCMatrix:
 class SparseLP:
     """``maximize c'x s.t. A x <= b, x >= lb`` with ``A`` kept sparse.
 
-    The tuple ``(c, A.to_dense(), b, lb)`` is bit-identical to
-    :meth:`LinearProgram.to_dense` — same variable registration order,
-    same constraint order, same float values — so the revised backend
-    solves exactly the LP the dense backend sees.
+    ``(c, A, b, lb)`` is bit-identical to :meth:`LinearProgram.to_dense`
+    — same variable registration order, same constraint order, same
+    float values — so the revised backend solves exactly the LP the
+    dense backend sees.
     """
 
     names: Tuple[str, ...]
@@ -282,9 +224,3 @@ class SparseLP:
         b = np.array([con.bound for con in lp.constraints], dtype=float)
         lb = np.array([lp.lower_bounds.get(v, 0.0) for v in names])
         return cls(tuple(names), c, a, b, lb)
-
-    def to_dense(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
-                                np.ndarray]:
-        """The same ``(c, A_ub, b_ub, lb)`` tuple as ``lp.to_dense()``."""
-        return self.c.copy(), self.a.to_dense(), self.b.copy(), \
-            self.lb.copy()

@@ -20,7 +20,7 @@ No capture effect is modelled: any overlap garbles the frame.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Protocol
+from typing import Dict, List, Optional, Protocol
 
 from ..core.model import Network, NodeId
 from ..sim import Simulator, Tracer, NULL_TRACER

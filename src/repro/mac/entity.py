@@ -18,8 +18,7 @@ the paper studies.
 from __future__ import annotations
 
 import enum
-import math
-from typing import Callable, Dict, Optional, Set
+from typing import Callable, Optional, Set
 
 from ..core.model import NodeId
 from ..net.packet import DataPacket, Frame, FrameKind, TagInfo

@@ -21,10 +21,8 @@ Two policies implement the paper's three compared systems:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
-
-import numpy as np
+from dataclasses import dataclass
+from typing import Dict, Mapping, Optional, Tuple
 
 from ..core.model import NodeId, SubflowId
 from ..net.packet import DataPacket, TagInfo

@@ -9,10 +9,9 @@ did the losses happen?
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, Mapping, Optional
 
 from ..core.fairness_defs import jain_index
-from ..core.model import Scenario, SubflowId
 from .collector import MetricsCollector
 
 

@@ -10,7 +10,7 @@ loss mechanism the paper's Tables II/III measure.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Deque, Optional
 
 from .packet import DataPacket

@@ -155,7 +155,7 @@ def component_fingerprint(
 def component_problems(
     analysis: ContentionAnalysis,
     capacity: Optional[float] = None,
-    backend: str = "simplex",
+    backend: str = "revised",
 ) -> List[ComponentProblem]:
     """Split ``analysis`` into per-component problems, one per group.
 
@@ -282,7 +282,7 @@ class ShardedSolver:
 
     def __init__(
         self,
-        backend: str = "simplex",
+        backend: str = "revised",
         jobs: Optional[int] = 1,
         max_entries: int = 65536,
         task_timeout: Optional[float] = None,

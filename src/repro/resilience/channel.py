@@ -34,8 +34,8 @@ a reproducible sequence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, List, Set, Tuple
 
 from ..core.model import NodeId, SubflowId
 from ..obs.events import emit_event

@@ -249,7 +249,7 @@ class ResilientLPBackend:
     independent ground truth either way.
     """
 
-    def __init__(self, backend: str = "simplex") -> None:
+    def __init__(self, backend: str = "revised") -> None:
         if backend not in ("simplex", "revised"):
             raise ValueError(
                 f"ResilientLPBackend backend must be 'simplex' or "

@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set
 
 from ..obs.events import emit_event
 from ..obs.registry import incr, observe, set_gauge

@@ -400,7 +400,7 @@ class AllocatorRuntime:
         #: Component-sharded centralized solver; its per-component memo
         #: serves unchanged components across epochs.
         self._shard: Optional[ShardedSolver] = (
-            ShardedSolver(backend="simplex", jobs=self.config.jobs)
+            ShardedSolver(backend="revised", jobs=self.config.jobs)
             if self.config.mode == "centralized" else None
         )
         self._topo: Dict[Tuple[frozenset, frozenset], _TopologyState] = {}

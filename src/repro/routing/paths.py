@@ -9,7 +9,7 @@ on-demand protocol on top of it.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from ..core.model import Flow, Network, NodeId
 from ..graphs import Graph, bfs_hop_counts, bfs_shortest_path

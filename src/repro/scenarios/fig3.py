@@ -10,8 +10,6 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
-
 from ..core.model import Flow, Network, Scenario
 
 #: Paper's 3-coloring of the 6-subflow chain (1-based hop -> color class).

@@ -8,7 +8,7 @@ beyond the paper's two hand-built scenarios.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 

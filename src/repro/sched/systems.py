@@ -20,7 +20,7 @@ simulated throughput side by side.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from ..core.allocation import (
     AllocationResult,

@@ -22,12 +22,12 @@ overhead (headers and the configured guard time).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional
 
 from ..core.allocation import AllocationResult
 from ..core.contention import ContentionAnalysis
 from ..core.feasibility import check_schedulability
-from ..core.model import NodeId, Scenario, SubflowId
+from ..core.model import Scenario, SubflowId
 from ..mac.timings import MacTimings
 from ..metrics.collector import MetricsCollector
 from ..net.packet import DataPacket

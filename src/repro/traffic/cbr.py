@@ -9,7 +9,6 @@ changing the rate; disabled by default to match ns-2's CBR.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 from ..core.model import Flow

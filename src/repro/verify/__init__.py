@@ -39,6 +39,8 @@ from .oracles import (
     cold_journal_mismatches,
     lp_objective_matches,
     maxmin_certificate_mismatches,
+    maxmin_reference,
+    maxmin_session_mismatches,
 )
 from .fuzzer import (
     CheckOutcome,
@@ -67,6 +69,8 @@ __all__ = [
     "cliques_agree",
     "lp_objective_matches",
     "maxmin_certificate_mismatches",
+    "maxmin_reference",
+    "maxmin_session_mismatches",
     "check_2pad_against_centralized",
     "cold_journal_mismatches",
     "CheckOutcome",

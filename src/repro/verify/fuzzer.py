@@ -57,6 +57,7 @@ from .oracles import (
     cold_journal_mismatches,
     lp_objective_matches,
     maxmin_certificate_mismatches,
+    maxmin_session_mismatches,
 )
 
 __all__ = [
@@ -146,7 +147,7 @@ class VerificationSuite:
                                  Dict[str, float]]] = None,
         faults: bool = False,
         churn: bool = False,
-        backend: str = "simplex",
+        backend: str = "revised",
         sharded: bool = False,
         overload: bool = False,
     ) -> None:
@@ -335,10 +336,11 @@ class VerificationSuite:
 
     # ------------------------------------------------------------------
     def run_lp_checks(self, scenario: Scenario) -> List[CheckOutcome]:
-        """Only the ``lp.*`` checks of :meth:`run` (same names/verdicts).
+        """Only the ``lp.*`` and ``maxmin.*`` checks of :meth:`run` (same
+        names/verdicts).
 
         The shrinker uses this as a fast path when the original failure
-        is an LP check: re-proving an ``lp.*`` failure on a candidate
+        is an LP check: re-proving such a failure on a candidate
         scenario does not require re-running the exponential brute-force
         clique oracle or the 2PA-D differential, and skipping them keeps
         every shrink step cheap.  The checks it does run are produced by
@@ -467,6 +469,7 @@ class VerificationSuite:
             "; ".join(details_total),
         ))
         out.append(self._maxmin_certificate_check(analysis, capacity))
+        out.append(self._maxmin_session_check(analysis, capacity))
         return out
 
 
@@ -486,6 +489,31 @@ class VerificationSuite:
             )
         return CheckOutcome(
             "lp.maxmin_certificate", FAIL if details else PASS,
+            "; ".join(details)[:400],
+        )
+
+    def _maxmin_session_check(
+        self, analysis: ContentionAnalysis, capacity: float
+    ) -> CheckOutcome:
+        """The ``revised`` backend's warm max-min session against the
+        cold dense ladder with every target probed, on every contending
+        group; ``--backend`` does not change it.  An injected fault
+        perturbs the session's shares."""
+        perturb = None
+        if self.fault is not None:
+            def perturb(shares):
+                return self.fault(shares, capacity)
+        details: List[str] = []
+        for group in analysis.groups:
+            lp = build_basic_fairness_lp(analysis, group, capacity)
+            weights = {f"r_{f.flow_id}": f.weight for f in group}
+            details.extend(
+                f"group [{','.join(f.flow_id for f in group)}] {line}"
+                for line in maxmin_session_mismatches(lp, weights,
+                                                      perturb=perturb)
+            )
+        return CheckOutcome(
+            "maxmin.session", FAIL if details else PASS,
             "; ".join(details)[:400],
         )
 
@@ -750,7 +778,7 @@ class FuzzReport:
     cases: int
     seed: int
     inject_fault: bool
-    backend: str = "simplex"
+    backend: str = "revised"
     sharded: bool = False
     checks: Dict[str, Dict[str, int]] = field(default_factory=dict)
     failures: List[FuzzFailure] = field(default_factory=list)
@@ -786,7 +814,7 @@ class FuzzReport:
         lines = [
             f"repro verify: {self.cases} case(s), seed {self.seed}"
             + (f" [backend {self.backend}]"
-               if self.backend != "simplex" else "")
+               if self.backend != "revised" else "")
             + (" [sharded]" if self.sharded else "")
             + (" [fault injected]" if self.inject_fault else ""),
             "",
@@ -850,7 +878,7 @@ def _run_case(
         if axis in payloads:
             outs = suite.run_axis(axis, candidate, candidate_replay,
                                   seed, index)
-        elif axis == "lp":
+        elif axis in ("lp", "maxmin"):
             # LP-only failures shrink against the LP checks alone — no
             # brute-force clique enumeration per candidate.
             outs = suite.run_lp_checks(candidate)
@@ -901,7 +929,7 @@ def run_fuzz(
     jobs: int = 1,
     faults: bool = False,
     churn: bool = False,
-    backend: str = "simplex",
+    backend: str = "revised",
     sharded: bool = False,
     overload: bool = False,
 ) -> FuzzReport:
@@ -987,7 +1015,7 @@ def run_fuzz(
 
 def _write_reproducer(
     directory: str, seed: int, case: int, check: str,
-    failure: FuzzFailure, backend: str = "simplex",
+    failure: FuzzFailure, backend: str = "revised",
 ) -> str:
     """Serialize a shrunk failure for humans, CI artifacts, and replay."""
     out_dir = Path(directory)

@@ -28,7 +28,7 @@ hard failure for use inside tests.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import List, Mapping, Optional, Sequence
 
 from ..core.contention import ContentionAnalysis
 from ..core.fairness_defs import basic_shares

@@ -19,6 +19,11 @@ One oracle per from-scratch algorithm the reproduction's claims rest on:
   including the flows the raise-floor LP's prices certify saturated; a
   certified flow its probe can raise, or a round whose frozen set the
   certificate changes, is a failure.
+* **Warm session vs cold ladder** — :func:`maxmin_session_mismatches`
+  runs :func:`repro.lp.lexicographic_maxmin` on the ``revised`` backend's
+  warm session and compares it with :func:`maxmin_reference`, the cold
+  dense ladder with certification off (every target probed): statuses
+  must be equal and shares within 1e-9.
 * **Runtime vs cold 2PA-C** — :func:`cold_journal_mismatches` re-solves
   every committed epoch of an :class:`~repro.resilience.runtime.AllocatorRuntime`
   journal monolithically from a cold contention analysis; the runtime's
@@ -37,9 +42,11 @@ from ..core.model import Scenario
 from ..graphs import Graph, maximal_cliques
 from ..graphs.cliques import clique_vertex_order, sort_cliques
 from ..graphs.graph import Vertex
-from ..lp.maxmin import _optimal_face, _raise_floor, _saturated, _weights
-from ..lp.problem import LinearProgram
+from ..lp.maxmin import (_ColdSteps, _ladder, _optimal_face, _raise_floor,
+                         _saturated, _weights, lexicographic_maxmin)
+from ..lp.problem import LinearProgram, LPSolution
 from ..lp.solvers import solve
+from ..obs.trace import NULL_SPAN
 from .exact_lp import solve_exact
 
 __all__ = [
@@ -49,6 +56,8 @@ __all__ = [
     "lp_objective_matches",
     "check_2pad_against_centralized",
     "maxmin_certificate_mismatches",
+    "maxmin_reference",
+    "maxmin_session_mismatches",
     "cold_journal_mismatches",
 ]
 
@@ -155,7 +164,7 @@ def lp_objective_matches(
     tol: float = 1e-6,
     with_scipy: bool = False,
     borderline_delta: float = 1e-9,
-    backend: str = "simplex",
+    backend: str = "revised",
 ) -> Dict[str, object]:
     """Differential solve of ``lp``: float solver vs exact reference.
 
@@ -351,7 +360,7 @@ def check_2pad_against_centralized(
 def maxmin_certificate_mismatches(
     lp: LinearProgram,
     weights: Optional[Mapping[str, float]] = None,
-    backend: str = "simplex",
+    backend: str = "revised",
 ) -> List[str]:
     """Rounds where the dual saturation certificate disagrees with probes.
 
@@ -395,6 +404,57 @@ def maxmin_certificate_mismatches(
             frozen[v] = level * w[v]
         remaining = [v for v in remaining if v not in by_probe]
     return out
+
+
+# ----------------------------------------------------------------------
+# Warm max-min session vs the cold probe-everything ladder
+# ----------------------------------------------------------------------
+
+class _ProbeEveryTarget(_ColdSteps):
+    """The cold ladder with certification off: every target is probed."""
+
+    def raise_floor(self, free, frozen):
+        level, values, _certified = super().raise_floor(free, frozen)
+        return level, values, set()
+
+
+def maxmin_reference(
+    lp: LinearProgram,
+    weights: Optional[Mapping[str, float]] = None,
+    fix_objective: bool = True,
+    backend: str = "simplex",
+) -> LPSolution:
+    """:func:`~repro.lp.lexicographic_maxmin` by the cold ladder on
+    ``backend`` (default: the dense tableau), probing every target."""
+    w = _weights(lp.variables, weights)
+    return _ladder(_ProbeEveryTarget(lp, w, backend), lp, w,
+                   fix_objective, NULL_SPAN)
+
+
+def maxmin_session_mismatches(
+    lp: LinearProgram,
+    weights: Optional[Mapping[str, float]] = None,
+    fix_objective: bool = True,
+    tol: float = 1e-9,
+    perturb=None,
+) -> List[str]:
+    """Where the ``revised`` backend's warm max-min session disagrees
+    with :func:`maxmin_reference`: a status, or a share off by more
+    than ``tol``.  ``perturb`` (fault injection) post-processes the
+    session's shares before the comparison.  Empty: they agree."""
+    got = lexicographic_maxmin(lp, weights, fix_objective,
+                               backend="revised")
+    want = maxmin_reference(lp, weights, fix_objective)
+    if got.status != want.status:
+        return [f"status {got.status} != reference {want.status}"]
+    shares = dict(got.values)
+    if perturb is not None:
+        shares = perturb(shares)
+    return [
+        f"{v}: session {shares.get(v)!r} != reference {ref!r}"
+        for v, ref in want.values.items()
+        if shares.get(v) is None or abs(shares[v] - ref) > tol
+    ]
 
 
 # ----------------------------------------------------------------------

@@ -357,6 +357,43 @@ class TestCrashRestoreDifferential:
         restored.run_timeline(timeline)
         assert restored.journal == baseline.journal
 
+    #: This exact run's shard memo as a runtime on the dense ``simplex``
+    #: backend dumped it: shape keys that hash the backend name.
+    SIMPLEX_KEYED_MEMO = [
+        ["4fdb3b1086075e1d9b828719531ded6a1d317ff35208978f0f4db27a7ee64d46",
+         [1.0]],
+        ["41eec82831800feda3c239ae5cebd26dc12a83738f0479ff6eea1c7178e50c3f",
+         [0.5, 0.5]],
+        ["b57d484a2e61f24563415425fbce09216d953ee21e63c1bb15a7bd9f700181dc",
+         [0.5, 0.5, 0.5]],
+    ]
+
+    @pytest.mark.parametrize("poisoned", [False, True])
+    def test_checkpoint_with_simplex_keyed_shard_memo_restores(
+        self, tmp_path, poisoned
+    ):
+        """Checkpoints written while the runtime solved on ``simplex``
+        key their memo with that backend.  They restore as they are;
+        the runtime now keys with ``revised``, so no old entry ever
+        hits — shares planted under the old keys stay out of the replay
+        — and the replay journal equals the uninterrupted run's."""
+        scenario, timeline, baseline, payload, crash_at = (
+            self._crashed_fig6(tmp_path)
+        )
+        memo = [[key, [9.0] * len(shares) if poisoned else shares]
+                for key, shares in self.SIMPLEX_KEYED_MEMO]
+        payload["caches"]["shard"] = memo
+        legacy = str(tmp_path / "simplex-keyed.ckpt.json")
+        save_checkpoint(payload, legacy)
+
+        restored = AllocatorRuntime.restore(legacy, scenario=scenario)
+        assert restored.epoch == crash_at - 1
+        assert restored._shard.dump_state() == memo
+        restored.run_timeline(timeline)
+        assert restored.journal == baseline.journal
+        kept = restored._shard.dump_state()
+        assert all(entry in kept for entry in memo)
+
     def test_restored_runtime_keeps_checkpointing_in_place(self, tmp_path):
         """A restored runtime inherits the checkpoint location it was
         restored from, so the crash/restore cycle can repeat."""

@@ -141,7 +141,7 @@ class TestVerifyCli:
         assert doc["seed"] == 0
         assert doc["config"] == {"cases": 5, "inject_fault": False,
                                  "faults": False, "churn": False,
-                                 "backend": "simplex", "sharded": False,
+                                 "backend": "revised", "sharded": False,
                                  "overload": False}
         assert doc["results"]["ok"] is True
         assert doc["results"]["failures"] == []

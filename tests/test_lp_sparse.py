@@ -3,9 +3,9 @@
 The revised backend's correctness reduces to three contracts checked
 here against dense numpy reference implementations:
 
-* ``CSRMatrix``/``CSCMatrix`` are faithful encodings: round-trips are
-  representation-exact, slicing matches fancy indexing, and the
-  matvec/rmatvec kernels match ``@``;
+* ``CSRMatrix``/``CSCMatrix`` are faithful encodings: ``from_rows``
+  matches an independent encoder representation-exactly, the CSC
+  transpose is exact, and the matvec/rmatvec kernels match ``@``;
 * ``SparseLP.from_problem`` is bit-identical to
   ``LinearProgram.to_dense()`` — the revised backend provably solves
   the same LP the dense backend sees;
@@ -14,12 +14,14 @@ here against dense numpy reference implementations:
   fresh refactorization agrees with the accumulated eta file.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from repro.lp import CSRMatrix, LinearProgram, SparseLP
+from repro.lp import CSRMatrix, LinearProgram, SparseLP, revised
 from repro.lp.revised import BasisFactors
 
 # Values drawn from a small exact set: sums and products stay exact in
@@ -71,60 +73,64 @@ def assert_same_csr(a: CSRMatrix, b: CSRMatrix) -> None:
     assert np.array_equal(a.data, b.data)
 
 
+def rows_of(dense: np.ndarray):
+    """``dense`` as the per-row ``(col, value)`` pairs ``from_rows`` takes."""
+    return [[(j, dense[i, j]) for j in range(dense.shape[1])]
+            for i in range(dense.shape[0])]
+
+
+def csr_reference(dense: np.ndarray) -> CSRMatrix:
+    """An independent CSR encoder: scan each row's nonzeros in order."""
+    m, n = dense.shape
+    indptr = np.zeros(m + 1, dtype=np.int64)
+    cols = [np.flatnonzero(dense[i]) for i in range(m)]
+    for i, nz in enumerate(cols):
+        indptr[i + 1] = indptr[i] + nz.size
+    indices = (np.concatenate(cols) if cols
+               else np.zeros(0, dtype=np.int64)).astype(np.int64)
+    data = (np.concatenate([dense[i, nz] for i, nz in enumerate(cols)])
+            if cols else np.zeros(0))
+    return CSRMatrix(m, n, indptr, indices, data)
+
+
+def dense_of(csr: CSRMatrix) -> np.ndarray:
+    out = np.zeros(csr.shape)
+    out[np.repeat(np.arange(csr.num_rows), np.diff(csr.indptr)),
+        csr.indices] = csr.data
+    return out
+
+
 class TestCSRRoundTrip:
     @settings(max_examples=60, deadline=None)
     @given(dense=dense_matrices())
     def test_from_dense_to_dense_exact(self, dense):
-        assert np.array_equal(CSRMatrix.from_dense(dense).to_dense(),
-                              dense)
+        """Built from a dense matrix's rows, read back dense: exact."""
+        csr = CSRMatrix.from_rows(rows_of(dense), dense.shape[1])
+        assert np.array_equal(dense_of(csr), dense)
 
     @settings(max_examples=60, deadline=None)
     @given(dense=dense_matrices())
     def test_from_rows_matches_from_dense(self, dense):
-        rows = [
-            [(j, dense[i, j]) for j in range(dense.shape[1])]
-            for i in range(dense.shape[0])
-        ]
-        assert_same_csr(CSRMatrix.from_rows(rows, dense.shape[1]),
-                        CSRMatrix.from_dense(dense))
+        assert_same_csr(CSRMatrix.from_rows(rows_of(dense), dense.shape[1]),
+                        csr_reference(dense))
 
     @settings(max_examples=60, deadline=None)
     @given(dense=dense_matrices())
     def test_nnz_and_row_view(self, dense):
-        csr = CSRMatrix.from_dense(dense)
+        csr = CSRMatrix.from_rows(rows_of(dense), dense.shape[1])
         assert csr.nnz == int(np.count_nonzero(dense))
         for i in range(dense.shape[0]):
-            cols, vals = csr.row(i)
+            lo, hi = csr.indptr[i], csr.indptr[i + 1]
+            cols = csr.indices[lo:hi]
             assert np.array_equal(cols, np.flatnonzero(dense[i]))
-            assert np.array_equal(vals, dense[i, cols])
+            assert np.array_equal(csr.data[lo:hi], dense[i, cols])
 
 
 class TestSlicingVsDense:
-    @settings(max_examples=60, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow])
-    @given(dense=dense_matrices(), data=st.data())
-    def test_select_rows_matches_fancy_indexing(self, dense, data):
-        m = dense.shape[0]
-        rows = data.draw(st.lists(st.integers(0, max(0, m - 1)),
-                                  max_size=2 * m + 1)) if m else []
-        got = CSRMatrix.from_dense(dense).select_rows(rows)
-        assert_same_csr(got, CSRMatrix.from_dense(dense[rows]))
-
-    @settings(max_examples=60, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow])
-    @given(dense=dense_matrices(), data=st.data())
-    def test_select_columns_matches_fancy_indexing(self, dense, data):
-        n = dense.shape[1]
-        cols = data.draw(st.lists(
-            st.integers(0, max(0, n - 1)), max_size=n, unique=True,
-        )) if n else []
-        got = CSRMatrix.from_dense(dense).select_columns(cols)
-        assert_same_csr(got, CSRMatrix.from_dense(dense[:, cols]))
-
     @settings(max_examples=60, deadline=None)
     @given(dense=dense_matrices())
     def test_to_csc_transposes_faithfully(self, dense):
-        csc = CSRMatrix.from_dense(dense).to_csc()
+        csc = csr_reference(dense).to_csc()
         assert np.array_equal(csc.to_dense(), dense)
         for j in range(dense.shape[1]):
             rows, vals = csc.column(j)
@@ -141,12 +147,15 @@ class TestKernelsVsDense:
                                         max_size=n)), dtype=float)
         y = np.array(data.draw(st.lists(exact_floats, min_size=m,
                                         max_size=m)), dtype=float)
-        csr = CSRMatrix.from_dense(dense)
+        csr = csr_reference(dense)
+        csc = csr.to_csc()
         assert np.allclose(csr.matvec(x), dense @ x,
+                           rtol=0, atol=1e-12)
+        assert np.allclose(csc.matvec(x), dense @ x,
                            rtol=0, atol=1e-12)
         assert np.allclose(csr.rmatvec(y), dense.T @ y,
                            rtol=0, atol=1e-12)
-        assert np.allclose(csr.to_csc().rmatvec(y), dense.T @ y,
+        assert np.allclose(csc.rmatvec(y), dense.T @ y,
                            rtol=0, atol=1e-12)
 
 
@@ -157,12 +166,11 @@ class TestSparseLPFromProblem:
     def test_round_trip_bit_identical_to_dense(self, lp):
         sp = SparseLP.from_problem(lp)
         c_ref, a_ref, b_ref, lb_ref = lp.to_dense()
-        c, a, b, lb = sp.to_dense()
         assert sp.names == tuple(lp.variables)
-        assert np.array_equal(c, c_ref)
-        assert np.array_equal(a, a_ref)
-        assert np.array_equal(b, b_ref)
-        assert np.array_equal(lb, lb_ref)
+        assert np.array_equal(sp.c, c_ref)
+        assert np.array_equal(dense_of(sp.a), a_ref)
+        assert np.array_equal(sp.b, b_ref)
+        assert np.array_equal(sp.lb, lb_ref)
 
 
 # ----------------------------------------------------------------------
@@ -216,18 +224,23 @@ class TestBasisFactorsStability:
         rhs = np.array(data.draw(st.lists(
             st.integers(-3, 3).map(float), min_size=m, max_size=m,
         )))
-        dense_b = start.copy()
-        factors = BasisFactors(start)
-        _check_against_dense(factors, dense_b, rhs)
-        for r, col in steps:
-            w = factors.ftran(col)
-            assume(abs(w[r]) > 1e-6)  # the solver never pivots on ~0
-            factors.update(r, w)
-            dense_b[:, r] = col
-            _check_against_dense(factors, dense_b, rhs)
-            # A fresh refactorization of the same basis agrees with the
-            # eta file — folding the file is drift-free up to fp noise.
-            _check_against_dense(BasisFactors(dense_b), dense_b, rhs)
+        # Both representations: the explicit inverse small bases keep,
+        # and splu plus an eta file (forced with a zero row threshold).
+        for dense_max in (revised.DENSE_MAX_ROWS, 0):
+            with mock.patch.object(revised, "DENSE_MAX_ROWS", dense_max):
+                dense_b = start.copy()
+                factors = BasisFactors(start)
+                _check_against_dense(factors, dense_b, rhs)
+                for r, col in steps:
+                    w = factors.ftran(col)
+                    assume(abs(w[r]) > 1e-6)  # never pivots on ~0
+                    factors.update(r, w)
+                    dense_b[:, r] = col
+                    _check_against_dense(factors, dense_b, rhs)
+                    # A fresh refactorization of the same basis agrees
+                    # with the updated one up to fp noise.
+                    _check_against_dense(BasisFactors(dense_b), dense_b,
+                                         rhs)
 
     @settings(max_examples=25, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])

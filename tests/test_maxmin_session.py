@@ -1,0 +1,168 @@
+"""Differential suite for the warm max-min session of the revised backend.
+
+:func:`repro.lp.lexicographic_maxmin` on ``backend="revised"`` runs the
+whole ladder on one :class:`~repro.lp.revised.MaxminSession`; the
+reference is the cold dense ladder with certification off, so every
+saturation is proved by a probe LP
+(:func:`repro.verify.maxmin_reference`).  Statuses must be equal and
+shares within 1e-9, on the scenario library, on random Prop. 2-shaped
+LPs (non-unit weights, with and without the objective pin), and on the
+corners: infeasible floors (phase 1), unbounded LPs, fully degenerate
+ties and the one-ulp borderline reproducer.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.contention import ContentionAnalysis
+from repro.lp import LinearProgram, lexicographic_maxmin
+from repro.obs.registry import MetricsRegistry, using_registry
+from repro.scenarios.io import scenario_from_dict
+from repro.verify import maxmin_reference, maxmin_session_mismatches
+from tests.test_lp import random_clique_lp
+from tests.test_lp_revised import BORDERLINE, LIBRARY, group_lps
+
+FALLBACKS = "lp.maxmin.session_fallbacks"
+
+
+def group_ladders(scenario):
+    analysis = ContentionAnalysis(scenario)
+    for lp, group in zip(group_lps(scenario), analysis.groups):
+        yield lp, {f"r_{f.flow_id}": f.weight for f in group}
+
+
+def session_and_counters(lp, weights=None, fix_objective=True):
+    registry = MetricsRegistry()
+    with using_registry(registry):
+        sol = lexicographic_maxmin(lp, weights, fix_objective,
+                                   backend="revised")
+    return sol, {k: c.value for k, c in registry.counters.items()}
+
+
+class TestScenarioLibrary:
+    @pytest.mark.parametrize("fix_objective", [True, False])
+    @pytest.mark.parametrize("name", sorted(LIBRARY))
+    def test_session_equals_probe_everything_reference(self, name,
+                                                       fix_objective):
+        for lp, weights in group_ladders(LIBRARY[name]()):
+            assert maxmin_session_mismatches(
+                lp, weights, fix_objective) == [], name
+
+    @pytest.mark.parametrize("name", sorted(LIBRARY))
+    def test_feasible_floors_never_fall_back(self, name):
+        """Only floors that overfill a clique (phase 1) leave the
+        session; every feasible library ladder runs warm end to end."""
+        for lp, weights in group_ladders(LIBRARY[name]()):
+            sol, counters = session_and_counters(lp, weights)
+            assert counters.get(FALLBACKS, 0) == (
+                0 if sol.is_optimal else 1), name
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 7),
+    m=st.integers(1, 6),
+    seed=st.integers(0, 10_000),
+    weighted=st.booleans(),
+    pinned=st.booleans(),
+    fix_objective=st.booleans(),
+    unit_weights=st.booleans(),
+)
+def test_random_clique_lps(n, m, seed, weighted, pinned, fix_objective,
+                           unit_weights):
+    lp = random_clique_lp(n, m, seed, weighted, pinned)
+    weights = None if unit_weights else {
+        v: 1.0 + (k % 3) * 0.5 for k, v in enumerate(lp.variables)}
+    assert maxmin_session_mismatches(lp, weights, fix_objective) == []
+
+
+class TestCorners:
+    def test_infeasible_floors_run_phase_1_and_match(self):
+        lp = LinearProgram()
+        lp.maximize({"x": 1.0, "y": 1.0})
+        lp.set_lower_bound("x", 0.7)
+        lp.set_lower_bound("y", 0.7)
+        lp.add_constraint({"x": 1.0, "y": 1.0}, 1.0)
+        sol, counters = session_and_counters(lp)
+        assert sol.status == "infeasible"
+        assert counters[FALLBACKS] == 1
+        assert maxmin_session_mismatches(lp) == []
+
+    def test_feasible_phase_1_floors_match(self):
+        """A floor above a row's slack that is still feasible: the
+        cold two-phase solve serves it, with the same shares."""
+        lp = LinearProgram()
+        lp.maximize({"a": 1.0, "b": 1.0})
+        lp.set_lower_bound("b", 2.0)
+        lp.add_constraint({"a": 1.0, "b": -1.0}, -3.0)  # b >= a + 3
+        lp.add_constraint({"a": 1.0, "b": 1.0}, 10.0)
+        sol, counters = session_and_counters(lp)
+        assert sol.is_optimal and counters[FALLBACKS] == 1
+        assert maxmin_session_mismatches(lp) == []
+
+    def test_unbounded_lp(self):
+        lp = LinearProgram()
+        lp.maximize({"x": 1.0, "y": 1.0})
+        lp.add_constraint({"x": 1.0}, 1.0)
+        sol, counters = session_and_counters(lp)
+        assert sol.status == "unbounded"
+        assert FALLBACKS not in counters
+        assert maxmin_session_mismatches(lp) == []
+
+    def test_unbounded_probe_freezes_like_the_reference(self):
+        """``free`` has no row but its floor: its probe is unbounded,
+        which the ladder reads as saturated — in both ladders."""
+        lp = LinearProgram()
+        lp.maximize({"x": 1.0})
+        lp.add_variable("free")
+        lp.add_constraint({"x": 1.0}, 1.0)
+        assert maxmin_session_mismatches(lp) == []
+        assert lexicographic_maxmin(lp).values == {"x": 1.0, "free": 1.0}
+
+    @pytest.mark.parametrize("fix_objective", [True, False])
+    def test_fully_degenerate_ties(self, fix_objective):
+        """Six flows in two identical cliques: every flow ties in the
+        first round."""
+        lp = LinearProgram()
+        names = [f"f{i}" for i in range(6)]
+        lp.maximize({v: 1.0 for v in names})
+        for _ in range(2):
+            lp.add_constraint({v: 1.0 for v in names}, 1.0)
+        sol = lexicographic_maxmin(lp, fix_objective=fix_objective)
+        assert all(abs(sol[v] - 1.0 / 6.0) <= 1e-12 for v in names)
+        assert maxmin_session_mismatches(lp, None, fix_objective) == []
+
+    def test_non_unit_weights_split_by_weight(self):
+        lp = LinearProgram()
+        lp.maximize({"x": 1.0, "y": 1.0, "z": 1.0})
+        lp.add_constraint({"x": 1.0, "y": 1.0}, 3.0)
+        lp.add_constraint({"y": 1.0, "z": 1.0}, 2.0)
+        weights = {"x": 2.0, "y": 1.0, "z": 0.5}
+        for fix in (True, False):
+            assert maxmin_session_mismatches(lp, weights, fix) == []
+
+    def test_one_ulp_borderline_reproducer(self):
+        doc = json.loads(Path(BORDERLINE).read_text())
+        scenario = scenario_from_dict(doc["scenario"])
+        for lp, weights in group_ladders(scenario):
+            assert maxmin_session_mismatches(lp, weights) == []
+
+    def test_reference_probes_every_target(self):
+        """The reference proves every saturation by a probe LP: on the
+        two-tier example it solves one probe per flow of each round."""
+        lp = LinearProgram()
+        lp.maximize({"r11": 1.0, "r12": 1.0, "r21": 1.0, "r22": 1.0})
+        lp.add_constraint({"r11": 1.0, "r12": 1.0}, 1.0)
+        lp.add_constraint({"r12": 1.0, "r21": 1.0, "r22": 1.0}, 1.0)
+        for v in ("r11", "r12", "r21", "r22"):
+            lp.set_lower_bound(v, 0.25)
+        registry = MetricsRegistry()
+        with using_registry(registry):
+            ref = maxmin_reference(lp)
+        assert ref.values == pytest.approx(
+            {"r11": 0.75, "r12": 0.25, "r21": 0.375, "r22": 0.375})
+        assert registry.counters["lp.solves.simplex"].value >= 1 + 2 + 4

@@ -343,7 +343,7 @@ class TestInstrumentationPoints:
         assert snap["counters"]["contention.analyses"] == 1
         assert snap["counters"]["contention.cliques_found"] >= 1
         assert snap["counters"]["lp.solves"] >= 1
-        assert snap["counters"]["lp.simplex.pivots"] >= 1
+        assert snap["counters"]["lp.revised.pivots"] >= 1
         assert snap["timers"]["contention.clique_enumeration"]["calls"] == 1
         assert snap["timers"]["lp.solve"]["calls"] >= 1
 

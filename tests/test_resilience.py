@@ -347,9 +347,9 @@ class TestLPFallbackChain:
 
     def test_forced_demotions_reach_exact_solver(self, monkeypatch):
         def boom(*_args, **_kwargs):
-            raise RuntimeError("float simplex disabled for test")
+            raise RuntimeError("float solver disabled for test")
 
-        monkeypatch.setattr("repro.resilience.degrade.solve_simplex", boom)
+        monkeypatch.setattr("repro.resilience.degrade.solve_revised", boom)
         registry = MetricsRegistry()
         obs.set_registry(registry)
         try:
@@ -370,7 +370,7 @@ class TestLPFallbackChain:
         def boom(*_args, **_kwargs):
             raise RuntimeError("no solver")
 
-        monkeypatch.setattr("repro.resilience.degrade.solve_simplex", boom)
+        monkeypatch.setattr("repro.resilience.degrade.solve_revised", boom)
         monkeypatch.setattr(ResilientLPBackend, "_solve_exact",
                             staticmethod(boom))
         backend = ResilientLPBackend()
@@ -383,9 +383,9 @@ class TestLPFallbackChain:
         base = DistributedAllocator(scenario, analysis=analysis).run()
 
         def boom(*_args, **_kwargs):
-            raise RuntimeError("float simplex disabled for test")
+            raise RuntimeError("float solver disabled for test")
 
-        monkeypatch.setattr("repro.resilience.degrade.solve_simplex", boom)
+        monkeypatch.setattr("repro.resilience.degrade.solve_revised", boom)
         backend = ResilientLPBackend()
         exact = DistributedAllocator(
             scenario, backend=backend, analysis=analysis
