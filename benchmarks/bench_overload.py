@@ -7,9 +7,8 @@ section of ``BENCH_perf.json``: per-case sustainable rates, breach and
 shed tallies, staleness, and epoch-latency p50/p99 under pressure.
 
 ``BENCH_OVERLOAD_QUICK=1`` (CI's overload-smoke job) shrinks the
-campaign to one case with a serial solver; the full run adds a second
-case, a pooled solve (jobs=2), and an injected worker crash so the
-fault-tolerant sharded path is measured too.
+campaign to one case of six epochs; the full run is two cases of
+twelve.
 """
 
 import os
@@ -36,8 +35,6 @@ def test_emit_perf_overload(perf_section):
         epochs=epochs,
         multiplier=2.0,
         stall_epochs=2,
-        worker_crash=not quick,
-        jobs=1 if quick else 2,
     )
     assert report.ok, [v.to_dict() for v in report.violations]
     totals = report.totals
@@ -49,8 +46,7 @@ def test_emit_perf_overload(perf_section):
     offered = sum(int(r["offered"] * epochs) for r in rates)
     payload = {
         "kernel": "overload protection (deadline-bounded epochs + "
-                  "graduated shedding ladder + worker-fault-tolerant "
-                  "sharded solves)",
+                  "graduated shedding ladder)",
         "cases": cases,
         "epochs": epochs,
         "multiplier": 2.0,

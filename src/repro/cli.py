@@ -183,18 +183,17 @@ def build_parser() -> argparse.ArgumentParser:
                         "exact-Fraction oracle")
     p.add_argument("--sharded", action="store_true",
                    help="also run the component-sharded differential "
-                        "axis: ShardedSolver at jobs=1/2 vs the "
-                        "monolithic LP, a flow-relabeled copy served "
-                        "from a primed memo vs its monolithic LP, and "
-                        "every epoch of a runtime journal vs a cold "
-                        "monolithic solve, all asserted bitwise "
-                        "identical")
+                        "axis: ShardedSolver vs the monolithic LP, a "
+                        "flow-relabeled copy served from a primed memo "
+                        "vs its monolithic LP, and every epoch of a "
+                        "runtime journal vs a cold monolithic solve, "
+                        "all asserted bitwise identical")
     p.add_argument("--overload", action="store_true",
                    help="also run every case through the "
                         "overload-protected runtime under an open-loop "
                         "heavy-traffic arrival trace with forced "
-                        "deadline stalls and a seeded burst/worker-fault "
-                        "plan (failures shrink the trace, then the plan)")
+                        "deadline stalls and a seeded arrival-burst plan "
+                        "(failures shrink the trace, then the plan)")
     _add_obs_flags(p)
 
     p = sub.add_parser(
@@ -254,10 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--inject-fault", action="store_true",
                    help="perturb every final allocation to prove the "
                         "safety checkers catch a bad allocation")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes for each runtime's shard "
-                        "pool (0 = all cores, default 1); shares and "
-                        "reports are bitwise identical at any job count")
     _add_obs_flags(p)
 
     p = sub.add_parser(
@@ -290,10 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="force this many initial epochs to breach their "
                         "deadline (deterministic ladder exercise, "
                         "default 0)")
-    p.add_argument("--worker-crash", action="store_true",
-                   help="inject one sharded-solve worker crash per case "
-                        "(meaningful with --jobs > 1); shares must stay "
-                        "bitwise identical via retry + serial fallback")
     p.add_argument("--hysteresis", type=float, default=0.3,
                    help="max fractional per-epoch change of a flow's "
                         "allocation; 0 disables damping (default 0.3)")
@@ -302,9 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "deadline stalls; the run then passes only if "
                         "the watchdog demonstrably bit (breaches "
                         "recorded) and the campaign stayed clean")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes for each runtime's shard "
-                        "pool (0 = all cores, default 1)")
     _add_obs_flags(p)
 
     p = sub.add_parser("show", help="render a scenario and its analysis")
@@ -673,7 +661,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             {"cases": args.cases, "loss_rates": churn_rates,
              "epochs": args.epochs, "crash_prob": args.crash_prob,
              "hysteresis": hysteresis,
-             "inject_fault": args.inject_fault, "jobs": args.jobs},
+             "inject_fault": args.inject_fault},
             lambda: run_churn(
                 cases=args.cases,
                 seed=args.seed,
@@ -683,7 +671,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 hysteresis=hysteresis,
                 inject_fault=args.inject_fault,
                 crash_restore=not args.no_crash_restore,
-                jobs=args.jobs,
             ),
             _campaign_healthy(args),
         )
@@ -698,8 +685,7 @@ def main(argv: Optional[List[str]] = None) -> int:
              "deadline_ms": args.deadline_ms,
              "max_queue": args.max_queue, "queue_age": args.queue_age,
              "stall_epochs": args.stall_epochs,
-             "worker_crash": args.worker_crash,
-             "inject_fault": args.inject_fault, "jobs": args.jobs},
+             "inject_fault": args.inject_fault},
             lambda: run_overload(
                 cases=args.cases,
                 seed=args.seed,
@@ -710,8 +696,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 max_queue=args.max_queue,
                 max_queue_age=args.queue_age,
                 stall_epochs=args.stall_epochs,
-                worker_crash=args.worker_crash,
-                jobs=args.jobs,
                 inject_fault=args.inject_fault,
             ),
             # The forced stalls must also have produced recorded

@@ -69,7 +69,6 @@ from .trace import (
     NullSpan,
     Span,
     SpanTracer,
-    current_span_id,
     get_tracer,
     set_tracer,
     span,
@@ -96,7 +95,6 @@ __all__ = [
     "set_tracer",
     "using_tracer",
     "span",
-    "current_span_id",
     "EventBus",
     "get_event_bus",
     "set_event_bus",

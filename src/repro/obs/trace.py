@@ -58,7 +58,6 @@ __all__ = [
     "set_tracer",
     "using_tracer",
     "span",
-    "current_span_id",
 ]
 
 
@@ -217,10 +216,6 @@ class SpanTracer:
             self.dropped += 1
 
     # ------------------------------------------------------------------
-    def current_span_id(self) -> Optional[str]:
-        """Id of the innermost open span, or ``None`` at the root."""
-        return self._stack[-1].span_id if self._stack else None
-
     def to_records(self) -> List[Dict[str, object]]:
         """JSONL-ready records of every finished span, in close order."""
         return [sp.to_record() for sp in self.finished]
@@ -295,17 +290,3 @@ def span(name: str, **tags: object):
         return TimedRegion(registry.timer(name))
     timer = None if registry is None else registry.timer(name)
     return tracer._open(name, tags, timer)
-
-
-def current_span_id() -> Optional[str]:
-    """Innermost open span id, or ``None`` (tracing off / at the root).
-
-    Instrumentation uses this to stamp errors and events with trace
-    context — e.g. a failed sharded component solve carries the span id
-    of the ``runtime.shard`` solve that raised it, so the failure is
-    attributable to a specific epoch in the trace tree.
-    """
-    tracer = _active
-    if tracer is None:
-        return None
-    return tracer.current_span_id()

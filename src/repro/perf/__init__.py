@@ -11,11 +11,12 @@ results against a plain reference implementation:
   of changing active sets without a rebuild: the universe's cliques,
   enumerated once, restricted to each active set.
 * :class:`~repro.perf.shard.ShardedSolver` — the phase-1 LP solved
-  per contention component, with a memo keyed by LP shape that serves
-  unchanged components across epochs and same-shaped components
-  under any flow ids.
+  per contention component in the calling process, with a memo keyed
+  by LP shape that serves unchanged components across epochs and
+  same-shaped components under any flow ids.
 * :class:`~repro.perf.parallel.ParallelSweep` — process-pool fan-out
-  with one seeded RNG stream per task and ordered result merge.
+  of whole cases (verify, chaos, ablation and topology sweeps) with
+  one seeded RNG stream per task and ordered result merge.
 
 All kernels report ``perf.*`` counters and timers through the
 :mod:`repro.obs` registry, so speedups land in run artifacts.

@@ -24,41 +24,22 @@ merged output is bit-identical to running the same tasks serially:
 
 ``jobs=1``, a single task, or an unavailable process pool (sandboxes
 without fork) degrades to the plain serial loop over the same function,
-which is also the reference the bit-identity tests compare against.
-
-There is one pool path, a wave loop that tolerates worker faults: it
-detects crashed workers (``BrokenProcessPool``), times out hung ones
-via a stall watchdog (``task_timeout``), retries survivors in a fresh
-pool with deterministic jittered backoff (``task_retries``), and runs
-any task that exhausted its retry budget in-process — worker faults are
-environmental, the task function itself is pure, so the in-process
-fallback is exact.  With the defaults (no timeout, no retries) no stall
-is ever declared and a crashed task finishes in-process; with no fault
-firing, every setting returns byte-identical results, metrics, and
-event streams.  A sweep with a ``task_timeout`` pools even a single
-task, so the faults it is armed against can fire.
+which is also the reference the bit-identity tests compare against.  A
+worker that dies (``BrokenProcessPool``) is not fatal either: the tasks
+it left unfinished run in-process once the pool is shut down.  The task
+function is pure, so that fallback is exact.
 """
 
 from __future__ import annotations
 
-import hashlib
 import os
-import time
-from typing import (
-    Any, Callable, Dict, List, Optional, Sequence, Tuple,
-)
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..obs.events import EventBus, get_event_bus, using_event_bus
 from ..obs.registry import get_registry, incr, using_registry
 from ..obs.trace import span
 
 __all__ = ["ParallelSweep", "effective_jobs"]
-
-
-def _backoff_jitter(index: int, attempt: int) -> float:
-    """Deterministic jitter in ``[0, 1)`` keyed on (task, attempt)."""
-    digest = hashlib.sha256(f"{index}:{attempt}".encode()).digest()
-    return int.from_bytes(digest[:4], "big") / 2.0 ** 32
 
 
 def effective_jobs(jobs: Optional[int] = None) -> int:
@@ -99,46 +80,21 @@ class ParallelSweep:
     active registry in task order.
     """
 
-    def __init__(
-        self,
-        jobs: Optional[int] = None,
-        task_timeout: Optional[float] = None,
-        task_retries: int = 0,
-        retry_backoff_s: float = 0.05,
-    ) -> None:
+    def __init__(self, jobs: Optional[int] = None) -> None:
         self.jobs = effective_jobs(jobs)
-        if task_timeout is not None and task_timeout <= 0:
-            raise ValueError("task_timeout must be positive")
-        if task_retries < 0:
-            raise ValueError("task_retries must be non-negative")
-        self.task_timeout = task_timeout
-        self.task_retries = int(task_retries)
-        self.retry_backoff_s = float(retry_backoff_s)
 
     def map(self, fn: Callable[[Any], Any],
-            items: Sequence[Any],
-            serial_fn: Optional[Callable[[Any], Any]] = None) -> List[Any]:
-        """``[fn(x) for x in items]`` across the pool.
-
-        ``serial_fn`` is the in-process twin used whenever a task runs
-        in the parent (jobs=1, a single task, pool unavailable, or fault
-        fallback).  It must compute exactly what ``fn`` computes minus
-        any worker-only fault shims.
-        """
+            items: Sequence[Any]) -> List[Any]:
+        """``[fn(x) for x in items]`` across the pool."""
         items = list(items)
-        inproc = serial_fn if serial_fn is not None else fn
-        # One task runs in-process unless the sweep is armed with a
-        # timeout: then it pools, so worker faults can fire.
-        pool_min = 1 if self.task_timeout is not None else 2
-        if self.jobs <= 1 or len(items) < pool_min:
-            return self._serial(inproc, items)
-        try:
-            return self._guarded(fn, items, inproc)
-        except (ImportError, OSError, PermissionError):
+        if self.jobs > 1 and len(items) > 1:
+            results = self._pooled(fn, items)
+            if results is not None:
+                return results
             # No usable process pool (restricted sandbox): same results,
             # one process.
             incr("perf.parallel.pool_fallbacks")
-            return self._serial(inproc, items)
+        return self._serial(fn, items)
 
     # ------------------------------------------------------------------
     def _serial(self, fn: Callable[[Any], Any],
@@ -163,124 +119,62 @@ class ParallelSweep:
         incr("perf.parallel.serial_runs")
         return results
 
-    def _guarded(self, fn: Callable[[Any], Any], items: Sequence[Any],
-                 serial_fn: Callable[[Any], Any]) -> List[Any]:
-        """Fault-tolerant pooled map: crash/hang detection + retries.
+    def _pooled(self, fn: Callable[[Any], Any],
+                items: Sequence[Any]) -> Optional[List[Any]]:
+        """One pool over every task, or ``None`` if no pool can start.
 
-        Tasks run in waves.  Each wave submits every still-pending task
-        to a fresh pool and collects completions with a stall watchdog:
-        if no future completes for ``task_timeout`` seconds, whatever is
-        still outstanding is declared hung, the pool is abandoned
-        (``shutdown(wait=False)`` — never join a hung worker), and the
-        stragglers go into the next wave.  Every other wave joins its
-        pool, so a fault-free map leaves no live worker behind.
-        ``BrokenProcessPool`` marks the wave's unfinished tasks as
-        crashed, with the same retry treatment.  A task that fails
-        ``task_retries + 1`` pool attempts runs in-process via
-        ``serial_fn``.  Genuine task exceptions are never retried; the
-        lowest-index one is re-raised after every task resolves,
-        matching serial semantics.  Results, metrics, and events merge
-        in submission order, so a fault-free run is byte-identical to
-        the serial loop.
+        Results, metrics and events merge in submission order, so the
+        run is byte-identical to the serial loop.  ``BrokenProcessPool``
+        (a worker died) leaves the tasks it had not finished to run
+        in-process after the pool has shut down.  A genuine task
+        exception is not retried: the lowest-index one is re-raised once
+        every task has resolved, as in the serial loop.
         """
-        from concurrent.futures import (
-            FIRST_COMPLETED, ProcessPoolExecutor, wait,
-        )
+        from concurrent.futures import ProcessPoolExecutor
         from concurrent.futures.process import BrokenProcessPool
 
-        parent = get_registry()
-        parent_bus = get_event_bus()
         n = len(items)
-        slots: List[Optional[Tuple[Any, dict, list]]] = [None] * n
-        finished = [False] * n
-        attempts = [0] * n
+        slots: Dict[int, Tuple[Any, dict, list]] = {}
         errors: Dict[int, BaseException] = {}
-        pending = list(range(n))
-
+        crashed = False
         with span("perf.parallel.sweep"):
-            while pending:
-                # Retry budget exhausted → deterministic in-process
-                # fallback (worker faults cannot follow us here).
-                overdrawn = [i for i in pending
-                             if attempts[i] > self.task_retries]
-                for i in overdrawn:
-                    incr("perf.parallel.serial_fallbacks")
+            try:
+                with ProcessPoolExecutor(
+                    max_workers=min(self.jobs, n)
+                ) as pool:
+                    futures = []
                     try:
-                        slots[i] = _worker((serial_fn, items[i], i))
-                    except Exception as exc:
-                        errors[i] = exc
-                    finished[i] = True
-                pending = [i for i in pending
-                           if attempts[i] <= self.task_retries]
-                if not pending:
-                    break
-                wave_attempt = max(attempts[i] for i in pending)
-                if wave_attempt > 0:
-                    delay = self.retry_backoff_s * 2 ** (wave_attempt - 1)
-                    delay *= 0.5 + _backoff_jitter(pending[0], wave_attempt)
-                    time.sleep(min(delay, 2.0))
-                try:
-                    pool = ProcessPoolExecutor(
-                        max_workers=min(self.jobs, len(pending))
-                    )
-                    future_task = {
-                        pool.submit(_worker, (fn, items[i], i)): i
-                        for i in pending
-                    }
-                except (ImportError, OSError, PermissionError):
-                    # Pool unavailable mid-run: finish everything still
-                    # pending in-process.
-                    incr("perf.parallel.pool_fallbacks")
-                    for i in pending:
-                        incr("perf.parallel.serial_fallbacks")
-                        try:
-                            slots[i] = _worker((serial_fn, items[i], i))
-                        except Exception as exc:
-                            errors[i] = exc
-                        finished[i] = True
-                    pending = []
-                    break
-                outstanding = set(future_task)
-                crashed = stalled = False
-                while outstanding:
-                    done, outstanding = wait(
-                        outstanding, timeout=self.task_timeout,
-                        return_when=FIRST_COMPLETED,
-                    )
-                    if not done:
-                        # Stall: nothing completed within the per-task
-                        # budget, so every remaining future is hung or
-                        # starved behind a hung worker.
-                        incr("perf.parallel.task_timeouts",
-                             len(outstanding))
-                        stalled = True
-                        break
-                    for future in done:
-                        i = future_task[future]
+                        for i in range(n):
+                            futures.append(
+                                pool.submit(_worker, (fn, items[i], i))
+                            )
+                    except BrokenProcessPool:
+                        crashed = True
+                    for i, future in enumerate(futures):
                         try:
                             slots[i] = future.result()
-                            finished[i] = True
                         except BrokenProcessPool:
                             crashed = True
                         except Exception as exc:
-                            errors[i] = exc  # real task error: no retry
-                            finished[i] = True
-                    if crashed:
-                        break
-                pool.shutdown(wait=not stalled, cancel_futures=True)
-                if crashed:
-                    incr("perf.parallel.task_crashes")
-                failed = [i for i in pending if not finished[i]]
-                for i in failed:
-                    attempts[i] += 1
-                    incr("perf.parallel.task_retries")
-                pending = failed
-
+                            errors[i] = exc
+            except (ImportError, OSError):
+                return None
+            if crashed:
+                incr("perf.parallel.task_crashes")
+            for i in range(n):
+                if i not in slots and i not in errors:
+                    incr("perf.parallel.serial_fallbacks")
+                    try:
+                        slots[i] = _worker((fn, items[i], i))
+                    except Exception as exc:
+                        errors[i] = exc
+            if errors:
+                raise errors[min(errors)]
+            parent = get_registry()
+            parent_bus = get_event_bus()
             results: List[Any] = []
             for i in range(n):
-                if i in errors:
-                    raise errors[i]
-                result, metrics, events = slots[i]  # type: ignore[misc]
+                result, metrics, events = slots[i]
                 results.append(result)
                 if parent is not None:
                     parent.merge_snapshot(metrics)

@@ -20,10 +20,8 @@ layers exploit that:
   component's structure, weights, and capacity untouched reuses its
   cached shares, and so does any other component that forms the same
   LP under different flow ids), solves each distinct missing shape
-  once, fans those solves across a
-  :class:`~repro.perf.parallel.ParallelSweep` process pool, and merges
-  in component order — the merged result is bitwise identical to the
-  serial monolithic solve at any job count.
+  once in the calling process, and merges in component order — the
+  merged result is bitwise identical to the monolithic solve.
 * :class:`BatchAllocationEngine` fronts the solver with a
   register / allocate / release batch API in the shape of psim's
   ``BandwidthAllocator`` family: campaigns push whole lists of flows
@@ -59,49 +57,26 @@ from ..core.model import Flow
 from ..graphs import connected_components
 from ..lp import LinearProgram, lexicographic_maxmin
 from ..obs.registry import incr, observe
-from ..obs.trace import current_span_id, span
-from .parallel import ParallelSweep
+from ..obs.trace import span
 
 __all__ = [
     "BatchAllocationEngine",
     "ComponentProblem",
-    "ShardResultError",
     "ShardedSolver",
     "component_fingerprint",
     "component_problems",
 ]
 
 
-class ShardResultError(RuntimeError):
-    """A component solve failed inside the sharded path.
-
-    Subclasses ``RuntimeError`` so callers matching the monolithic
-    solver's failure mode keep working; adds the failing component id
-    and the ``runtime.shard`` span id for trace correlation.  Custom
-    ``__reduce__`` keeps the extra fields across the pool's pickle
-    round-trip.
-    """
-
-    def __init__(self, message: str, component: Optional[int] = None,
-                 span_id: Optional[str] = None) -> None:
-        super().__init__(message)
-        self.component = component
-        self.span_id = span_id
-
-    def __reduce__(self):
-        return (self.__class__, (self.args[0], self.component, self.span_id))
-
-
 @dataclass
 class ComponentProblem:
     """One contending flow group's LP, ready to solve in isolation.
 
-    Plain picklable data: ships to pool workers unchanged.  ``weights``
-    maps LP variable names to flow weights for the lexicographic
-    max-min refinement; ``fingerprint`` keys the per-component memo.
+    ``weights`` maps LP variable names to flow weights for the
+    lexicographic max-min refinement; ``fingerprint`` keys the
+    per-component memo.
     """
 
-    index: int
     group_ids: Tuple[str, ...]
     lp: LinearProgram
     weights: Dict[str, float]
@@ -204,7 +179,6 @@ def component_problems(
                 lps[gi].set_lower_bound(f"r_{fid}", basic[fid])
             weights = {f"r_{f.flow_id}": f.weight for f in group}
             problems.append(ComponentProblem(
-                index=gi,
                 group_ids=tuple(group_ids),
                 lp=lps[gi],
                 weights=weights,
@@ -218,8 +192,8 @@ def component_problems(
 
 
 def _solve_component(problem: ComponentProblem) -> List[float]:
-    """Solve one component's lexicographic max-min LP (module-level, so
-    picklable as the pool-worker entry); shares in ``group_ids`` order.
+    """Solve one component's lexicographic max-min LP; shares in
+    ``group_ids`` order.
 
     The failure message mirrors the monolithic
     :func:`~repro.core.allocation.basic_fairness_lp_allocation` so a
@@ -230,37 +204,11 @@ def _solve_component(problem: ComponentProblem) -> List[float]:
         backend=problem.backend,
     )
     if not sol.is_optimal:
-        raise ShardResultError(
+        raise RuntimeError(
             f"basic-fairness LP unexpectedly {sol.status}:\n"
-            f"{problem.lp.pretty()}",
-            component=problem.index,
+            f"{problem.lp.pretty()}"
         )
     return [sol[f"r_{fid}"] for fid in problem.group_ids]
-
-
-def _solve_component_guarded(payload) -> List[float]:
-    """Pool entry of every dirty solve: ``(problem, spec | None)``.
-
-    The spec (a :class:`~repro.resilience.faults.WorkerFaultSpec`, duck
-    typed to avoid an import cycle) misbehaves *inside the worker* —
-    crash or stall — before the real solve runs; the solve itself is
-    untouched, so results are unchanged whenever the task survives.
-    """
-    problem, spec = payload
-    if spec is not None:
-        spec.apply()
-    return _solve_component(problem)
-
-
-def _solve_component_unguarded(payload) -> List[float]:
-    """In-process fallback twin of the guarded entry: no fault shim.
-
-    Worker faults model a bad *worker environment*, so the deterministic
-    serial fallback solves the same problem cleanly — result identity
-    under faults hinges on this asymmetry.
-    """
-    problem, _spec = payload
-    return _solve_component(problem)
 
 
 class ShardedSolver:
@@ -268,40 +216,24 @@ class ShardedSolver:
 
     ``solve`` returns the same flow-id -> share mapping as
     ``basic_fairness_lp_allocation(analysis, backend=...).shares`` —
-    bitwise, at any ``jobs`` setting — because components are solved
-    with the identical LPs and merged in component order.  Components
-    whose shape key is cached are *reused* (dirty tracking); each
-    distinct shape left is solved once, across a process pool when
-    ``jobs > 1``.  The memo is an LRU of at most ``max_entries`` shapes.
+    bitwise — because components are solved with the identical LPs and
+    merged in component order.  Components whose shape key is cached
+    are *reused* (dirty tracking); each distinct shape left is solved
+    once, in the calling process.  The memo is an LRU of at most
+    ``max_entries`` shapes.
 
     Telemetry per solve: ``runtime.shard.components`` / ``dirty`` /
     ``reused`` counters, a ``runtime.shard`` span, and the duration of
-    its dirty-solve fan-out child span as ``runtime.shard.parallel_ms``;
-    the counts land in :attr:`last_stats` for programmatic asserts.
+    its dirty-solve child span as ``runtime.shard.parallel_ms``; the
+    counts land in :attr:`last_stats` for programmatic asserts.
     """
 
     def __init__(
         self,
         backend: str = "revised",
-        jobs: Optional[int] = 1,
         max_entries: int = 65536,
-        task_timeout: Optional[float] = None,
-        task_retries: int = 0,
-        retry_backoff_s: float = 0.05,
-        fault_injector=None,
     ) -> None:
         self.backend = backend
-        self.jobs = jobs
-        # Fault-tolerance knobs of the sweep (stall timeout, bounded
-        # retry; a ``task_timeout`` also pools a single dirty shape so
-        # armed faults can fire).  ``fault_injector`` is a
-        # :class:`~repro.resilience.faults.WorkerFaultInjector` (duck
-        # typed: anything with ``spec_for(position, total)``) used by
-        # chaos campaigns to make workers misbehave on purpose.
-        self.task_timeout = task_timeout
-        self.task_retries = int(task_retries)
-        self.retry_backoff_s = float(retry_backoff_s)
-        self.fault_injector = fault_injector
         self.max_entries = int(max_entries)
         #: Shape key -> shares in ``group_ids`` order, LRU order.
         self._memo: "OrderedDict[str, List[float]]" = OrderedDict()
@@ -328,14 +260,14 @@ class ShardedSolver:
         """Shares of each of ``problems``, in order.
 
         Memo hits are reused.  The misses are grouped by shape key, and
-        only the first problem of each shape goes into the one fan-out;
-        every problem of that shape takes its result, mapped onto its
-        own flow ids by position.  ``dirty`` counts the distinct shapes
-        solved, ``reused`` every other component.  ``held`` counts
-        components the caller serves from its own store without asking
-        (the batch engine's clean entries): they enter the stats as
-        components and reused, so the stats always describe the
-        caller's whole active set.
+        only the first problem of each shape is solved; every problem of
+        that shape takes its result, mapped onto its own flow ids by
+        position.  ``dirty`` counts the distinct shapes solved,
+        ``reused`` every other component.  ``held`` counts components
+        the caller serves from its own store without asking (the batch
+        engine's clean entries): they enter the stats as components and
+        reused, so the stats always describe the caller's whole active
+        set.
         """
         memo = self._memo
         with span("runtime.shard") as shard_span:
@@ -349,9 +281,9 @@ class ShardedSolver:
                     dirty[p.fingerprint] = p
                 cached.append(shares)
             with span("runtime.shard.parallel") as parallel_span:
-                solved = dict(zip(
-                    dirty, self._solve_dirty(list(dirty.values()))
-                )) if dirty else {}
+                solved = {
+                    key: _solve_component(p) for key, p in dirty.items()
+                }
             for key, shares in solved.items():
                 memo[key] = shares
                 while len(memo) > self.max_entries:
@@ -376,47 +308,6 @@ class ShardedSolver:
                 "reused": reused,
             }
         return results
-
-    def _solve_dirty(
-        self, dirty: List[ComponentProblem]
-    ) -> List[List[float]]:
-        """Solve one problem per missing shape across the pool
-        (in-process when the sweep runs serial: one job, or one dirty
-        shape and no ``task_timeout``); worker fault specs index this
-        de-duplicated list."""
-        sweep = ParallelSweep(
-            self.jobs,
-            task_timeout=self.task_timeout,
-            task_retries=self.task_retries,
-            retry_backoff_s=self.retry_backoff_s,
-        )
-        injector = self.fault_injector
-        payloads = [
-            (p,
-             injector.spec_for(pos, len(dirty))
-             if injector is not None else None)
-            for pos, p in enumerate(dirty)
-        ]
-        try:
-            return sweep.map(
-                _solve_component_guarded, payloads,
-                serial_fn=_solve_component_unguarded,
-            )
-        except ShardResultError as exc:
-            incr("runtime.shard.worker_errors")
-            if exc.span_id is None:
-                exc.span_id = current_span_id()
-            raise
-        except Exception as exc:
-            # Never let a bare worker exception escape the sharded path:
-            # wrap it with the span id so the failure correlates with the
-            # trace.
-            incr("runtime.shard.worker_errors")
-            raise ShardResultError(
-                f"sharded component solve failed: "
-                f"{type(exc).__name__}: {exc}",
-                span_id=current_span_id(),
-            ) from exc
 
     # ------------------------------------------------------------------
     # Checkpoint support (repro.resilience.checkpoint)

@@ -6,7 +6,7 @@ purpose — and trustworthy anyway:
 
 * :mod:`~repro.resilience.faults` — seeded, serializable, shrinkable
   fault plans (message drop/duplicate/delay, ack loss, node
-  crash/restart, link flaps) and the injector that turns them into
+  crash/restart, link flaps, arrival bursts) and the injector that turns them into
   reproducible per-message decisions;
 * :mod:`~repro.resilience.channel` — an unreliable constraint-propagation
   channel with per-message acks, bounded retransmits, exponential
@@ -76,10 +76,6 @@ from .faults import (
     LinkFaults,
     LinkFlap,
     NodeCrash,
-    WorkerCrash,
-    WorkerFaultInjector,
-    WorkerFaultSpec,
-    WorkerHang,
 )
 from .runtime import AllocatorRuntime, EpochRecord, RuntimeConfig
 from .overload import (
@@ -133,10 +129,6 @@ __all__ = [
     "LinkFaults",
     "LinkFlap",
     "NodeCrash",
-    "WorkerCrash",
-    "WorkerFaultInjector",
-    "WorkerFaultSpec",
-    "WorkerHang",
     "AllocatorRuntime",
     "EpochRecord",
     "RuntimeConfig",

@@ -24,7 +24,7 @@ mode supplies only its checks, its replay payload and its report extras:
 * **overload** (:func:`run_overload`) — the runtime behind an
   :class:`~repro.resilience.overload.OverloadRuntime` under an open-loop
   arrival trace at a multiple of the measured sustainable rate.  Replay
-  payload: the arrival trace and the fault plan.
+  payload: the arrival trace.
 
 Every mode draws scenario ``i`` from the verification fuzzer's generator,
 so campaign case ``i`` of seed ``s`` is the topology the ``verify``
@@ -69,12 +69,7 @@ from ..traffic.openloop import (
 )
 from .admission import ADMIT, REASON_OK
 from .epochs import ChurnTimeline
-from .faults import (
-    FaultInjector,
-    FaultPlan,
-    WorkerCrash,
-    WorkerFaultInjector,
-)
+from .faults import FaultInjector, FaultPlan
 from .overload import OverloadConfig, OverloadRuntime
 from .runtime import AllocatorRuntime, EpochRecord, RuntimeConfig
 
@@ -652,7 +647,6 @@ def run_churn_case(
     fault: Optional[ShareFault] = None,
     crash_restore: bool = True,
     mode: Optional[str] = None,
-    jobs: Optional[int] = 1,
 ) -> CaseChecks:
     """One scenario through one churn timeline, checked end to end.
 
@@ -668,9 +662,6 @@ def run_churn_case(
     commits), restored from its last checkpoint, and resumed; its final
     state payload must be *bitwise identical* to the uninterrupted
     run's.
-
-    ``jobs`` sizes the process pool of the runtime's component-sharded
-    centralized solver (results are bitwise identical at any job count).
     """
     if mode is None:
         mode = "distributed" if (loss > 0.0 or crash_prob > 0.0) \
@@ -679,7 +670,7 @@ def run_churn_case(
     def config(checkpoint_path: Optional[str] = None) -> RuntimeConfig:
         return RuntimeConfig(
             seed=seed, mode=mode, hysteresis=hysteresis, loss=loss,
-            crash_prob=crash_prob, stream_prefix=stream_prefix, jobs=jobs,
+            crash_prob=crash_prob, stream_prefix=stream_prefix,
             checkpoint_path=checkpoint_path,
         )
 
@@ -742,7 +733,6 @@ def run_churn(
     max_violations: int = 5,
     inject_fault: bool = False,
     crash_restore: bool = True,
-    jobs: Optional[int] = 1,
 ) -> CampaignReport:
     """Sweep ``cases`` seeded churn timelines x ``loss_rates``.
 
@@ -751,9 +741,7 @@ def run_churn(
     drawn from stream ``("churn", i)``, so a failing ``(seed, case)``
     pair reproduces from the command line alone.  ``inject_fault``
     perturbs every final allocation so a healthy harness must fail —
-    the self-test that proves the checkers bite.  ``jobs`` sizes each
-    runtime's shard process pool (the per-case solve fan-out); shares
-    and reports are bitwise identical at any job count.
+    the self-test that proves the checkers bite.
     """
     from ..verify.fuzzer import generate_scenario, inject_share_fault
 
@@ -783,7 +771,6 @@ def run_churn(
                     stream_prefix=("churn", index, repr(loss)),
                     fault=fault,
                     crash_restore=crash_restore,
-                    jobs=jobs,
                 )
                 yield (index, loss, case, scenario_to_dict(scenario),
                        {"churn_timeline": timeline.to_dict()})
@@ -810,7 +797,6 @@ def run_overload_case(
     deadline_ms: Optional[float] = None,
     plan: Optional[FaultPlan] = None,
     hysteresis: Optional[float] = None,
-    jobs: Optional[int] = 1,
     max_queue: int = 32,
     max_queue_age: Optional[int] = 8,
     stall_epochs: int = 0,
@@ -823,9 +809,7 @@ def run_overload_case(
     :class:`~repro.resilience.overload.OverloadRuntime` with the given
     epoch ``deadline_ms`` and driven through ``trace``.  ``plan``
     contributes adversarial :class:`~repro.resilience.faults.ArrivalBurst`
-    extras and — with ``jobs > 1`` — worker crash/hang faults injected
-    into the sharded solve (per-task timeout, bounded retries, serial
-    fallback).  ``stall_epochs > 0`` forces that many initial epochs to
+    extras.  ``stall_epochs > 0`` forces that many initial epochs to
     run with an already-expired watchdog, the deterministic proof that
     the breach machinery bites.
 
@@ -845,19 +829,10 @@ def run_overload_case(
     config = RuntimeConfig(
         seed=seed, mode="centralized", hysteresis=hysteresis,
         max_queue=max_queue, max_queue_age=max_queue_age,
-        jobs=jobs, stream_prefix=("overload",),
+        stream_prefix=("overload",),
     )
     runtime = AllocatorRuntime(scenario, config)
     last = _LastCommit(runtime)
-    if (plan is not None and plan.has_worker_faults
-            and jobs is not None and jobs > 1):
-        # Arm the sharded solver's fault-tolerant path: the injected
-        # crashes/hangs are worker-environment faults, so the guarded
-        # sweep retries and ultimately falls back in-process — shares
-        # stay bitwise identical to the monolithic solve.
-        runtime._shard.fault_injector = WorkerFaultInjector.from_plan(plan)
-        runtime._shard.task_timeout = 1.0
-        runtime._shard.task_retries = 2
     harness = OverloadRuntime(
         runtime, OverloadConfig(deadline_ms=deadline_ms), clock=clock
     )
@@ -967,8 +942,6 @@ def run_overload(
     max_queue: int = 32,
     max_queue_age: Optional[int] = 8,
     stall_epochs: int = 0,
-    worker_crash: bool = False,
-    jobs: Optional[int] = 1,
     inject_fault: bool = False,
     max_violations: int = 5,
 ) -> CampaignReport:
@@ -979,9 +952,8 @@ def run_overload(
     open-loop trace at ``multiplier`` times that rate (stream
     ``("overload", i, "trace")``) drives the protected runtime.
     ``stall_epochs`` forces that many initial deadline breaches per case
-    (exercising the shedding ladder deterministically); ``worker_crash``
-    arms one sharded-solve worker crash per case (meaningful with
-    ``jobs > 1``).  ``inject_fault`` both perturbs the final allocation
+    (exercising the shedding ladder deterministically).
+    ``inject_fault`` both perturbs the final allocation
     (the checkers must fail) and forces stalls, so a healthy harness
     must report breaches — the ``--inject-fault`` CLI run passes only
     when the watchdog demonstrably bit.  The report's ``rates`` total
@@ -997,11 +969,6 @@ def run_overload(
         "epochs": epochs, "multiplier": float(multiplier),
         "deadline_ms": deadline_ms,
     })
-    plan = (
-        FaultPlan(worker_crashes=(WorkerCrash(component=0, attempts=1),))
-        if worker_crash else None
-    )
-
     def results() -> Iterable[CaseResult]:
         for index in range(cases):
             registry = RngRegistry(seed)
@@ -1020,7 +987,7 @@ def run_overload(
             )
             case = run_overload_case(
                 scenario, trace, seed=seed, deadline_ms=deadline_ms,
-                plan=plan, hysteresis=hysteresis, jobs=jobs,
+                hysteresis=hysteresis,
                 max_queue=max_queue, max_queue_age=max_queue_age,
                 stall_epochs=stall_epochs, fault=fault,
             )
@@ -1032,9 +999,7 @@ def run_overload(
                 "latency_p50_ms": tallies.get("latency_p50_ms", 0.0),
                 "latency_p99_ms": tallies.get("latency_p99_ms", 0.0),
             }]
-            yield (index, offered, case, scenario_to_dict(scenario), {
-                "arrival_trace": trace.to_dict(),
-                "fault_plan": plan.to_dict() if plan is not None else None,
-            })
+            yield (index, offered, case, scenario_to_dict(scenario),
+                   {"arrival_trace": trace.to_dict()})
 
     return _sweep(report, results(), max_violations)

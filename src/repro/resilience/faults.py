@@ -10,7 +10,9 @@ floods clique constraints along flow paths:
   receives, and loses its received constraint state — it re-derives only
   its *local* cliques by re-overhearing after restart);
 * link flaps — a link that is administratively down for a round interval
-  drops every message crossing it, in either direction.
+  drops every message crossing it, in either direction;
+* arrival bursts (overload plans only) — adversarial extra arrivals
+  that stress admission control, not the protocol.
 
 A :class:`FaultInjector` turns a plan into concrete per-message decisions
 by drawing from :class:`~repro.sim.rng.RngRegistry` streams, one stream
@@ -24,9 +26,6 @@ reproducers next to the scenario that tripped a checker.
 
 from __future__ import annotations
 
-import os
-import tempfile
-import time
 from dataclasses import dataclass, field, replace
 from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
@@ -36,13 +35,9 @@ __all__ = [
     "LinkFaults",
     "NodeCrash",
     "LinkFlap",
-    "WorkerCrash",
-    "WorkerHang",
     "ArrivalBurst",
     "FaultPlan",
     "FaultInjector",
-    "WorkerFaultSpec",
-    "WorkerFaultInjector",
 ]
 
 
@@ -141,53 +136,6 @@ class LinkFlap:
 
 
 @dataclass(frozen=True)
-class WorkerCrash:
-    """A pool worker dies (``os._exit``) while solving a shard task.
-
-    ``component`` selects the victim by position among the dirty
-    components of a solve (applied modulo the dirty count, so small
-    plans hit something on any topology); the crash fires on the task's
-    first ``attempts`` pool attempts, then the worker behaves — the
-    bounded-retry ladder must survive exactly that many losses.
-    """
-
-    component: int
-    attempts: int = 1
-
-    def to_dict(self) -> Dict[str, object]:
-        return {"component": self.component, "attempts": self.attempts}
-
-    @classmethod
-    def from_dict(cls, doc: Mapping[str, object]) -> "WorkerCrash":
-        return cls(int(doc["component"]), int(doc.get("attempts", 1)))
-
-
-@dataclass(frozen=True)
-class WorkerHang:
-    """A pool worker stalls for ``seconds`` before solving its shard.
-
-    Like :class:`WorkerCrash`, ``component`` picks the victim modulo the
-    dirty count and the stall fires on the first ``attempts`` attempts.
-    Keep ``seconds`` comfortably above the sweep's per-task timeout and
-    small in absolute terms — abandoned workers are joined at interpreter
-    exit.
-    """
-
-    component: int
-    seconds: float = 0.5
-    attempts: int = 1
-
-    def to_dict(self) -> Dict[str, object]:
-        return {"component": self.component, "seconds": self.seconds,
-                "attempts": self.attempts}
-
-    @classmethod
-    def from_dict(cls, doc: Mapping[str, object]) -> "WorkerHang":
-        return cls(int(doc["component"]), float(doc.get("seconds", 0.5)),
-                   int(doc.get("attempts", 1)))
-
-
-@dataclass(frozen=True)
 class ArrivalBurst:
     """An adversarial arrival spike at ``epoch``.
 
@@ -223,8 +171,6 @@ class FaultPlan:
     links: Mapping[Tuple[str, str], LinkFaults] = field(default_factory=dict)
     crashes: Tuple[NodeCrash, ...] = ()
     flaps: Tuple[LinkFlap, ...] = ()
-    worker_crashes: Tuple[WorkerCrash, ...] = ()
-    worker_hangs: Tuple[WorkerHang, ...] = ()
     bursts: Tuple[ArrivalBurst, ...] = ()
 
     def link_faults(self, a: str, b: str) -> LinkFaults:
@@ -233,15 +179,11 @@ class FaultPlan:
 
     @property
     def lossless(self) -> bool:
-        """No *channel* faults (worker faults and bursts don't count —
-        they stress the solver pool and admission, not the protocol)."""
+        """No *channel* faults (bursts don't count — they stress
+        admission, not the protocol)."""
         return (self.default_link.lossless and not self.crashes
                 and not self.flaps
                 and all(lf.lossless for lf in self.links.values()))
-
-    @property
-    def has_worker_faults(self) -> bool:
-        return bool(self.worker_crashes or self.worker_hangs)
 
     # ------------------------------------------------------------------
     # Static schedule queries (no randomness involved)
@@ -278,13 +220,14 @@ class FaultPlan:
             ],
             "crashes": [c.to_dict() for c in self.crashes],
             "flaps": [f.to_dict() for f in self.flaps],
-            "worker_crashes": [w.to_dict() for w in self.worker_crashes],
-            "worker_hangs": [w.to_dict() for w in self.worker_hangs],
             "bursts": [b.to_dict() for b in self.bursts],
         }
 
     @classmethod
     def from_dict(cls, doc: Mapping[str, object]) -> "FaultPlan":
+        """Inverse of :meth:`to_dict`.  The ``worker_crashes`` and
+        ``worker_hangs`` keys of plans written when component solves
+        could run in a process pool are ignored."""
         links: Dict[Tuple[str, str], LinkFaults] = {}
         for entry in doc.get("links", []):
             a, b = entry["link"]
@@ -297,13 +240,6 @@ class FaultPlan:
             ),
             flaps=tuple(
                 LinkFlap.from_dict(f) for f in doc.get("flaps", [])
-            ),
-            worker_crashes=tuple(
-                WorkerCrash.from_dict(w)
-                for w in doc.get("worker_crashes", [])
-            ),
-            worker_hangs=tuple(
-                WorkerHang.from_dict(w) for w in doc.get("worker_hangs", [])
             ),
             bursts=tuple(
                 ArrivalBurst.from_dict(b) for b in doc.get("bursts", [])
@@ -331,11 +267,13 @@ class FaultPlan:
         draw order is fixed, so a plan is a pure function of the stream
         state — the fuzzer regenerates it from ``(seed, case)`` alone.
 
-        ``overload=True`` additionally draws worker crash/hang faults
-        and an arrival burst.  Those draws come strictly *after* every
-        existing draw (and are consumed unconditionally), so plans drawn
-        without the flag are byte-identical to pre-overload plans from
-        the same stream.
+        ``overload=True`` additionally draws an arrival burst.  Those
+        draws come strictly *after* every other draw (and are consumed
+        unconditionally), so plans drawn without the flag are
+        byte-identical to pre-overload plans from the same stream.  The
+        six draws ahead of the burst once placed worker crash and hang
+        faults; they are still consumed, so every burst stays the one
+        drawn from the same stream before those faults were retired.
         """
         drop = float(rng.uniform(0.0, 0.4)) if loss is None else float(loss)
         default = LinkFaults(
@@ -365,37 +303,27 @@ class FaultPlan:
             up_at = down_from + int(rng.integers(1, horizon // 2))
             a, b = _link_key(ordered[i], ordered[j])
             flaps.append(LinkFlap(a, b, down_from, up_at))
-        worker_crashes: List[WorkerCrash] = []
-        worker_hangs: List[WorkerHang] = []
         bursts: List[ArrivalBurst] = []
         if overload:
             # Every draw is consumed whether or not the event fires, so
             # the stream position after draw() is outcome-independent.
-            u_crash = float(rng.random())
-            crash_component = int(rng.integers(0, 4))
-            crash_attempts = int(rng.integers(1, 3))
-            u_hang = float(rng.random())
-            hang_component = int(rng.integers(0, 4))
-            hang_seconds = float(rng.uniform(0.05, 0.3))
+            # The first six are the retired worker crash and hang draws.
+            rng.random()
+            rng.integers(0, 4)
+            rng.integers(1, 3)
+            rng.random()
+            rng.integers(0, 4)
+            rng.uniform(0.05, 0.3)
             u_burst = float(rng.random())
             burst_epoch = int(rng.integers(0, max(1, horizon // 2)))
             burst_count = int(rng.integers(1, 5))
             burst_duration = int(rng.integers(1, 5))
-            if u_crash < 0.5:
-                worker_crashes.append(
-                    WorkerCrash(crash_component, crash_attempts)
-                )
-            if u_hang < 0.3:
-                worker_hangs.append(
-                    WorkerHang(hang_component, round(hang_seconds, 3))
-                )
             if u_burst < 0.5:
                 bursts.append(
                     ArrivalBurst(burst_epoch, burst_count, burst_duration)
                 )
         return cls(default_link=default, crashes=tuple(crashes),
-                   flaps=tuple(flaps), worker_crashes=tuple(worker_crashes),
-                   worker_hangs=tuple(worker_hangs), bursts=tuple(bursts))
+                   flaps=tuple(flaps), bursts=tuple(bursts))
 
     # ------------------------------------------------------------------
     # Shrinking support
@@ -404,12 +332,10 @@ class FaultPlan:
         """One-step-simpler plans, for greedy failure shrinking.
 
         Ordered from most to least aggressive simplification: drop all
-        worker faults and bursts, drop all crashes, drop all flaps, drop
-        individual events, then zero individual default-link rates.
+        bursts, drop all crashes, drop all flaps, drop individual
+        events, then zero individual default-link rates.
         """
         out: List[FaultPlan] = []
-        if self.worker_crashes or self.worker_hangs:
-            out.append(replace(self, worker_crashes=(), worker_hangs=()))
         if self.bursts:
             out.append(replace(self, bursts=()))
         if self.crashes:
@@ -423,18 +349,6 @@ class FaultPlan:
         for i in range(len(self.flaps)):
             out.append(replace(
                 self, flaps=self.flaps[:i] + self.flaps[i + 1:]
-            ))
-        for i in range(len(self.worker_crashes)):
-            out.append(replace(
-                self,
-                worker_crashes=(self.worker_crashes[:i]
-                                + self.worker_crashes[i + 1:]),
-            ))
-        for i in range(len(self.worker_hangs)):
-            out.append(replace(
-                self,
-                worker_hangs=(self.worker_hangs[:i]
-                              + self.worker_hangs[i + 1:]),
             ))
         for i in range(len(self.bursts)):
             out.append(replace(
@@ -514,97 +428,3 @@ class FaultInjector:
         """Deterministic backoff jitter: uniform in ``[0, 2^(attempt-1))``."""
         window = max(1, 2 ** (attempt - 1))
         return int(self._stream(src, dst).integers(0, window))
-
-
-@dataclass
-class WorkerFaultSpec:
-    """Picklable per-task fault directive executed *inside* a pool worker.
-
-    Attempt accounting must survive worker restarts and fresh pools, so
-    it lives in a token file rather than process memory: each call to
-    :meth:`apply` counts the lines already in ``token_path``, appends
-    one, and misbehaves only while the crash/hang budget is unspent.
-    Exactly one instance of a task runs at a time, so the file needs no
-    locking.
-    """
-
-    token_path: str
-    crash_attempts: int = 0
-    hang_attempts: int = 0
-    hang_seconds: float = 0.0
-
-    def apply(self) -> None:
-        try:
-            with open(self.token_path, "a+", encoding="utf-8") as fh:
-                fh.seek(0)
-                prior = sum(1 for _ in fh)
-                fh.write("x\n")
-                fh.flush()
-        except OSError:
-            return  # token dir gone: behave, never wedge the solve
-        if prior < self.crash_attempts:
-            os._exit(17)  # simulate a hard worker death, no cleanup
-        if prior < self.crash_attempts + self.hang_attempts:
-            time.sleep(self.hang_seconds)
-
-
-class WorkerFaultInjector:
-    """Maps a plan's worker faults onto the dirty tasks of one solve.
-
-    A fault's ``component`` field selects its victim by position modulo
-    the number of dirty tasks, so a plan drawn blind to the topology
-    always lands on something.  Attempt budgets persist across epochs
-    (and across retry pools) through per-position token files in a
-    private temp directory; :meth:`reset` re-arms them.
-    """
-
-    def __init__(
-        self,
-        crashes: Sequence[WorkerCrash] = (),
-        hangs: Sequence[WorkerHang] = (),
-        workdir: Optional[str] = None,
-    ) -> None:
-        self.crashes = tuple(crashes)
-        self.hangs = tuple(hangs)
-        if workdir is None:
-            self._tmp = tempfile.TemporaryDirectory(prefix="worker-faults-")
-            self.workdir = self._tmp.name
-        else:
-            self._tmp = None
-            self.workdir = workdir
-
-    @classmethod
-    def from_plan(cls, plan: FaultPlan,
-                  workdir: Optional[str] = None) -> "WorkerFaultInjector":
-        return cls(plan.worker_crashes, plan.worker_hangs, workdir=workdir)
-
-    def spec_for(self, position: int, total: int) -> Optional[WorkerFaultSpec]:
-        """The fault directive for dirty task ``position`` of ``total``."""
-        if total <= 0:
-            return None
-        crash = sum(c.attempts for c in self.crashes
-                    if c.component % total == position)
-        hang_attempts = sum(h.attempts for h in self.hangs
-                            if h.component % total == position)
-        hang_seconds = max(
-            (h.seconds for h in self.hangs
-             if h.component % total == position),
-            default=0.0,
-        )
-        if not crash and not hang_attempts:
-            return None
-        return WorkerFaultSpec(
-            token_path=os.path.join(self.workdir, f"task-{position}"),
-            crash_attempts=crash,
-            hang_attempts=hang_attempts,
-            hang_seconds=hang_seconds,
-        )
-
-    def reset(self) -> None:
-        """Forget spent attempts (token files) so faults fire again."""
-        try:
-            for name in os.listdir(self.workdir):
-                if name.startswith("task-"):
-                    os.unlink(os.path.join(self.workdir, name))
-        except OSError:
-            pass

@@ -115,11 +115,7 @@ class RuntimeConfig:
 
     ``checkpoint_path`` is deliberately *not* serialized — it names a
     location in the current environment, and a restored runtime keeps
-    checkpointing to wherever it was restored from.  ``jobs`` is not
-    serialized either: it sizes the shard process pool of the machine
-    the runtime happens to run on, and the solved shares are bitwise
-    identical at every job count, so carrying it across restores would
-    only break payload equality between differently-parallel replicas.
+    checkpointing to wherever it was restored from.
 
     There is one solve pipeline: universe-restricted contention, the
     component-sharded centralized solve (or 2PA-D), and per-epoch
@@ -140,7 +136,6 @@ class RuntimeConfig:
     #: Epochs a flow may sit in the waiting queue before age-based
     #: eviction (``None`` disables it — the historical behaviour).
     max_queue_age: Optional[int] = None
-    jobs: Optional[int] = 1
     stream_prefix: Tuple = ("runtime",)
     checkpoint_path: Optional[str] = None
 
@@ -400,7 +395,7 @@ class AllocatorRuntime:
         #: Component-sharded centralized solver; its per-component memo
         #: serves unchanged components across epochs.
         self._shard: Optional[ShardedSolver] = (
-            ShardedSolver(backend="revised", jobs=self.config.jobs)
+            ShardedSolver(backend="revised")
             if self.config.mode == "centralized" else None
         )
         self._topo: Dict[Tuple[frozenset, frozenset], _TopologyState] = {}

@@ -162,9 +162,9 @@ class VerificationSuite:
                                   ("overload", overload)) if on
         )
         #: Also run the component-sharded differential axis — the
-        #: :class:`~repro.perf.shard.ShardedSolver` at jobs=1 and jobs>1
-        #: against the monolithic LP, a flow-relabeled copy through a
-        #: solver primed on the original, plus an
+        #: :class:`~repro.perf.shard.ShardedSolver` against the
+        #: monolithic LP, a flow-relabeled copy through a solver primed
+        #: on the original, plus an
         #: :class:`AllocatorRuntime` journal against a cold monolithic
         #: solve of every epoch — ``repro verify --sharded``.  Every
         #: comparison is bitwise (``==`` on floats): sharding is exact.
@@ -270,13 +270,10 @@ class VerificationSuite:
 
         out: List[CheckOutcome] = []
         with span("verify.sharded"):
-            for name, jobs in (("sharded.vs_monolithic", 1),
-                               ("sharded.parallel_jobs", 2)):
-                out.append(_bitwise_outcome(name, lambda: (
-                    ShardedSolver(backend=self.backend, jobs=jobs)
-                    .solve(analysis),
-                    lp_shares,
-                )))
+            out.append(_bitwise_outcome("sharded.vs_monolithic", lambda: (
+                ShardedSolver(backend=self.backend).solve(analysis),
+                lp_shares,
+            )))
             out.append(self._sharded_relabeled_check(scenario, analysis))
             out.append(self._sharded_runtime_check(scenario))
         return out
@@ -716,11 +713,10 @@ def _draw_overload(registry: RngRegistry, index: int,
 
 def _run_overload(suite: VerificationSuite, scenario: Scenario,
                   payloads: Sequence[object], seed: int, index: int):
-    # The overload-protected runtime at jobs=1 (the plan's worker
-    # faults are inert in-process; its arrival bursts are live).  Two
-    # early epochs run with an already-expired watchdog, so the breach
-    # path and the breach_recorded pairing are exercised on every case
-    # with no wall-clock dependence.
+    # The overload-protected runtime under the plan's arrival bursts.
+    # Two early epochs run with an already-expired watchdog, so the
+    # breach path and the breach_recorded pairing are exercised on every
+    # case with no wall-clock dependence.
     from ..resilience.campaign import run_overload_case
 
     trace, plan = payloads
@@ -952,7 +948,7 @@ def run_fuzz(
     fault plan (``faults.*`` checks), through the long-lived runtime
     under a churn timeline (``churn.*``, including the crash + restore
     differential), and through the overload-protected runtime under an
-    open-loop arrival trace plus a burst/worker-fault plan, with two
+    open-loop arrival trace plus an arrival-burst plan, with two
     forced deadline stalls (``overload.*``).  Payloads come from the
     case's ``("verify", i, <axis>)`` streams (the overload plan from
     ``"overload-plan"``).  On a failure the failing axis's payloads are
@@ -965,7 +961,7 @@ def run_fuzz(
 
     ``sharded=True`` additionally runs the component-sharded
     differential axis per case — :class:`~repro.perf.shard.ShardedSolver`
-    at jobs=1 and jobs=2 against the monolithic LP allocation, a
+    against the monolithic LP allocation, a
     flow-relabeled copy through a solver primed on the original against
     the copy's monolithic allocation, and a centralized runtime journal
     against a cold monolithic solve of each epoch — asserting bitwise

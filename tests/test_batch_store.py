@@ -32,7 +32,7 @@ from repro.core.contention import (
 from repro.core.model import Flow, Network, Scenario, Subflow, SubflowId
 from repro.graphs import connected_components
 from repro.obs.registry import MetricsRegistry
-from repro.perf.shard import BatchAllocationEngine, ShardResultError
+from repro.perf.shard import BatchAllocationEngine
 from repro.resilience.admission import (
     ADMIT,
     REASON_FLOOR,
@@ -240,7 +240,7 @@ class TestStoreDifferential:
                 # A departure left an admitted flow's floor infeasible
                 # (the shortcut's L after its group shrank): the engine
                 # fails exactly where the cold solve does.
-                with pytest.raises(ShardResultError):
+                with pytest.raises(RuntimeError, match="basic-fairness LP"):
                     engine.allocate()
                 failed += 1
                 continue

@@ -193,7 +193,6 @@ class TestChurnCli:
         assert doc["config"] == {
             "cases": 2, "loss_rates": [0.0, 0.2], "epochs": 5,
             "crash_prob": 0.0, "hysteresis": 0.3, "inject_fault": False,
-            "jobs": 1,
         }
         results = doc["results"]
         assert results["ok"] is True

@@ -210,6 +210,55 @@ class TestDegenerateCases:
         assert hit, "data file no longer pins the one-ulp artifact"
 
 
+def beale_cycling_lp():
+    """Beale's LP: Dantzig pricing with a smallest-index leaving rule
+    cycles through degenerate bases forever; the optimum is 5/4 at
+    ``x4 = x6 = 1``."""
+    lp = LinearProgram()
+    lp.maximize({"x4": 0.75, "x5": -20.0, "x6": 0.5, "x7": -6.0})
+    lp.add_constraint({"x4": 0.25, "x5": -8.0, "x6": -1.0, "x7": 9.0}, 0.0)
+    lp.add_constraint({"x4": 0.5, "x5": -12.0, "x6": -0.5, "x7": 3.0}, 0.0)
+    lp.add_constraint({"x6": 1.0}, 1.0)
+    return lp
+
+
+class TestBoundedSolve:
+    """Every solve returns: a cycling LP ends at its optimum, and a solve
+    that cannot end raises instead of running forever."""
+
+    def test_beale_reaches_optimal_after_the_bland_switch(self):
+        with using_registry() as reg:
+            sol = solve(beale_cycling_lp(), backend="revised")
+        assert sol.status == "optimal"
+        assert sol.objective == pytest.approx(1.25, abs=1e-12)
+        assert [sol[v] for v in ("x4", "x5", "x6", "x7")] == \
+            pytest.approx([1.0, 0.0, 1.0, 0.0], abs=1e-12)
+        # Dantzig pricing cycled until the degenerate run switched
+        # pricing to Bland's rule, which ended it.
+        pivots = reg.counters["lp.revised.pivots"].value
+        assert pivots > revised_module._DEGENERATE_SWITCH
+
+    def test_beale_through_lexicographic_maxmin(self):
+        sol = lexicographic_maxmin(beale_cycling_lp(), backend="revised")
+        assert sol.status == "optimal"
+        assert sol.objective == pytest.approx(1.25, abs=1e-12)
+        assert [sol[v] for v in ("x4", "x5", "x6", "x7")] == \
+            pytest.approx([1.0, 0.0, 1.0, 0.0], abs=1e-12)
+
+    def test_exact_stage_terminates_on_beale(self):
+        from fractions import Fraction
+
+        exact = solve_exact(beale_cycling_lp())
+        assert exact.status == "optimal"
+        assert exact.objective == Fraction(5, 4)
+
+    def test_pivot_cap_raises_when_pricing_never_switches(self,
+                                                          monkeypatch):
+        monkeypatch.setattr(revised_module, "_DEGENERATE_SWITCH", 10 ** 9)
+        with pytest.raises(RuntimeError, match="cycling safeguard"):
+            solve(beale_cycling_lp(), backend="revised")
+
+
 class TestBackendSpanTag:
     """Every ``lp.solve`` span says which backend produced it."""
 

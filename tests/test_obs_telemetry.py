@@ -87,7 +87,6 @@ class TestSpanTracer:
         assert isinstance(s, NullSpan)
         with s as inner:
             inner.tag(ignored=1)  # must be a silent no-op
-        assert obs.current_span_id() is None
 
     def test_exception_tags_error_and_closes(self):
         with using_tracer() as tracer:

@@ -1,7 +1,9 @@
 """Tests for repro.resilience: faults, lossy channel, degradation, chaos."""
 
+import json
 import math
 
+import numpy as np
 import pytest
 
 from repro import obs
@@ -10,6 +12,7 @@ from repro.core.allocation import build_basic_fairness_lp
 from repro.core.fairness_defs import basic_shares
 from repro.obs import MetricsRegistry
 from repro.resilience import (
+    ArrivalBurst,
     CONVERGED,
     CONVERGED_PARTIAL,
     TIMED_OUT,
@@ -105,6 +108,67 @@ class TestFaultPlan:
         )
         clone = FaultPlan.from_dict(plan.to_dict())
         assert clone.to_dict() == plan.to_dict()
+
+    def test_reproducer_with_arrival_bursts_round_trips(self, tmp_path):
+        from repro.verify.fuzzer import FuzzFailure, _write_reproducer
+
+        plan = FaultPlan.draw(
+            np.random.default_rng(0), nodes=[f"n{i}" for i in range(6)],
+            overload=True,
+        )
+        assert plan.bursts == (ArrivalBurst(1, 4, 1),)
+        failure = FuzzFailure(
+            case=0, check="overload.no_raise", details="", scenario={},
+            shrunk={}, replay={"fault_plan": plan.to_dict()},
+        )
+        path = _write_reproducer(str(tmp_path), 0, 0, failure.check,
+                                 failure)
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        assert doc["fault_plan"]["bursts"] == [
+            {"epoch": 1, "count": 4, "duration": 1}
+        ]
+        assert FaultPlan.from_dict(doc["fault_plan"]) == plan
+
+    def test_plan_with_legacy_worker_faults_still_loads(self):
+        """A plan written while component solves could run in a process
+        pool carries worker crash and hang lists; they load as nothing."""
+        doc = {
+            "default_link": {"drop": 0.25, "ack_drop": 0.125,
+                             "duplicate": 0.03, "delay": 0.01,
+                             "max_delay": 1},
+            "links": [], "crashes": [], "flaps": [],
+            "worker_crashes": [{"component": 0, "attempts": 1}],
+            "worker_hangs": [{"component": 3, "seconds": 0.232,
+                              "attempts": 1}],
+            "bursts": [{"epoch": 1, "count": 4, "duration": 1}],
+        }
+        plan = FaultPlan.from_dict(doc)
+        assert plan.bursts == (ArrivalBurst(1, 4, 1),)
+        assert plan.default_link == LinkFaults(0.25, 0.125, 0.03, 0.01, 1)
+        assert "worker_crashes" not in plan.to_dict()
+        assert "worker_hangs" not in plan.to_dict()
+
+    @pytest.mark.parametrize("seed,bursts,next_draw", [
+        (0, ((1, 4, 1),), 0.2997118905373848),
+        (1, ((10, 1, 3),), 0.7503646726300526),
+        (2, (), 0.18725256972009807),
+        (3, ((11, 1, 1),), 0.29840122301687566),
+        (4, (), 0.7048647455647425),
+        (5, ((5, 4, 3),), 0.27145160453010153),
+        (6, ((9, 3, 4),), 0.4324948116550308),
+        (7, (), 0.21530869823559895),
+    ])
+    def test_overload_bursts_are_pinned(self, seed, bursts, next_draw):
+        """Overload plans draw their bursts after six retired worker-fault
+        draws; these literals were recorded while those faults were still
+        drawn, so every burst (and the stream position after the plan)
+        is unchanged."""
+        rng = np.random.default_rng(seed)
+        plan = FaultPlan.draw(rng, nodes=[f"n{i}" for i in range(6)],
+                              overload=True)
+        assert plan.bursts == tuple(ArrivalBurst(*b) for b in bursts)
+        assert float(rng.random()) == next_draw
 
     def test_default_plan_is_lossless(self):
         assert FaultPlan().lossless

@@ -91,9 +91,8 @@ class TestLibraryDifferential:
     def test_sharded_matches_monolithic_bitwise(self, name):
         analysis = ContentionAnalysis(LIBRARY[name]())
         reference = basic_fairness_lp_allocation(analysis).shares
-        for jobs in (1, 2):
-            shares = ShardedSolver(jobs=jobs).solve(analysis)
-            assert shares == reference  # bitwise, no tolerance
+        shares = ShardedSolver().solve(analysis)
+        assert shares == reference  # bitwise, no tolerance
 
     def test_infeasible_scenario_raises_like_monolithic(self):
         analysis = ContentionAnalysis(LIBRARY["fig3_shortcut"]())
@@ -314,7 +313,7 @@ class TestRuntimeShardSeam:
         obs.set_registry(registry)
         try:
             runtime = AllocatorRuntime(
-                scenario, RuntimeConfig(jobs=k, admission=False)
+                scenario, RuntimeConfig(admission=False)
             )
             journal = [runtime.set_active(active) for active in steps]
         finally:
