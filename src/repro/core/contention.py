@@ -8,17 +8,19 @@ partitions the network's flows into disjoint *contending flow groups*,
 which are the units the allocation algorithms operate on.
 
 A long-lived allocator analyzes its *universe* — every flow that can be
-active — once, and derives each active subset's analysis from it with
-:func:`restricted_analysis`, never enumerating cliques again.
+active — once; :func:`restricted_analysis` reads each subset's analysis
+off its :class:`ContentionIndex`, never enumerating cliques again.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import cached_property
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from itertools import chain
+from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
 
 from ..graphs import Graph, connected_components, maximal_cliques
-from ..graphs.cliques import clique_vertex_order, restrict_cliques, sort_cliques
+from ..graphs.cliques import clique_vertex_order
 from ..obs.registry import incr
 from ..obs.trace import span
 from .model import Flow, Network, Scenario, Subflow, SubflowId
@@ -120,19 +122,15 @@ def contending_flow_groups(
 
 
 def flow_groups_from_graph(
-    graph: Graph,
-    flows: Sequence[Flow],
-    components: Optional[List[Set[SubflowId]]] = None,
+    graph: Graph, flows: Sequence[Flow]
 ) -> List[List[Flow]]:
     """Contending flow groups induced by a subflow contention graph.
 
     Two flows are grouped when their subflow vertices share a connected
     component of ``graph``.  Covers the explicit-graph scenarios where no
-    geometry exists.  ``components`` may pass ``connected_components(graph)``
-    when the caller already has it.
+    geometry exists.
     """
-    if components is None:
-        components = connected_components(graph)
+    components = connected_components(graph)
     by_id = {f.flow_id: f for f in flows}
     comp_of: Dict[str, int] = {}
     for idx, comp in enumerate(components):
@@ -159,12 +157,11 @@ class ContentionAnalysis:
     sit in clique ``k``), and the contending flow groups — everything the
     phase-1 LPs need.
 
-    ``graph`` and ``cliques`` may be supplied precomputed (e.g. by
-    :func:`restricted_analysis`, which derives both from a universe
-    analysis); when given they must describe exactly the scenario's
-    flows — the constructor then skips the corresponding rebuild phases.
-    ``components`` (the connected components of the given ``graph``)
-    likewise spares the flow grouping its own pass.
+    ``graph`` and ``cliques`` may be supplied precomputed (e.g. for a
+    large synthetic universe); when given they must describe exactly the
+    scenario's flows — the constructor then skips the corresponding
+    rebuild phases.  :func:`restricted_analysis` reads an analysis off a
+    universe's :attr:`index` instead.
     """
 
     def __init__(
@@ -172,7 +169,6 @@ class ContentionAnalysis:
         scenario: Scenario,
         graph: Graph = None,
         cliques: List[FrozenSet[SubflowId]] = None,
-        components: Optional[List[Set[SubflowId]]] = None,
     ) -> None:
         self.scenario = scenario
         if graph is not None:
@@ -183,18 +179,29 @@ class ContentionAnalysis:
                     scenario.network, scenario.flows
                 )
         if cliques is not None:
-            self.cliques: List[FrozenSet[SubflowId]] = list(cliques)
+            self.cliques = list(cliques)
             incr("perf.contention.precomputed_cliques")
         else:
             with span("contention.clique_enumeration"):
                 self.cliques = maximal_cliques(self.graph)
         with span("contention.flow_grouping"):
-            self.groups = flow_groups_from_graph(
-                self.graph, scenario.flows, components
-            )
+            self.groups = flow_groups_from_graph(self.graph, scenario.flows)
         incr("contention.analyses")
         incr("contention.cliques_found", len(self.cliques))
         incr("contention.subflow_vertices", self.graph.num_vertices())
+
+    # A restricted analysis builds its graph and cliques when read.
+    @cached_property
+    def graph(self) -> Graph:
+        index, flows, _ranked = self._induced_from
+        return index.graph.subgraph(
+            index.vertices[i] for f in flows for i in index.ranks[f.flow_id]
+        )
+
+    @cached_property
+    def cliques(self) -> List[FrozenSet[SubflowId]]:
+        index, _flows, ranked = self._induced_from
+        return [frozenset([index.vertices[i] for i in t]) for t in ranked]
 
     def clique_coefficients(
         self, clique: FrozenSet[SubflowId]
@@ -208,6 +215,12 @@ class ContentionAnalysis:
     def all_coefficients(self) -> List[Dict[str, int]]:
         """``n_{i,k}`` for every maximal clique, in clique order."""
         return [self.clique_coefficients(c) for c in self.cliques]
+
+    @cached_property
+    def clique_terms(self) -> List[Tuple[Dict[str, int], str]]:
+        """Per clique: its ``n_{i,k}`` and sorted member labels joined by
+        ``+`` (the LP constraint label)."""
+        return self.index.clique_terms
 
     def weighted_clique_sizes(self) -> List[float]:
         """``ω_{Ω_k}`` per clique: sum of member subflow weights."""
@@ -229,56 +242,125 @@ class ContentionAnalysis:
     def subflow_ids(self) -> List[SubflowId]:
         return [s.sid for s in self.scenario.all_subflows()]
 
-    # -- universe indexes, built on first use --------------------------
     @cached_property
-    def vertex_position(self) -> Dict[SubflowId, int]:
-        """Each subflow vertex's position in graph insertion order."""
-        return {v: i for i, v in enumerate(self.graph)}
+    def index(self) -> "ContentionIndex":
+        """The integer index every subset's analysis is read from."""
+        with span("contention.index_build"):
+            return ContentionIndex(self)
 
-    @cached_property
-    def flow_vertices(self) -> Dict[str, List[SubflowId]]:
-        """Each flow's subflow vertices, in graph insertion order."""
-        out: Dict[str, List[SubflowId]] = {}
-        for v in self.graph:
-            out.setdefault(v.flow, []).append(v)
-        return out
 
-    @cached_property
-    def _flow_cliques(self) -> Dict[str, Set[int]]:
-        out: Dict[str, Set[int]] = {}
-        for k, clique in enumerate(self.cliques):
-            for sid in clique:
-                out.setdefault(sid.flow, set()).add(k)
-        return out
+class ContentionIndex:
+    """Integer view of one analysis, the source of every subset's:
+    vertices numbered by canonical rank (:func:`clique_vertex_order`),
+    so a clique's sorted rank tuple is its sort key.  :attr:`certified`
+    holds when weights are positive and ``n_{k,i} <= v_i`` on every
+    clique (see :func:`repro.resilience.admission.floors_certified`)."""
+
+    def __init__(self, analysis: ContentionAnalysis) -> None:
+        self.graph, self.cliques = analysis.graph, analysis.cliques
+        self.vertices = clique_vertex_order(self.graph)
+        self.labels = [str(v) for v in self.vertices]
+        self.flow_of = [v.flow for v in self.vertices]
+        rank = {v: i for i, v in enumerate(self.vertices)}
+        self.ranks: Dict[str, List[int]] = {}
+        for i, fid in enumerate(self.flow_of):
+            self.ranks.setdefault(fid, []).append(i)
+        #: Each flow's first graph position, which orders components.
+        self.first: Dict[str, int] = {}
+        for pos, v in enumerate(self.graph):
+            self.first.setdefault(v.flow, pos)
+        self.rank_sets = [frozenset(map(rank.__getitem__, c))
+                          for c in self.cliques]
+        self.flow_cliques: Dict[str, List[int]] = {f: [] for f in self.ranks}
+        flows = {f.flow_id: f for f in analysis.scenario.flows}
+        self.certified = all(f.weight > 0 for f in flows.values())
+        self.clique_terms = self.terms(sorted(c) for c in self.rank_sets)
+        for k, (counts, _label) in enumerate(self.clique_terms):
+            for fid, n in counts.items():
+                self.flow_cliques[fid].append(k)
+                self.certified &= n <= flows[fid].virtual_length
 
     def cliques_touching(self, flow_ids: Sequence[str]) -> List[FrozenSet]:
         """The cliques holding a subflow of any of ``flow_ids``."""
-        ks = set().union(*(self._flow_cliques.get(f, ()) for f in flow_ids))
+        ks = set().union(*(self.flow_cliques[f] for f in flow_ids))
         return [self.cliques[k] for k in sorted(ks)]
+
+    def restrict(self, flow_ids: Sequence[str]) -> List[Tuple[int, ...]]:
+        """The maximal cliques induced by ``flow_ids``, as rank tuples in
+        canonical order: the inclusion-maximal non-empty ``C ∩ T`` of the
+        cliques ``C`` touching them (each induced clique is in some C)."""
+        active = set().union(*(self.ranks[f] for f in flow_ids))
+        touched = set().union(*(self.flow_cliques[f] for f in flow_ids))
+        found = {self.rank_sets[k] & active for k in touched}
+        shared = Counter(chain.from_iterable(found))
+        kept: List[Tuple[int, ...]] = []
+        holders: Dict[int, List[FrozenSet[int]]] = {}  # shared ranks only
+        for c in sorted(found, key=len, reverse=True):
+            # A kept strict superset holds c's smallest rank too.
+            if not any(map(c.__lt__, holders.get(min(c), ()))):
+                kept.append(tuple(sorted(c)))
+                for i in c:
+                    if shared[i] > 1:
+                        holders.setdefault(i, []).append(c)
+        kept.sort(key=lambda t: (-len(t), t))
+        return kept
+
+    def terms(self, cliques: Iterable[Sequence[int]]) -> List[tuple]:
+        """``clique_terms`` of cliques given as ascending ranks."""
+        out = []
+        for ranks in cliques:
+            counts: Dict[str, int] = {}
+            for fid in map(self.flow_of.__getitem__, ranks):
+                counts[fid] = counts.get(fid, 0) + 1
+            labels = sorted([self.labels[i] for i in ranks])
+            out.append((counts, "+".join(labels)))
+        return out
+
+    def groups(self, flow_ids: Sequence[str]) -> List[List[str]]:
+        """The contending groups of ``flow_ids`` (flows sharing a universe
+        clique contend, whatever else is active): members in ``flow_ids``
+        order, groups in the order connected components come."""
+        group_of = dict.fromkeys(flow_ids, -1)
+        out: List[List[str]] = []
+        seen: Set[int] = set()  # cliques already expanded
+        for start in flow_ids:
+            if group_of[start] < 0:
+                group_of[start], stack = len(out), [start]
+                out.append([])
+                while stack:
+                    for k in self.flow_cliques[stack.pop()]:
+                        if k in seen:
+                            continue
+                        seen.add(k)
+                        for other in self.clique_terms[k][0]:
+                            if group_of.get(other) == -1:
+                                group_of[other] = group_of[start]
+                                stack.append(other)
+        for fid in flow_ids:
+            out[group_of[fid]].append(fid)
+        return sorted(out, key=lambda g: min(map(self.first.__getitem__, g)))
 
 
 def restricted_analysis(
     universe: ContentionAnalysis, flows: Sequence[Flow], name: str
 ) -> ContentionAnalysis:
-    """Analysis of ``flows``, a subset of ``universe``'s, without a
-    clique enumeration: bit-identical to a cold ``ContentionAnalysis``
-    of the sub-scenario when ``flows`` come in universe order.
-
-    The induced subgraph keeps the universe's vertex order, one
-    connected-components pass serves the flow grouping, and the
-    restricted universe cliques are put in canonical order.
+    """``flows`` (a subset of ``universe``'s, in universe order) analyzed
+    off the universe's :attr:`~ContentionAnalysis.index`, bit-identical
+    to a cold analysis, with no enumeration, graph walk or re-validation.
     """
-    keep = sorted(
-        (v for f in flows for v in universe.flow_vertices[f.flow_id]),
-        key=universe.vertex_position.__getitem__,
-    )
-    graph = universe.graph.induced_subgraph(keep)
-    rank = {v: i for i, v in enumerate(clique_vertex_order(graph))}
-    touched = universe.cliques_touching([f.flow_id for f in flows])
-    sub = Scenario(universe.scenario.network, list(flows), name=name,
-                   capacity=universe.scenario.capacity)
-    return ContentionAnalysis(
-        sub, graph=graph,
-        cliques=sort_cliques(restrict_cliques(touched, keep), rank),
-        components=connected_components(graph),
-    )
+    index = universe.index
+    ids = [f.flow_id for f in flows]
+    ranked = index.restrict(ids)
+    by_id = {f.flow_id: f for f in flows}
+    analysis = ContentionAnalysis.__new__(ContentionAnalysis)
+    analysis.scenario = Scenario.of_valid_flows(
+        network=universe.scenario.network, flows=list(flows), name=name,
+        capacity=universe.scenario.capacity)
+    analysis._induced_from = (index, analysis.scenario.flows, ranked)
+    analysis.clique_terms = index.terms(ranked)
+    analysis.groups = [[by_id[f] for f in g] for g in index.groups(ids)]
+    incr("perf.contention.precomputed_cliques")
+    incr("contention.analyses")
+    incr("contention.cliques_found", len(ranked))
+    incr("contention.subflow_vertices", sum(len(index.ranks[f]) for f in ids))
+    return analysis

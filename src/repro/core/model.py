@@ -265,6 +265,13 @@ class Scenario:
         for flow in self.flows:
             self.network.validate_flow(flow)
 
+    @classmethod
+    def of_valid_flows(cls, **fields: object) -> "Scenario":
+        """A scenario of a built one's flows: no re-validation."""
+        scenario = cls.__new__(cls)
+        scenario.__dict__.update(fields)
+        return scenario
+
     @property
     def flow_ids(self) -> List[str]:
         return [f.flow_id for f in self.flows]

@@ -33,35 +33,15 @@ def sort_cliques(
     """Canonical clique order: size descending, then member index order.
 
     ``rank`` maps each vertex to its position in
-    :func:`clique_vertex_order`; every clique producer (set-based kernel,
-    bitset kernel, brute-force oracle, universe restriction) sorts through
-    this single helper so orderings always compare equal.
+    :func:`clique_vertex_order`; the set-based kernel and the test
+    oracles sort through this helper, and the bitset kernel and the
+    universe index (:class:`repro.core.contention.ContentionIndex`)
+    reproduce its order on rank tuples.
     """
     return sorted(
         cliques,
         key=lambda c: (-len(c), sorted(rank[v] for v in c)),
     )
-
-
-def restrict_cliques(
-    cliques: Iterable[FrozenSet[Vertex]], members: Iterable[Vertex]
-) -> List[FrozenSet[Vertex]]:
-    """Maximal cliques of ``G[members]``, given the maximal cliques of
-    ``G`` that touch ``members``: the inclusion-maximal non-empty
-    ``C ∩ members`` (every clique of the induced subgraph lies in some
-    ``C``).  Unsorted; order them with :func:`sort_cliques`.
-    """
-    keep = frozenset(members)
-    kept: List[FrozenSet[Vertex]] = []
-    by_vertex: Dict[Vertex, List[FrozenSet[Vertex]]] = {}
-    for c in sorted({c & keep for c in cliques} - {frozenset()},
-                    key=len, reverse=True):
-        # A strict superset, kept earlier, holds every member of c.
-        if not any(c < k for k in by_vertex.get(next(iter(c)), ())):
-            kept.append(c)
-            for v in c:
-                by_vertex.setdefault(v, []).append(c)
-    return kept
 
 
 def maximal_cliques(graph: Graph) -> List[FrozenSet[Vertex]]:

@@ -147,24 +147,6 @@ class Graph:
                 g._attrs[v] = dict(self._attrs[v])
         return g
 
-    def induced_subgraph(self, members: Iterable[Vertex]) -> "Graph":
-        """Induced subgraph in ``members`` order, O(|members| + edges).
-
-        Unlike :meth:`subgraph`, which walks the *whole* vertex set to
-        preserve the parent's insertion order, this trusts the caller's
-        order — the right tool when ``members`` is one connected
-        component among thousands, where the full-vertex walk would turn
-        a per-component loop quadratic.  Raises ``KeyError`` on unknown
-        vertices.
-        """
-        members = list(members)
-        keep_set = set(members)
-        g = Graph()
-        for v in members:
-            g._adj[v] = self._adj[v] & keep_set
-            g._attrs[v] = dict(self._attrs[v])
-        return g
-
     def complement(self) -> "Graph":
         """The complement graph on the same vertex set."""
         g = Graph()

@@ -150,26 +150,34 @@ class PhaseTimer:
     :func:`repro.obs.trace.span`).  Reentrant same-name nesting counts
     elapsed time once (outermost pair only) while still counting every
     call.
+
+    ``self_s`` is the wall time spent outside any other timer's region:
+    a registry's timers share one depth stack (``frames``) of the time
+    closed inside each open region, so their self times partition it.
     """
 
-    __slots__ = ("name", "calls", "wall_s", "cpu_s", "_depth",
-                 "_wall_start", "_cpu_start", "_wall_clock", "_cpu_clock")
+    __slots__ = ("name", "calls", "wall_s", "cpu_s", "self_s", "_depth",
+                 "_wall_start", "_cpu_start", "_wall_clock", "_cpu_clock",
+                 "_frames")
 
     def __init__(
         self,
         name: str,
         wall_clock: Callable[[], float] = time.perf_counter,
         cpu_clock: Callable[[], float] = time.process_time,
+        frames: Optional[List[float]] = None,
     ) -> None:
         self.name = name
         self.calls = 0
         self.wall_s = 0.0
         self.cpu_s = 0.0
+        self.self_s = 0.0
         self._depth = 0
         self._wall_start = 0.0
         self._cpu_start = 0.0
         self._wall_clock = wall_clock
         self._cpu_clock = cpu_clock
+        self._frames = frames if frames is not None else []
 
     def __enter__(self) -> "PhaseTimer":
         self.calls += 1
@@ -177,26 +185,35 @@ class PhaseTimer:
         if self._depth == 1:
             self._wall_start = self._wall_clock()
             self._cpu_start = self._cpu_clock()
+            self._frames.append(0.0)
         return self
 
     def __exit__(self, *exc: object) -> bool:
         self._depth -= 1
         if self._depth == 0:
-            self.wall_s += self._wall_clock() - self._wall_start
+            elapsed = self._wall_clock() - self._wall_start
+            self.wall_s += elapsed
             self.cpu_s += self._cpu_clock() - self._cpu_start
+            frames = self._frames
+            self.self_s += elapsed - frames.pop()
+            if frames:
+                frames[-1] += elapsed
         return False
 
-    def add(self, wall_s: float, cpu_s: float = 0.0, calls: int = 1) -> None:
-        """Record an externally measured sample (no context manager)."""
+    def add(self, wall_s: float, cpu_s: float = 0.0, calls: int = 1,
+            self_s: Optional[float] = None) -> None:
+        """Record an external sample (self time defaults to wall)."""
         self.calls += calls
         self.wall_s += wall_s
         self.cpu_s += cpu_s
+        self.self_s += wall_s if self_s is None else float(self_s)
 
     def summary(self) -> Dict[str, float]:
         return {
             "calls": self.calls,
             "wall_s": self.wall_s,
             "cpu_s": self.cpu_s,
+            "self_s": self.self_s,
             "mean_ms": (self.wall_s / self.calls * 1e3) if self.calls else 0.0,
         }
 
@@ -218,6 +235,7 @@ class MetricsRegistry:
         self.gauges: Dict[str, Gauge] = {}
         self.histograms: Dict[str, Histogram] = {}
         self.timers: Dict[str, PhaseTimer] = {}
+        self._frames: List[float] = []  # the timers' shared depth stack
         self._wall_clock = wall_clock
         self._cpu_clock = cpu_clock
 
@@ -244,7 +262,7 @@ class MetricsRegistry:
         t = self.timers.get(name)
         if t is None:
             t = self.timers[name] = PhaseTimer(
-                name, self._wall_clock, self._cpu_clock
+                name, self._wall_clock, self._cpu_clock, self._frames
             )
         return t
 
@@ -274,7 +292,8 @@ class MetricsRegistry:
                 n: list(h.values) for n, h in sorted(self.histograms.items())
             },
             "timers": {
-                n: {"calls": t.calls, "wall_s": t.wall_s, "cpu_s": t.cpu_s}
+                n: {"calls": t.calls, "wall_s": t.wall_s, "cpu_s": t.cpu_s,
+                    "self_s": t.self_s}
                 for n, t in sorted(self.timers.items())
             },
         }
@@ -300,6 +319,7 @@ class MetricsRegistry:
                 wall_s=float(t.get("wall_s", 0.0)),
                 cpu_s=float(t.get("cpu_s", 0.0)),
                 calls=int(t.get("calls", 0)),
+                self_s=t.get("self_s"),
             )
 
     def clear(self) -> None:

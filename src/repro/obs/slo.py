@@ -9,8 +9,9 @@ the ROADMAP's scale tier asks for:
   schema-versioned run artifact under the ``slo`` key;
 * :func:`phase_attribution` / :func:`component_attribution` — where
   epoch time goes, per pipeline phase (``runtime.phase.*`` timers,
-  share of the summed phase wall time) and per component (every timer
-  grouped by its dotted prefix: ``lp``, ``2pad``, ``perf``, ...);
+  share of the summed phase wall time) and per component (every timer's
+  self time grouped by its dotted prefix: ``lp``, ``2pad``, ``perf``,
+  ...);
 * :func:`bench_trend_rows` / :func:`perf_reference_rows` — deltas of
   current timer means against the checked-in baselines
   ``benchmarks/BENCH_obs.json`` and ``benchmarks/BENCH_perf.json``,
@@ -110,22 +111,22 @@ def phase_attribution(
 def component_attribution(
     timers: Dict[str, Dict[str, float]]
 ) -> List[Dict[str, object]]:
-    """Wall time grouped by dotted component prefix (``lp``, ``2pad``, ...).
+    """Self time grouped by dotted component prefix (``lp``, ``2pad``, ...).
 
-    Phase timers are excluded — they partition the same epoch wall time
-    the component view slices differently, and counting both would
-    double-book the epoch.
+    Each timer contributes its self time (wall time minus that of the
+    regions timed inside it), so nested same-prefix spans are not counted
+    twice and the shares partition the attributed wall time; a summary
+    without ``self_s`` counts its wall time.  Phase timers are excluded
+    — the phase view slices the same epoch wall time by phase.
     """
     groups: Dict[str, Dict[str, float]] = {}
     for name, summary in timers.items():
         if name.startswith(PHASE_TIMER_PREFIX):
             continue
         component = name.split(".", 1)[0]
-        g = groups.setdefault(
-            component, {"wall_s": 0.0, "cpu_s": 0.0, "calls": 0.0}
-        )
-        g["wall_s"] += float(summary.get("wall_s", 0.0))
-        g["cpu_s"] += float(summary.get("cpu_s", 0.0))
+        g = groups.setdefault(component, {"wall_s": 0.0, "calls": 0.0})
+        g["wall_s"] += float(summary.get("self_s",
+                                         summary.get("wall_s", 0.0)))
         g["calls"] += float(summary.get("calls", 0))
     total = sum(g["wall_s"] for g in groups.values())
     rows = [
@@ -133,7 +134,6 @@ def component_attribution(
             "component": component,
             "calls": int(g["calls"]),
             "wall_s": g["wall_s"],
-            "cpu_s": g["cpu_s"],
             "share": (g["wall_s"] / total) if total else 0.0,
         }
         for component, g in groups.items()

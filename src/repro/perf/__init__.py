@@ -9,7 +9,7 @@ results against a plain reference implementation:
   (the set-based reference is a test oracle only).
 * :class:`~repro.perf.incremental.IncrementalContention` — analyses
   of changing active sets without a rebuild: the universe's cliques,
-  enumerated once, restricted to each active set.
+  enumerated and indexed once, restricted to each active set.
 * :class:`~repro.perf.shard.ShardedSolver` — the phase-1 LP solved
   per contention component in the calling process, with a memo keyed
   by LP shape that serves unchanged components across epochs and
@@ -33,8 +33,8 @@ from .shard import (
     BatchAllocationEngine,
     ComponentProblem,
     ShardedSolver,
-    component_fingerprint,
     component_problems,
+    shape_key,
 )
 
 __all__ = [
@@ -43,10 +43,10 @@ __all__ = [
     "IncrementalContention",
     "ParallelSweep",
     "ShardedSolver",
-    "component_fingerprint",
     "component_problems",
     "adjacency_bitmasks",
     "bitset_cliques_from_masks",
     "effective_jobs",
     "maximal_cliques_bitset",
+    "shape_key",
 ]

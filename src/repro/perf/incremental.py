@@ -1,20 +1,13 @@
 """Contention analysis of changing active sets over one fixed topology.
 
-The runtime re-analyzes its active flows every epoch, but pairwise
-contention between two subflows does not depend on which *other* flows
-are active, and every maximal clique of an active set's contention
-graph is the restriction of some maximal clique of the universe's.
+Pairwise contention between two subflows does not depend on which
+*other* flows are active, and every maximal clique of an active set's
+contention graph is the restriction of one of the universe's.
 :class:`IncrementalContention` therefore analyzes the universe — every
-flow of the scenario — once, Bron–Kerbosch included, and derives each
-active set's analysis from it with
-:func:`~repro.core.contention.restricted_analysis`: no geometry
-re-checks and no clique enumeration after construction.
-
-The produced :class:`~repro.core.contention.ContentionAnalysis` is
-bit-identical to a cold rebuild: the induced subgraph preserves the
-cold build's vertex insertion order (scenario flow order filtered to
-the active set), and the restricted cliques are sorted with the same
-canonical key :func:`repro.graphs.cliques.sort_cliques` uses.
+flow of the scenario — once, and reads each active set's analysis off
+its index with :func:`~repro.core.contention.restricted_analysis`:
+bit-identical to a cold rebuild, with no geometry re-checks and no
+clique enumeration after construction.
 """
 
 from __future__ import annotations
@@ -23,7 +16,6 @@ from typing import Iterable, Optional
 
 from ..core.contention import ContentionAnalysis, restricted_analysis
 from ..core.model import Scenario
-from ..graphs import Graph
 from ..obs.registry import incr
 from ..obs.trace import span
 
@@ -57,8 +49,3 @@ class IncrementalContention:
             )
         incr("perf.incremental.analyses")
         return result
-
-    @property
-    def full_graph(self) -> Graph:
-        """The pairwise contention graph over every scenario flow."""
-        return self.universe.graph

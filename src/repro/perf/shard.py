@@ -31,10 +31,11 @@ layers exploit that:
   makes each epoch's cost follow the churn, not the universe; active
   cliques are restricted from the universe's, never enumerated.
 
-A shape key (:func:`component_fingerprint`) hashes the LP in
-solver-visible order with every variable replaced by its column
-position; the only trace of the names it keeps is their sort order,
-which the max-min progress guard reads.  Memo values are share lists
+A shape key (:func:`shape_key`) hashes the LP in solver-visible order
+with every variable replaced by its column position; the only trace of
+the names it keeps is their sort order, which the max-min progress
+guard reads.  It is assembled from the analysis's per-clique
+coefficients, never from the built LP.  Memo values are share lists
 in column order, mapped back onto each problem's own flow ids, so a
 hit is the same dense LP run through the same pivots whatever its
 flows are called.  Nothing in a key depends on the hash seed, so a
@@ -44,9 +45,10 @@ memo dumped by one interpreter is fully served in another.
 from __future__ import annotations
 
 import hashlib
-import json
+import struct
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import cached_property
 from typing import (
     Dict, Iterable, List, Optional, Sequence, Set, Tuple,
 )
@@ -54,8 +56,8 @@ from typing import (
 from ..core.contention import ContentionAnalysis, restricted_analysis
 from ..core.fairness_defs import basic_shares
 from ..core.model import Flow
-from ..graphs import connected_components
 from ..lp import LinearProgram, lexicographic_maxmin
+from ..lp.problem import Constraint
 from ..obs.registry import incr, observe
 from ..obs.trace import span
 
@@ -63,8 +65,8 @@ __all__ = [
     "BatchAllocationEngine",
     "ComponentProblem",
     "ShardedSolver",
-    "component_fingerprint",
     "component_problems",
+    "shape_key",
 ]
 
 
@@ -74,57 +76,70 @@ class ComponentProblem:
 
     ``weights`` maps LP variable names to flow weights for the
     lexicographic max-min refinement; ``fingerprint`` keys the
-    per-component memo.
+    per-component memo.  The LP is built on first access, so a memo hit
+    never builds it.
     """
 
     group_ids: Tuple[str, ...]
-    lp: LinearProgram
-    weights: Dict[str, float]
     backend: str
     fingerprint: str
+    rows: List[Tuple[int, Dict[str, int], str]]
+    bound: float
+    lower: List[float]
+    weights: Dict[str, float]
+
+    @cached_property
+    def lp(self) -> LinearProgram:
+        names = list(self.weights)
+        var = dict(zip(self.group_ids, names))
+        return LinearProgram(
+            _order=names,
+            objective=dict.fromkeys(names, 1.0),
+            constraints=[
+                Constraint({var[fid]: float(n) for fid, n in coeffs.items()},
+                           self.bound, f"clique-{k}:{label}")
+                for k, coeffs, label in self.rows
+            ],
+            lower_bounds=dict(zip(names, self.lower)),
+        )
 
 
-def component_fingerprint(
-    lp: LinearProgram, weights: Dict[str, float], backend: str
-) -> str:
+def shape_key(backend: str, group_ids: Sequence[str],
+              rows: Sequence[Dict[str, int]], bound: float,
+              lower: Sequence[float], weights: Sequence[float]) -> str:
     """Name-free shape key of one component problem.
 
     Everything that can influence the solved shares participates, in
     the order it will reach the solver, with each variable written as
-    its column (registration) position: the backend, the variable
+    its column (``group_ids``) position: the backend, the variable
     count, the name-sort permutation (column positions in name order),
-    objective terms, each constraint's coefficient pairs sorted by
-    position with its bound (capacity rides in the bounds), lower
-    bounds, and the max-min weights.
+    objective terms, each constraint's ``(column, n)`` pairs sorted by
+    column with its bound (capacity rides in the bounds), lower bounds,
+    and the max-min weights.
 
-    The permutation is the one thing names decide in a solve: the
+    The permutation is the one thing names decide in a solve (the
     max-min progress guard freezes ``min(free)``, the smallest free
-    *name*, and through it the order of later rounds' rows.  With it
-    in the key, two problems that share a key are the same dense LP
-    solved through the same pivots, so their shares agree position by
-    position, bitwise.  A constraint's coefficient *insertion* order is
-    left out (it follows clique frozenset iteration, which varies with
-    the hash seed, and ``to_dense`` ignores it), and so are constraint
-    labels, which carry the clique index within the analysis the
-    problem was split from.
+    *name*), so two problems that share a key are the same dense LP
+    solved through the same pivots, and their shares agree position by
+    position, bitwise.  Coefficient order (``to_dense`` ignores it) and
+    constraint labels (they carry the clique's index in the analysis)
+    are left out.  Numbers pack exactly as little-endian doubles
+    (coefficient ``float(n)`` as ``n``; the objective, ``1.0`` per
+    column, implied by the count), lengths before lists, then the
+    weights' repr, which keeps ``int`` apart from ``float``; the key is
+    their SHA-256.
     """
-    names = lp.variables
-    column = {v: j for j, v in enumerate(names)}
-    doc = [
-        backend,
-        len(names),
-        sorted(range(len(names)), key=names.__getitem__),
-        [(column[v], c) for v, c in lp.objective.items()],
-        [
-            (sorted((column[v], c) for v, c in con.coeffs.items()),
-             con.bound)
-            for con in lp.constraints
-        ],
-        [(column[v], b) for v, b in lp.lower_bounds.items()],
-        [(column[v], w) for v, w in weights.items()],
-    ]
-    blob = json.dumps(doc, separators=(",", ":")).encode("utf-8")
-    return hashlib.sha256(blob).hexdigest()
+    n = len(group_ids)
+    column = {fid: j for j, fid in enumerate(group_ids)}
+    values = [n, *sorted(range(n), key=group_ids.__getitem__), len(rows)]
+    for row in rows:
+        values.append(len(row))
+        for pair in sorted([(column[fid], c) for fid, c in row.items()]):
+            values += pair
+    values += [bound] * len(rows) + list(lower)
+    return hashlib.sha256(b"\0".join((
+        backend.encode(), struct.pack(f"<{len(values)}d", *values),
+        repr(tuple(weights)).encode()))).hexdigest()
 
 
 def component_problems(
@@ -134,8 +149,8 @@ def component_problems(
 ) -> List[ComponentProblem]:
     """Split ``analysis`` into per-component problems, one per group.
 
-    A single pass over the global clique list assigns each clique to
-    the (unique) group owning its flows, so the cost is
+    A single pass over the analysis's ``clique_terms`` assigns each
+    clique to the (unique) group owning its flows, so the cost is
     O(groups + cliques) rather than the monolithic builder's
     O(groups x cliques) rescan — the difference between seconds and
     hours at 10k+ components.  The produced LPs are byte-identical to
@@ -144,48 +159,35 @@ def component_problems(
     differentially.
     """
     b = capacity if capacity is not None else analysis.scenario.capacity
+    bound = float(b)
     with span("perf.shard.split"):
-        lps: List[LinearProgram] = []
-        group_sets: List[Set[str]] = []
         group_of: Dict[str, int] = {}
         for gi, group in enumerate(analysis.groups):
-            lp = LinearProgram()
-            group_ids = [f.flow_id for f in group]
-            for fid in group_ids:
-                lp.add_variable(f"r_{fid}", objective_coeff=1.0)
-                group_of[fid] = gi
-            lps.append(lp)
-            group_sets.append(set(group_ids))
-        for k, clique in enumerate(analysis.cliques):
-            coeffs = analysis.clique_coefficients(clique)
+            for f in group:
+                group_of[f.flow_id] = gi
+        rows: List[List[Tuple[int, Dict[str, int], str]]] = [
+            [] for _ in analysis.groups
+        ]
+        for k, (coeffs, label) in enumerate(analysis.clique_terms):
             gi = group_of[next(iter(coeffs))]
-            group_set = group_sets[gi]
-            if not set(coeffs) <= group_set:
+            if any(group_of[fid] != gi for fid in coeffs):
                 raise RuntimeError(
                     f"clique {k} spans contending flow groups"
                 )
-            lps[gi].add_constraint(
-                {f"r_{fid}": float(n) for fid, n in coeffs.items()
-                 if fid in group_set},
-                b,
-                label=f"clique-{k}:"
-                      f"{'+'.join(sorted(str(s) for s in clique))}",
-            )
+            rows[gi].append((k, coeffs, label))
         problems: List[ComponentProblem] = []
-        for gi, group in enumerate(analysis.groups):
+        for group, group_rows in zip(analysis.groups, rows):
             group_ids = [f.flow_id for f in group]
             basic = basic_shares(group, b)
-            for fid in group_ids:
-                lps[gi].set_lower_bound(f"r_{fid}", basic[fid])
-            weights = {f"r_{f.flow_id}": f.weight for f in group}
+            lower = [max(0.0, float(basic[fid])) for fid in group_ids]
+            weights = [f.weight for f in group]
             problems.append(ComponentProblem(
-                group_ids=tuple(group_ids),
-                lp=lps[gi],
-                weights=weights,
-                backend=backend,
-                fingerprint=component_fingerprint(
-                    lps[gi], weights, backend
-                ),
+                tuple(group_ids), backend,
+                shape_key(backend, group_ids,
+                          [coeffs for _k, coeffs, _l in group_rows],
+                          bound, lower, weights),
+                group_rows, bound, lower,
+                {f"r_{fid}": w for fid, w in zip(group_ids, weights)},
             ))
     incr("perf.shard.splits")
     return problems
@@ -377,12 +379,12 @@ class BatchAllocationEngine:
     shares.  Campaigns then drive epochs with flow-id *lists*, and each
     call costs what its flows touch, not the universe:
 
-    * :meth:`register` admission-gates a batch.  Candidates are grouped
-      by connected component of the trial graph, built only inside the
-      universe components they fall in; a component whose whole batch
-      keeps every floor feasible (Eq. 6) admits in one check, otherwise
-      the engine falls back to greedy per-flow FIFO within that
-      component.  Every verdict flows through the standard
+    * :meth:`register` admission-gates a batch: a certified universe
+      admits unprobed; otherwise candidates are grouped into trial
+      components within the universe components they fall in, and a
+      component whose whole batch keeps every floor feasible (Eq. 6)
+      admits in one check, else falls back to greedy per-flow FIFO
+      within that component.  Every verdict flows through the standard
       :class:`~repro.resilience.admission.AdmissionController`, so the
       decision log and ``admission.*`` counters match the runtime's.
       Admitted flows mark their store entry dirty.
@@ -419,16 +421,12 @@ class BatchAllocationEngine:
         self._flows: Dict[str, Flow] = {
             f.flow_id: f for f in analysis.scenario.flows
         }
-        self._subflows = analysis.flow_vertices
-        # The store, split once from the universe graph.
-        self._entry_of: Dict[str, int] = {}
-        universe = connected_components(analysis.graph)
-        for idx, comp in enumerate(universe):
-            for sid in comp:
-                self._entry_of[sid.flow] = idx
-        self._entries: List[_Entry] = [_Entry([], []) for _ in universe]
-        for fid in self._flows:
-            self._entries[self._entry_of[fid]].flows.append(fid)
+        # The store: one entry per contention component of the universe.
+        self._entries = [_Entry(group, [])
+                         for group in analysis.index.groups(list(self._flows))]
+        self._entry_of: Dict[str, int] = {
+            fid: idx for idx, e in enumerate(self._entries) for fid in e.flows
+        }
         self._held: Dict[int, _Part] = {}  # every entry's parts by first
         self._dirty: Set[int] = set()
 
@@ -479,7 +477,9 @@ class BatchAllocationEngine:
     ) -> Dict[str, Tuple[str, str]]:
         """Per-candidate admission reasons, component-batched.
 
-        A trial component (active flows plus candidates, connected) never
+        A certified universe (:func:`~repro.resilience.admission.
+        floors_certified`) admits every candidate unprobed.  Otherwise a
+        trial component (active flows plus candidates, connected) never
         leaves its universe component, so only the store entries the
         candidates fall in are probed.  One Eq. (6) feasibility probe
         covers a whole trial component's batch; only a failing component
@@ -488,12 +488,16 @@ class BatchAllocationEngine:
         active flows first, then the candidates.
         """
         from ..resilience.admission import (
-            REASON_FLOOR, REASON_OK, basic_share_feasible,
+            REASON_FLOOR, REASON_OK, basic_share_feasible, floors_certified,
         )
+
+        if floors_certified(self.analysis):
+            return {fid: (REASON_OK, details) for fid in candidates}
+        index = self.analysis.index
 
         def feasible(flow_ids: List[str]) -> bool:
             return basic_share_feasible(
-                self.analysis.cliques_touching(flow_ids),
+                index.cliques_touching(flow_ids),
                 [self._flows[fid] for fid in flow_ids],
                 self.capacity,
             )
@@ -506,23 +510,12 @@ class BatchAllocationEngine:
             active_here = [
                 fid for fid in self._entries[idx].flows if fid in self.active
             ]
-            keep = [
-                sid for fid in active_here + entry_candidates
-                for sid in self._subflows[fid]
-            ]
-            comp_of: Dict[str, int] = {}
-            trial = self.analysis.graph.induced_subgraph(keep)
-            for c, comp in enumerate(connected_components(trial)):
-                for sid in comp:
-                    comp_of[sid.flow] = c
-            by_comp: Dict[int, List[str]] = {}
-            for fid in entry_candidates:
-                by_comp.setdefault(comp_of[fid], []).append(fid)
-            active_by_comp: Dict[int, List[str]] = {}
-            for fid in active_here:
-                active_by_comp.setdefault(comp_of[fid], []).append(fid)
-            for c, comp_candidates in by_comp.items():
-                active_comp = active_by_comp.get(c, [])
+            # Groups keep trial order: active flows, then candidates.
+            for group in index.groups(active_here + entry_candidates):
+                active_comp = [fid for fid in group if fid in self.active]
+                comp_candidates = group[len(active_comp):]
+                if not comp_candidates:
+                    continue
                 if feasible(active_comp + comp_candidates):
                     for fid in comp_candidates:
                         verdicts[fid] = (REASON_OK, details)
@@ -564,7 +557,7 @@ class BatchAllocationEngine:
                 backend=self.solver.backend,
             ) if flows else []
             rebuilt = sum(len(self._entries[idx].parts) for idx in dirty)
-            position = self.analysis.vertex_position
+            first_of = self.analysis.index.first
             results = self.solver.solve_problems(
                 problems, held=len(self._held) - rebuilt
             )
@@ -573,10 +566,7 @@ class BatchAllocationEngine:
                     del self._held[part.first]
                 self._entries[idx].parts = []
             for problem, shares in zip(problems, results):
-                first = min(
-                    position[sid] for fid in problem.group_ids
-                    for sid in self._subflows[fid]
-                )
+                first = min(map(first_of.__getitem__, problem.group_ids))
                 part = _Part(first, problem, shares)
                 self._entries[self._entry_of[problem.group_ids[0]]] \
                     .parts.append(part)

@@ -26,6 +26,7 @@ from typing import (
     Tuple,
 )
 
+from ..core.contention import ContentionAnalysis
 from ..core.fairness_defs import basic_shares
 from ..core.model import Flow, SubflowId
 from ..obs.registry import incr, set_gauge
@@ -37,6 +38,7 @@ __all__ = [
     "AdmissionDecision",
     "AdmissionController",
     "basic_share_feasible",
+    "floors_certified",
 ]
 
 ADMIT, REJECT, QUEUE = "admit", "reject", "queue"
@@ -98,6 +100,18 @@ def basic_share_feasible(
         sum(floors[fid] for fid in members) <= capacity + _FLOOR_TOL
         for members in restricted
     )
+
+
+def floors_certified(universe: ContentionAnalysis) -> bool:
+    """Whether :func:`basic_share_feasible` holds for *every* subset of
+    ``universe``'s flows, so admission needs no probe (DESIGN §11.2):
+    ``index.certified`` (``n_{k,i} <= v_i`` on every clique, as on
+    shortcut-free paths) and a float error bound, ``B (S + 1) 2^-52``
+    for ``S`` subflow vertices, within the predicate's tolerance.
+    """
+    index = universe.index
+    drift = universe.scenario.capacity * (len(index.vertices) + 1) * 2.0**-52
+    return index.certified and drift <= _FLOOR_TOL
 
 
 #: :meth:`AdmissionController.mark`: decision count, queue, timestamps.

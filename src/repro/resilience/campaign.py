@@ -67,8 +67,10 @@ from ..traffic.openloop import (
     OpenLoopConfig,
     draw_arrival_trace,
 )
-from .admission import ADMIT, REASON_OK
-from .epochs import ChurnTimeline
+from .admission import (
+    ADMIT, REASON_FLOOR, REASON_OK, basic_share_feasible, floors_certified,
+)
+from .epochs import ChurnEvent, ChurnTimeline
 from .faults import FaultInjector, FaultPlan
 from .overload import OverloadConfig, OverloadRuntime
 from .runtime import AllocatorRuntime, EpochRecord, RuntimeConfig
@@ -590,6 +592,35 @@ def _runtime_checks(
     ]
 
 
+def _certificate_check(runtime: AllocatorRuntime) -> Check:
+    """``churn.admission_certificate``: on every epoch whose topology
+    (refolded from the journal's applied events) is certified, no flow
+    was refused on floors and :func:`basic_share_feasible` holds for
+    the committed flows, alone and plus each flow decided that epoch."""
+    down: Dict[str, set] = {"node": set(), "link": set()}
+    bad: List[str] = []
+    for record in runtime.journal:
+        for event in map(ChurnEvent.from_dict, record.events):
+            kind, _, state = event.kind.partition("-")
+            if kind in down:
+                item = event.node if kind == "node" else event.link
+                (down[kind].add if state == "down" else
+                 down[kind].discard)(item)
+        topo = runtime._topology(down["link"], down["node"])
+        if not floors_certified(topo.contention.universe):
+            continue
+        for extra in [()] + [(d["flow"],) for d in record.admissions]:
+            ids = topo.ordered(set(record.active).union(extra))
+            if not basic_share_feasible(
+                topo.contention.universe.cliques,
+                [topo.routed[fid] for fid in ids], runtime.scenario.capacity,
+            ):
+                bad.append(f"epoch {record.epoch}: {ids} infeasible")
+        bad += [f"epoch {record.epoch}: {d['flow']} refused on floors"
+                for d in record.admissions if d["reason"] == REASON_FLOOR]
+    return ("churn.admission_certificate", not bad, "; ".join(bad[:3]))
+
+
 class _LastCommit:
     """The last non-empty committed allocation and the outages it
     committed under, tracked as the runtime's commit-time hook: the
@@ -657,6 +688,7 @@ def run_churn_case(
     ``churn.final_clique_capacity``, ``churn.final_basic_floor``; see
     :func:`_runtime_checks`) run on the final allocation (the last
     non-empty committed one, see :class:`_LastCommit`), plus
+    ``churn.admission_certificate`` (:func:`_certificate_check`) and
     ``churn.crash_restore_identical``: a second runtime is crashed
     mid-timeline (after epoch ``epochs // 2`` is staged but before it
     commits), restored from its last checkpoint, and resumed; its final
@@ -682,6 +714,7 @@ def run_churn_case(
     except Exception as exc:
         return _raised("churn.no_raise", exc, "runtime.case_raised")
     checks = _runtime_checks("churn", runtime, *last.allocation(), fault)
+    checks.append(_certificate_check(runtime))
 
     if crash_restore and timeline.epochs >= 2:
         crash_epoch = max(1, timeline.epochs // 2)

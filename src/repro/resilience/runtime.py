@@ -86,6 +86,7 @@ from .admission import (
     REASON_UNROUTABLE,
     AdmissionController,
     basic_share_feasible,
+    floors_certified,
 )
 from .channel import UnreliableChannel
 from .checkpoint import CheckpointCorruptError, load_checkpoint, save_checkpoint
@@ -345,10 +346,12 @@ class _TopologyState:
         return [fid for fid in self.base_order if fid in wanted]
 
     def floors_feasible(self, flow_ids: Iterable[str]) -> bool:
-        """The admission predicate over ``flow_ids``, in base order."""
+        """The admission predicate over ``flow_ids``; no probe if certified."""
+        if floors_certified(self.contention.universe):
+            return True
         ids = self.ordered(flow_ids)
         return basic_share_feasible(
-            self.contention.universe.cliques_touching(ids),
+            self.contention.universe.index.cliques_touching(ids),
             [self.routed[fid] for fid in ids], self.scenario.capacity,
         )
 
@@ -991,7 +994,7 @@ class AllocatorRuntime:
         topo = self._topology(self.down_links, self.down_nodes)
         return sorted(
             sorted([str(u), str(v)])
-            for u, v in topo.contention.full_graph.edges()
+            for u, v in topo.contention.universe.graph.edges()
         )
 
     def save(self, path: Optional[str] = None) -> str:

@@ -26,11 +26,18 @@ from repro.graphs import (
     maximal_cliques,
     to_networkx,
 )
-from repro.graphs.cliques import (
-    clique_vertex_order,
-    restrict_cliques,
-    sort_cliques,
-)
+from repro.graphs.cliques import clique_vertex_order, sort_cliques
+
+
+def restrict_cliques(cliques, members):
+    """Maximal cliques of ``G[members]``, given the maximal cliques of
+    ``G`` that touch ``members``: the inclusion-maximal non-empty
+    ``C ∩ members``, by frozenset operations.  The reference for the
+    mask-based restriction in ``repro.core.contention.ContentionIndex``.
+    """
+    keep = frozenset(members)
+    restricted = {c & keep for c in cliques} - {frozenset()}
+    return [c for c in restricted if not any(c < k for k in restricted)]
 
 
 def two_islands():

@@ -106,24 +106,6 @@ class TestDerivedGraphs:
         assert sub.attr("a", "weight") == 5
         assert sub.num_edges() == 1
 
-    def test_induced_subgraph_matches_subgraph_in_caller_order(self):
-        g = triangle()
-        g.add_edge("c", "d")
-        g.set_attr("a", "weight", 5)
-        fast = g.induced_subgraph(["b", "a"])
-        slow = g.subgraph(["a", "b"])
-        assert fast.has_edge("a", "b")
-        assert fast.num_edges() == slow.num_edges() == 1
-        assert fast.attr("a", "weight") == 5
-        # subgraph preserves the parent's insertion order; induced
-        # follows the caller's.
-        assert list(fast.vertices()) == ["b", "a"]
-        assert list(slow.vertices()) == ["a", "b"]
-
-    def test_induced_subgraph_rejects_unknown_vertices(self):
-        with pytest.raises(KeyError):
-            triangle().induced_subgraph(["a", "zz"])
-
     def test_complement_of_triangle_is_empty(self):
         comp = triangle().complement()
         assert comp.num_edges() == 0

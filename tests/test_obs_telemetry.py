@@ -417,6 +417,71 @@ class TestExportAndSlo:
         assert ref["fast_ms_per_event"] == pytest.approx(10.0)
 
 
+class TestSelfTimeAttribution:
+    """Timers record self time on one shared depth stack, and the
+    component view sums it, so nested same-prefix spans count once."""
+
+    def test_self_times_partition_nested_regions(self):
+        ticks = [0.0]
+
+        def wall():
+            ticks[0] += 1.0
+            return ticks[0]
+
+        reg = MetricsRegistry(wall_clock=wall, cpu_clock=lambda: 0.0)
+        with reg.timer("runtime.epoch"):          # enter 1, exit 8
+            with reg.timer("runtime.shard"):      # enter 2, exit 7
+                with reg.timer("lp.solve"):       # enter 3, exit 4
+                    pass
+                with reg.timer("runtime.shard"):  # reentry: no clock
+                    with reg.timer("lp.solve"):   # enter 5, exit 6
+                        pass
+        t = reg.timers
+        assert t["runtime.epoch"].wall_s == 7.0
+        assert t["runtime.epoch"].self_s == 2.0
+        assert t["runtime.shard"].self_s == 3.0
+        assert t["lp.solve"].self_s == 2.0
+        assert sum(x.self_s for x in t.values()) == 7.0
+        rows = {r["component"]: r["wall_s"]
+                for r in slo_report(reg)["component_attribution"]}
+        assert rows == {"runtime": 5.0, "lp": 2.0}
+
+    def test_merged_snapshots_keep_self_time(self):
+        worker = MetricsRegistry()
+        with worker.timer("a"):
+            with worker.timer("b"):
+                pass
+        parent = MetricsRegistry()
+        parent.merge_snapshot(worker.mergeable_snapshot())
+        assert parent.timers["a"].self_s == worker.timers["a"].self_s
+        legacy = MetricsRegistry()
+        legacy.merge_snapshot({"timers": {"a": {"calls": 1, "wall_s": 2.0,
+                                                "cpu_s": 1.0}}})
+        assert legacy.timers["a"].self_s == 2.0
+
+    def test_runtime_components_fit_inside_the_epochs(self):
+        """A runtime driven epoch by epoch: every timed region nests in
+        ``runtime.epoch``, so the component shares sum to 1 and no
+        component (``runtime`` included) exceeds the epochs' wall time."""
+        with using_registry() as reg:
+            runtime = AllocatorRuntime(fig6.make_scenario())
+            flows = sorted(runtime.scenario.flow_ids)
+            runtime.advance([ChurnEvent(0, "flow-up", flow=f)
+                             for f in flows])
+            for epoch, fid in enumerate(flows, start=1):
+                runtime.advance([ChurnEvent(epoch, "flow-down", flow=fid)])
+        epochs = reg.timers["runtime.epoch"].wall_s
+        rows = slo_report(reg)["component_attribution"]
+        assert sum(r["share"] for r in rows) == pytest.approx(1.0)
+        assert {"runtime", "lp"} <= {r["component"] for r in rows}
+        for row in rows:
+            assert row["wall_s"] <= epochs * (1 + 1e-9), row
+        attributed = sum(r["wall_s"] for r in rows)
+        phases = sum(t.self_s for n, t in reg.timers.items()
+                     if n.startswith("runtime.phase."))
+        assert attributed + phases == pytest.approx(epochs)
+
+
 # ----------------------------------------------------------------------
 # Instrumentation-off bitwise identity
 # ----------------------------------------------------------------------
