@@ -117,15 +117,14 @@ def build_basic_fairness_lp(
     group_set = set(group_ids)
     for fid in group_ids:
         lp.add_variable(f"r_{fid}", objective_coeff=1.0)
-    for k, clique in enumerate(analysis.cliques):
-        coeffs = analysis.clique_coefficients(clique)
+    for k, (coeffs, members) in enumerate(analysis.clique_terms):
         if not set(coeffs) & group_set:
             continue
         lp.add_constraint(
             {f"r_{fid}": float(n) for fid, n in coeffs.items()
              if fid in group_set},
             capacity,
-            label=f"clique-{k}:{'+'.join(sorted(str(s) for s in clique))}",
+            label=f"clique-{k}:{members}",
         )
     basic = basic_shares(group, capacity)
     for fid in group_ids:

@@ -206,15 +206,20 @@ class ContentionAnalysis:
     def clique_coefficients(
         self, clique: FrozenSet[SubflowId]
     ) -> Dict[str, int]:
-        """``n_{i,k}``: subflows of each flow inside ``clique`` (k fixed)."""
+        """``n_{i,k}``: subflows of each flow inside ``clique`` (k fixed),
+        counted in canonical vertex order, so the dict's order (and any
+        sum over it) does not depend on the hash seed."""
+        induced = self.__dict__.get("_induced_from")
+        rank = (induced[0] if induced is not None else self.index).rank
         counts: Dict[str, int] = {}
-        for sid in clique:
+        for sid in sorted(clique, key=rank.__getitem__):
             counts[sid.flow] = counts.get(sid.flow, 0) + 1
         return counts
 
     def all_coefficients(self) -> List[Dict[str, int]]:
-        """``n_{i,k}`` for every maximal clique, in clique order."""
-        return [self.clique_coefficients(c) for c in self.cliques]
+        """``n_{i,k}`` for every maximal clique, in clique order (each
+        in canonical vertex order, as :meth:`clique_coefficients`)."""
+        return [counts for counts, _label in self.clique_terms]
 
     @cached_property
     def clique_terms(self) -> List[Tuple[Dict[str, int], str]]:
@@ -261,7 +266,8 @@ class ContentionIndex:
         self.vertices = clique_vertex_order(self.graph)
         self.labels = [str(v) for v in self.vertices]
         self.flow_of = [v.flow for v in self.vertices]
-        rank = {v: i for i, v in enumerate(self.vertices)}
+        #: Each vertex's canonical rank.
+        self.rank = rank = {v: i for i, v in enumerate(self.vertices)}
         self.ranks: Dict[str, List[int]] = {}
         for i, fid in enumerate(self.flow_of):
             self.ranks.setdefault(fid, []).append(i)

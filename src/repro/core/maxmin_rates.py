@@ -142,8 +142,7 @@ def maxmin_flow_allocation(
     flow_ids = [f.flow_id for f in analysis.scenario.flows]
     weights = {f.flow_id: f.weight for f in analysis.scenario.flows}
     constraints = []
-    for clique in analysis.cliques:
-        coeffs = analysis.clique_coefficients(clique)
+    for coeffs in analysis.all_coefficients():
         constraints.append(
             ({fid: float(n) for fid, n in coeffs.items()}, b)
         )

@@ -22,10 +22,12 @@ Every step is an LP over one constraint system that changes only in
 objective and bounds.  With the ``revised`` backend a call of up to
 ``SESSION_MAX_ROWS`` session rows runs on one
 :class:`~repro.lp.revised.MaxminSession`, which carries one basis from
-the base solve through every round and probe.  Every other call runs
-the cold ladder — one LP built and solved from scratch per round, and
-per probe unless the backend batches a round's probes
-(``probe_max_values``) — which is also the reference
+the base solve through every round and probe; it opens straight from
+the LP's :class:`~repro.lp.sparse.SparseLP` arrays, which a caller may
+hand over in place of a :class:`~repro.lp.problem.LinearProgram`.
+Every other call runs the cold ladder — one LP built and solved from
+scratch per round, and per probe unless the backend batches a round's
+probes (``probe_max_values``) — which is also the reference
 :mod:`repro.verify.oracles` replays, and the fallback of a session that
 cannot continue.
 
@@ -36,13 +38,14 @@ step 1/2) — used for comparison strategies and property tests.
 from __future__ import annotations
 
 from typing import (Callable, Collection, Dict, List, Mapping, Optional,
-                    Sequence, Set, Tuple)
+                    Sequence, Set, Tuple, Union)
 
 from ..obs.registry import incr
 from ..obs.trace import span
 from .problem import LinearProgram, LPSolution
-from .revised import MaxminSession, SessionFallback
+from .revised import WORK, MaxminSession, SessionFallback
 from .solvers import resolve_backend, solve
+from .sparse import SparseLP
 
 _TOL = 0.0
 #: Price magnitude a certificate needs: a dual above it (or a reduced
@@ -61,7 +64,7 @@ Round = Tuple[Optional[float], Mapping[str, float], Set[str]]
 
 
 def lexicographic_maxmin(
-    lp: LinearProgram,
+    lp: Union[LinearProgram, SparseLP],
     weights: Optional[Mapping[str, float]] = None,
     fix_objective: bool = True,
     backend: str = "revised",
@@ -75,26 +78,49 @@ def lexicographic_maxmin(
     computed.
 
     ``weights`` normalizes shares (share/weight comparisons); defaults to 1.
+
+    ``lp`` may also be given as its :class:`SparseLP` arrays: a session
+    then opens straight from them, and a :class:`LinearProgram` is built
+    (:meth:`SparseLP.to_problem`) only for the cold ladder.
+
+    The ``lp.maxmin`` span is tagged with the call's ``rounds``, its
+    ``certified`` and ``probed`` flows, and the revised-simplex work it
+    took: ``solves``, ``pivots`` and ``factorizations``.
     """
-    w = _weights(lp.variables, weights)
-    with span("lp.maxmin", vars=len(lp.variables),
+    names = list(lp.names) if isinstance(lp, SparseLP) else lp.variables
+    w = _weights(names, weights)
+    before = dict(WORK)
+    with span("lp.maxmin", vars=len(names),
               fix_objective=fix_objective) as maxmin_span:
-        fn, _ = resolve_backend(backend)
-        open_session = getattr(fn, "maxmin_session", None)
-        session = (open_session(lp, list(w.values()))
-                   if open_session is not None else None)
+        try:
+            return _maxmin(lp, w, fix_objective, backend, maxmin_span)
+        finally:
+            maxmin_span.tag(**{k: WORK[k] - before[k] for k in WORK})
+
+
+def _maxmin(lp: Union[LinearProgram, SparseLP], w: Mapping[str, float],
+            fix_objective: bool, backend, maxmin_span) -> LPSolution:
+    """The call on the backend's session when it opens one, else (and
+    when the session gives up) on the cold ladder."""
+    fn, _ = resolve_backend(backend)
+    open_session = getattr(fn, "maxmin_session", None)
+    if open_session is not None:
+        sp = lp if isinstance(lp, SparseLP) else SparseLP.from_problem(lp)
+        session = open_session(sp, list(w.values()))
         if session is not None:
             try:
-                return _ladder(_SessionSteps(session, w), lp, w,
+                return _ladder(_SessionSteps(session, w), w,
                                fix_objective, maxmin_span)
             except SessionFallback:
                 incr("lp.maxmin.session_fallbacks")
-        return _ladder(_ColdSteps(lp, w, backend), lp, w, fix_objective,
-                       maxmin_span)
+    if isinstance(lp, SparseLP):
+        lp = lp.to_problem()
+    return _ladder(_ColdSteps(lp, w, backend), w, fix_objective,
+                   maxmin_span)
 
 
-def _ladder(steps, lp: LinearProgram, w: Mapping[str, float],
-            fix_objective: bool, maxmin_span) -> LPSolution:
+def _ladder(steps, w: Mapping[str, float], fix_objective: bool,
+            maxmin_span) -> LPSolution:
     """The progressive-filling loop over one step provider."""
     base = steps.solve_base()
     if not base.is_optimal:
@@ -103,7 +129,7 @@ def _ladder(steps, lp: LinearProgram, w: Mapping[str, float],
     steps.pin(base, fix_objective)
 
     frozen: Dict[str, float] = {}
-    remaining = list(lp.variables)
+    remaining = list(w)
     guard = len(remaining) + 2
     rounds = certified_total = probed_total = 0
     while remaining and guard:
@@ -129,7 +155,7 @@ def _ladder(steps, lp: LinearProgram, w: Mapping[str, float],
     maxmin_span.tag(status="optimal", rounds=rounds,
                     certified=certified_total, probed=probed_total)
     solution = dict(frozen)
-    return LPSolution("optimal", solution, lp.objective_value(solution))
+    return LPSolution("optimal", solution, steps.objective_value(solution))
 
 
 class _ColdSteps:
@@ -139,6 +165,7 @@ class _ColdSteps:
     def __init__(self, lp: LinearProgram, w: Mapping[str, float],
                  backend) -> None:
         self.lp, self.w, self.backend = lp, w, backend
+        self.objective_value = lp.objective_value
 
     def solve_base(self) -> LPSolution:
         return solve(self.lp, self.backend)
@@ -167,13 +194,13 @@ class _SessionSteps:
     def __init__(self, session: MaxminSession,
                  w: Mapping[str, float]) -> None:
         self.session, self.w = session, w
-        self.lp = session.lp
+        self.objective_value = session.objective_value
 
     def solve_base(self) -> LPSolution:
         return self.session.solve_base()
 
     def pin(self, base: LPSolution, fix_objective: bool) -> None:
-        self.session.pin(fix_objective and bool(self.lp.objective))
+        self.session.pin(fix_objective and self.session.has_objective)
 
     def raise_floor(self, free: List[str],
                     frozen: Mapping[str, float]) -> Round:

@@ -6,15 +6,24 @@ the tableau is overwhelmingly zero (clique rows touch only their member
 flows, the max-min ladder's floor rows carry two nonzeros) and the
 tableau update dominates every benchmarked profile.  This module keeps
 the constraint matrix in the CSC form of :mod:`repro.lp.sparse` and
-maintains only a factorized basis:
+maintains only what a pivot needs, through one of two kernels chosen by
+row count:
 
-* **Basis inverse** — a basis of at most ``DENSE_MAX_ROWS`` rows keeps
-  an explicit dense inverse, updated in place by each pivot's rank-one
-  product-form step; a larger one keeps an LU factorization
-  (``scipy.sparse.linalg.splu``) plus a product-form eta file.  Either
-  way the factors are rebuilt every
-  ``REFACTOR_EVERY`` pivots, which also re-derives the basic solution
-  from pristine data and so bounds numerical drift.
+* **Small forms** (at most ``DENSE_MAX_ROWS`` rows) keep their whole
+  tableau ``B^-1 A`` (:class:`_Tableau`).  Its unit-column block is
+  ``B^-1`` itself, the entering column is a slice, reduced costs are
+  priced once per optimization and then updated by one axpy per pivot,
+  and a pivot is one rank-one update.  At these sizes the cost of an
+  iteration is the number of numpy calls it makes, not its arithmetic.
+* **Large forms** keep an LU factorization
+  (``scipy.sparse.linalg.splu``) plus a product-form eta file
+  (:class:`BasisFactors`), and price every iteration through the sparse
+  columns.
+
+Either kernel is rebuilt every ``REFACTOR_EVERY`` pivots, which also
+re-derives the basic solution from pristine data and so bounds
+numerical drift.
+
 * **Bounded variables** — every column carries bounds ``[lo, hi]``
   (either may be infinite); a nonbasic column sits at one of them, or
   at 0 when it is free.  The ratio test stops at whichever bound a
@@ -55,6 +64,10 @@ from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
+from scipy.linalg.blas import dger as _dger
+from scipy.linalg.lapack import dgetrf as _dgetrf, dgetri as _dgetri
+from scipy.sparse import csc_matrix as _scipy_csc
+from scipy.sparse.linalg import splu as _scipy_splu
 
 from ..obs.registry import incr
 from ..obs.trace import span
@@ -63,28 +76,40 @@ from .simplex import Pricer, _finish_prices, _unconstrained_prices
 from .sparse import CSCMatrix, SparseLP
 
 __all__ = ["BasisFactors", "MaxminSession", "RevisedBackend",
-           "SessionFallback", "solve_revised"]
+           "SessionFallback", "WORK", "solve_revised"]
 
 _EPS = 1e-9
 #: Pivots between basis refactorizations (eta-file length bound).
 REFACTOR_EVERY = 64
 #: Consecutive degenerate pivots before pricing falls back to Bland.
 _DEGENERATE_SWITCH = 40
-#: Forms up to this many rows are priced densely and factored as an
-#: explicit dense inverse.  Measured on a 2-vCPU x86-64 VM, one whole
-#: max-min call on the contention-ladder family by session rows (splu
-#: vs dense, best of 3): 33 rows 17.2 vs 8.2 ms, 61 rows 70.3 vs 33.4,
-#: 121 rows 141.6 vs 128.5, 141 rows 255.7 vs 289.2.  Mesh-openloop's
-#: session forms have 3-43 rows.
+#: Forms up to this many rows keep their dense tableau (:class:`_Tableau`);
+#: larger ones keep splu factors plus an eta file.  One whole max-min
+#: call on the contention-ladder family by session rows, splu vs tableau,
+#: best of 3 on a 2-vCPU x86-64 VM: 61 rows 23.4 vs 6.5 ms, 121 rows 60.0
+#: vs 18.1, 131 rows 105.2 vs 35.6, 181 rows 98.0 vs 48.0.  The tableau
+#: wins past 128 rows too; the threshold stays at the session gate
+#: (below), and moving the two together is not measured yet.
+#: Mesh-openloop's session forms have 3-43 rows.
 DENSE_MAX_ROWS = 128
 #: Max-min calls whose session form (rows + pin + one floor row per
 #: variable) has at most this many rows run on one warm session; larger
 #: ones run the cold ladder with batched probes.  The two cross where
-#: the session form leaves the dense factors: one whole call on the
-#: contention-ladder family, session vs cold ladder, best of 5 on a
-#: 2-vCPU x86-64 VM, at 51 session rows 7 vs 18 ms, 81 rows 20 vs 31,
-#: 121 rows 52 vs 68, 131 rows 165 vs 138, 191 rows 213 vs 176.
+#: the session form leaves the tableau: one whole call on the
+#: contention-ladder family, session vs cold ladder, best of 3 on a
+#: 2-vCPU x86-64 VM, at 121 session rows 18.0 vs 26.2 ms, 131 rows 99.8
+#: vs 83.3, 181 rows 88.8 vs 71.7.
 SESSION_MAX_ROWS = 128
+#: Most tableau entries one BLAS ``dger`` call updates, and most
+#: multiply-adds one matrix product of a fresh tableau makes.  OpenBLAS
+#: runs larger calls on its thread pool, whose hand-offs cost more than
+#: the arithmetic at these sizes and stall whenever the other core is
+#: busy.  On a 2-vCPU x86-64 VM a cold contention-ladder call (150
+#: flows, 41 x 271 tableaus) took 0.8-1.2 s in some runs instead of
+#: 0.16-0.18 s, and a 121-row session call 66-70 ms instead of 17 ms.
+#: Larger updates and products run in column blocks.
+_GER_BLOCK = 8192
+_GEMM_BLOCK = 200_000
 #: How far a session edit may leave a basic value outside its bounds
 #: before the session gives up: the dense solver's phase-1 threshold.
 #: Rounding in each level's read compounds through the frozen values of
@@ -93,71 +118,77 @@ SESSION_MAX_ROWS = 128
 #: clique by ~1e-8.
 _FEAS_TOL = 1e-7
 
-try:  # pragma: no cover - exercised implicitly on scipy installs
-    from scipy.sparse import csc_matrix as _scipy_csc
-    from scipy.sparse.linalg import splu as _scipy_splu
-    _HAVE_SPLU = True
-except Exception:  # pragma: no cover - scipy is a declared dependency
-    _HAVE_SPLU = False
+
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b``, in column blocks of ``b`` past ``_GEMM_BLOCK``."""
+    step = max(1, _GEMM_BLOCK // (a.shape[0] * a.shape[1] or 1))
+    if step >= b.shape[1]:
+        return a @ b
+    return np.hstack([a @ b[:, lo:lo + step]
+                      for lo in range(0, b.shape[1], step)])
 
 
-def _dense_factors(m: int) -> bool:
-    return m <= DENSE_MAX_ROWS or not _HAVE_SPLU
+def _inverse(k: np.ndarray) -> np.ndarray:
+    """LAPACK ``getrf`` + ``getri``: numpy's ``inv`` without its
+    per-call checks, which cost more than the inversion at these
+    sizes."""
+    if k.shape[0] != k.shape[1]:
+        raise np.linalg.LinAlgError("singular basis (repeated unit row)")
+    lu, piv, info = _dgetrf(k)
+    if info == 0:
+        inverse, info = _dgetri(lu, piv, overwrite_lu=True)
+    if info != 0:
+        raise np.linalg.LinAlgError("singular basis kernel")
+    return inverse
+
+
+#: Whole-array reductions without ``ndarray.min``/``max``'s Python layer.
+_min, _max = np.minimum.reduce, np.maximum.reduce
+
+
+#: Revised-simplex work done so far: LP solves (each probe of a batch
+#: counts one), pivots and fresh factorizations.  A max-min call tags
+#: its span with what the call added.
+WORK = {"solves": 0, "pivots": 0, "factorizations": 0}
+
+
+def _account(solves: int, pivots: int, factorizations: int) -> None:
+    WORK["solves"] += solves
+    WORK["pivots"] += pivots
+    WORK["factorizations"] += factorizations
 
 
 class BasisFactors:
-    """A factorized basis matrix.
+    """A basis matrix as ``splu`` factors plus a product-form eta file.
 
     ``ftran(v)`` solves ``B x = v`` and ``btran(v)`` solves
     ``B^T x = v`` where ``B`` is the matrix passed to the constructor
     with every :meth:`update` applied on top: ``update(r, w)`` replaces
     basis column ``r`` by the column whose forward-transformed image is
     ``w`` (``w = ftran(new_column)`` computed *before* the update, i.e.
-    the simplex direction vector).
-
-    Small bases keep an explicit inverse that each update rewrites in
-    place (``inverse`` hands over one computed elsewhere, in place of
-    ``matrix``); large ones keep ``splu`` factors plus a product-form
-    eta file.  Call sites rebuild via a fresh ``BasisFactors`` once
-    :attr:`needs_refactor` turns true — the hypothesis suite pins the
-    drift/refactorization behaviour of both representations against
+    the simplex direction vector).  Call sites rebuild via a fresh
+    ``BasisFactors`` once :attr:`needs_refactor` turns true — the
+    hypothesis suite pins the drift/refactorization behaviour against
     dense ``numpy`` solves.
     """
 
-    def __init__(self, matrix, refactor_every: int = REFACTOR_EVERY,
-                 inverse: Optional[np.ndarray] = None) -> None:
-        if matrix is not None and matrix.shape[0] != matrix.shape[1]:
+    def __init__(self, matrix, refactor_every: int = REFACTOR_EVERY) -> None:
+        if matrix.shape[0] != matrix.shape[1]:
             raise ValueError("basis matrix must be square")
         self.refactor_every = int(refactor_every)
-        self._updates = 0
-        self._lu = self._inv = None
-        incr("lp.revised.factorizations")
-        if inverse is not None:
-            self._inv = inverse
-        elif _dense_factors(matrix.shape[0]):
-            self._inv = np.linalg.inv(
-                matrix.toarray() if hasattr(matrix, "toarray")
-                else np.asarray(matrix, dtype=float))
-        else:
-            sparse = matrix if hasattr(matrix, "tocsc") \
-                else _scipy_csc(np.asarray(matrix, dtype=float))
-            self._lu = _scipy_splu(sparse.tocsc())
-            self._etas: List[Tuple[int, np.ndarray]] = []
-
-    @property
-    def updates(self) -> int:
-        return self._updates
+        self.updates = 0
+        sparse = matrix if hasattr(matrix, "tocsc") \
+            else _scipy_csc(np.asarray(matrix, dtype=float))
+        self._lu = _scipy_splu(sparse.tocsc())
+        self._etas: List[Tuple[int, np.ndarray]] = []
 
     @property
     def needs_refactor(self) -> bool:
-        return self._updates >= self.refactor_every
+        return self.updates >= self.refactor_every
 
     def ftran(self, v: np.ndarray) -> np.ndarray:
         """Solve ``B x = v`` (forward transformation)."""
-        v = np.asarray(v, dtype=float)
-        if self._inv is not None:
-            return self._inv @ v
-        x = self._lu.solve(v)
+        x = self._lu.solve(np.asarray(v, dtype=float))
         for r, w in self._etas:
             xr = x[r] / w[r]
             if xr != 0.0:
@@ -167,10 +198,7 @@ class BasisFactors:
 
     def btran(self, v: np.ndarray) -> np.ndarray:
         """Solve ``B^T x = v`` (backward transformation)."""
-        v = np.asarray(v, dtype=float)
-        if self._inv is not None:
-            return v @ self._inv
-        x = v.copy()
+        x = np.array(v, dtype=float)
         for r, w in reversed(self._etas):
             x[r] = (x[r] - (w @ x - w[r] * x[r])) / w[r]
         return self._lu.solve(x, trans="T")
@@ -182,37 +210,171 @@ class BasisFactors:
             raise np.linalg.LinAlgError(
                 "singular eta update (zero pivot element)"
             )
-        self._updates += 1
-        if self._inv is not None:
-            row = self._inv[r] / w[r]
-            self._inv -= np.outer(w, row)
-            self._inv[r] = row
-            return
+        self.updates += 1
         self._etas.append((int(r), np.asarray(w, dtype=float).copy()))
 
 
-class _Columns:
-    """A constraint matrix by columns: a sparse structural block (columns
-    ``[0, n)``) followed by signed unit columns — column ``n + k`` is
-    ``unit_sign[k] * e_{unit_row[k]}``.  Up to ``DENSE_MAX_ROWS`` rows
-    the whole matrix is also kept dense (``full``) for pricing."""
+class _Factored(BasisFactors):
+    """The kernel of a large form: :class:`BasisFactors` of its basis,
+    every iteration priced by one ``btran`` plus a pass over the sparse
+    columns.  ``basis`` is the simplex's own array, read live."""
 
-    def __init__(self, csc: CSCMatrix, unit_row: np.ndarray,
+    def __init__(self, cols: "_Columns", basis: np.ndarray) -> None:
+        super().__init__(cols.basis_matrix(basis))
+        self.cols, self.basis = cols, basis
+        self._obj = self._d = self._x_b = None
+
+    def column(self, q: int) -> np.ndarray:
+        """``B^-1 a_q``: the direction of entering column ``q``."""
+        return self.ftran(self.cols.dense_column(q))
+
+    def row(self, i: int) -> np.ndarray:
+        """Row ``i`` of ``B^-1 A``."""
+        e_i = np.zeros(self.cols.m)
+        e_i[i] = 1.0
+        return self.cols.price(self.btran(e_i))
+
+    def _reduced(self, obj: np.ndarray) -> np.ndarray:
+        return obj - self.cols.price(self.btran(obj[self.basis]))
+
+    def start(self, obj, x, lo, hi, d=None):
+        """``(d, x_B, lo_B, hi_B)`` for an optimization of ``obj``: its
+        reduced costs (``d`` when the caller priced them) and the basic
+        values and bounds by basis slot, kept current by :meth:`pivot`."""
+        self._obj = obj
+        self._d = self._reduced(obj) if d is None else d
+        self._x_b = x[self.basis]
+        return self._d, self._x_b, lo[self.basis], hi[self.basis]
+
+    def pivot(self, r: int, q: int, w: np.ndarray, move: float = 0.0,
+              value: float = 0.0) -> None:
+        """Column ``q`` (direction ``w``), whose entry in ``basis``
+        already reads ``q``, replaces basis slot ``r``: the basic values
+        fall by ``move * w``, slot ``r`` takes ``value``, and the reduced
+        costs are repriced."""
+        self.update(r, w)
+        if self._x_b is not None:
+            self._x_b -= move * w
+            self._x_b[r] = value
+            self._d[:] = self._reduced(self._obj)
+
+
+class _Tableau:
+    """The kernel of a small form: its whole tableau ``B^-1 A``.
+
+    ``A`` includes the unit columns, one of sign +1 per row
+    (:attr:`_Columns.eye`), so their block of the tableau is ``B^-1``
+    itself, which ``ftran``/``btran`` read.  One Fortran-ordered array
+    holds ``[[B^-1 A, x_B], [d, 0]]``: the tableau, the basic values as
+    an extra column and the reduced costs as an extra row.  The entering
+    column is a slice, and one rank-one update (BLAS ``dger``, in column
+    blocks past ``_GER_BLOCK`` entries) pivots the tableau, moves the
+    basic values and reprices every column.  A fresh tableau inverts only
+    the basis' structural kernel (:meth:`_Columns.solve_basis`).
+    """
+
+    def __init__(self, cols: "_Columns", basis: np.ndarray,
+                 refactor_every: int = REFACTOR_EVERY) -> None:
+        self.cols, self.basis = cols, basis
+        self.refactor_every = int(refactor_every)
+        self.updates = 0
+        m, total = cols.m, cols.total
+        self.t = np.zeros((m + 1, total + 1), order="F")
+        self._block = max(1, _GER_BLOCK // (m + 1))
+        cols.solve_basis(basis, self.t[:m, :-1])
+
+    @property
+    def needs_refactor(self) -> bool:
+        return self.updates >= self.refactor_every
+
+    @property
+    def inverse(self) -> np.ndarray:
+        """``B^-1``: the unit columns' block of the tableau."""
+        return self.t[:self.cols.m, self.cols.eye]
+
+    def ftran(self, v: np.ndarray) -> np.ndarray:
+        return self.inverse @ v
+
+    def btran(self, v: np.ndarray) -> np.ndarray:
+        return v @ self.inverse
+
+    def column(self, q: int) -> np.ndarray:
+        """Column ``q`` of the tableau, then its reduced cost (the
+        simplex reads the first ``m`` entries)."""
+        return self.t[:, q].copy()
+
+    def row(self, i: int) -> np.ndarray:
+        return self.t[i, :-1]
+
+    def start(self, obj, x, lo, hi, d=None):
+        """Views ``(d, x_B)`` plus ``(lo_B, hi_B)`` for an optimization
+        of ``obj`` (see :meth:`_Factored.start`)."""
+        m, t, basis = self.cols.m, self.t, self.basis
+        t[m, :-1] = obj - obj[basis] @ t[:m, :-1] if d is None else d
+        t[:m, -1] = x[basis]
+        return t[m, :-1], t[:m, -1], lo[basis], hi[basis]
+
+    def pivot(self, r: int, q: int, w: np.ndarray, move: float = 0.0,
+              value: float = 0.0) -> None:
+        """Column ``q`` (``w``, its :meth:`column` before the pivot)
+        replaces basis slot ``r``; see :meth:`_Factored.pivot`."""
+        if abs(w[r]) <= 0.0:
+            raise np.linalg.LinAlgError("singular pivot (zero element)")
+        self.updates += 1
+        row = self.t[r] / w[r]
+        row[-1] = move
+        t, block = self.t, self._block
+        for lo in range(0, t.shape[1], block):
+            # In place: a column block of a Fortran-ordered array is
+            # itself Fortran-contiguous.
+            _dger(-1.0, w, row[lo:lo + block], a=t[:, lo:lo + block],
+                  overwrite_a=True)
+        row[-1] = value
+        self.t[r] = row
+
+
+class _Columns:
+    """A constraint matrix by columns: a structural block (columns
+    ``[0, n)``, given as coordinate triples) followed by signed unit
+    columns — column ``n + k`` is ``unit_sign[k] * e_{unit_row[k]}``.
+    Every row has exactly one unit column of sign +1 (its slack or its
+    artificial); :attr:`eye` indexes them by row (a slice when they are
+    the unit columns in row order).  Up to ``DENSE_MAX_ROWS``
+    rows the whole matrix is kept dense (``full``, the tableau kernel's
+    ``A``); above, the structural block is kept as CSC."""
+
+    def __init__(self, m: int, n: int, rows: np.ndarray, cols: np.ndarray,
+                 vals: np.ndarray, unit_row: np.ndarray,
                  unit_sign: np.ndarray) -> None:
-        self.csc = csc
-        self.m, self.n = csc.shape
+        self.m, self.n = m, n
         self.unit_row = unit_row
         self.unit_sign = unit_sign
-        self.total = self.n + unit_row.size
-        self.full = None
-        if _dense_factors(self.m):
-            self.full = np.zeros((self.m, self.total))
-            self.full[:, :self.n] = csc.to_dense()
-            self.full[unit_row, np.arange(self.n, self.total)] = unit_sign
+        self.total = n + unit_row.size
+        plus = np.flatnonzero(unit_sign > 0)
+        eye = np.empty(m, dtype=np.int64)
+        eye[unit_row[plus]] = n + plus
+        self.eye = (slice(n, n + m) if plus.size == unit_row.size == m
+                    else eye)
+        self.full = self.csc = None
+        if m <= DENSE_MAX_ROWS:
+            self.full = np.zeros((m, self.total))
+            self.full[rows, cols] = vals
+            self.full[unit_row, np.arange(n, self.total)] = unit_sign
+            # Each column's unit row (-1: structural) and sign.
+            self.row_of = np.concatenate([np.full(n, -1), unit_row])
+            self.sign_of = np.concatenate([np.zeros(n), unit_sign])
+            self.negative_units = bool(np.any(unit_sign < 0))
+            self._every_row = np.ones(m, dtype=bool)
+        else:
+            self.csc = CSCMatrix.from_coo(m, n, rows, cols, vals)
+
+    def kernel(self, basis: np.ndarray):
+        """A fresh kernel of the basis ``basis`` (read live)."""
+        if self.full is not None:
+            return _Tableau(self, basis)
+        return _Factored(self, basis)
 
     def dense_column(self, j: int) -> np.ndarray:
-        if self.full is not None:
-            return self.full[:, j]
         out = np.zeros(self.m)
         if j < self.n:
             rows, vals = self.csc.column(j)
@@ -238,40 +400,32 @@ class _Columns:
             self.unit_row, weights=self.unit_sign * x[self.n:],
             minlength=self.m)
 
-    def factor(self, basis: np.ndarray) -> BasisFactors:
-        """Fresh factors of the basis matrix of ``basis``."""
-        if self.full is None:
-            return BasisFactors(self.basis_matrix(basis))
-        return BasisFactors(None, inverse=self.basis_inverse(basis))
+    def solve_basis(self, basis: np.ndarray, out: np.ndarray) -> None:
+        """``B^-1 A`` of a small form's basis ``B``, into ``out``.
 
-    def basis_inverse(self, basis: np.ndarray) -> np.ndarray:
-        """The explicit inverse of a dense-path basis matrix.
-
-        Its unit columns cover rows ``U``; ordering rows ``[S; U]`` and
-        columns ``[structural; unit]`` makes the matrix block lower
-        triangular, ``[[K, 0], [A_U, D]]`` with ``D`` the units' signs,
-        so only the small structural kernel ``K`` is inverted.
+        The basis' unit columns cover rows ``U``; ordering rows
+        ``[S; U]`` and columns ``[structural; unit]`` makes ``B`` block
+        lower triangular, ``[[K, 0], [A_U, D]]`` with ``D`` the units'
+        signs, so only the small structural kernel ``K`` is inverted:
+        the structural slots' rows are ``K^-1 A_S`` and the unit slots'
+        ``D (A_U - A_U[:, B_S] K^-1 A_S)``.
         """
-        struct = basis < self.n
-        slots_s = struct.nonzero()[0]
-        slots_u = (~struct).nonzero()[0]
-        uj = basis[slots_u] - self.n
-        rows_u = self.unit_row[uj]
-        sign = self.unit_sign[uj]  # +-1: its own reciprocal
-        open_rows = np.ones(self.m, dtype=bool)
-        open_rows[rows_u] = False
-        rows_s = open_rows.nonzero()[0]
-        if rows_s.size != slots_s.size:
-            raise np.linalg.LinAlgError("singular basis (repeated unit row)")
-        inv = np.zeros((self.m, self.m))
-        inv[slots_u, rows_u] = sign
-        if slots_s.size:
-            a = self.full[:, basis[slots_s]]
-            k_inv = np.linalg.inv(a[rows_s])
-            inv[slots_s[:, None], rows_s] = k_inv
-            inv[slots_u[:, None], rows_s] = (a[rows_u] @ k_inv) \
-                * -sign[:, None]
-        return inv
+        row_of = self.row_of[basis]
+        struct = row_of < 0
+        unit = ~struct
+        rows_u = row_of[unit]
+        t_u = self.full[rows_u]
+        sj = basis[struct]
+        if sj.size:
+            open_rows = self._every_row.copy()
+            open_rows[rows_u] = False
+            a_s = self.full[open_rows]
+            t_s = _product(_inverse(a_s[:, sj]), a_s)
+            t_u -= _product(t_u[:, sj], t_s)
+            out[struct] = t_s
+        if self.negative_units:
+            t_u *= self.sign_of[basis[unit], None]
+        out[unit] = t_u
 
     def basis_matrix(self, basis: np.ndarray):
         """The basis matrix as scipy CSC.
@@ -323,112 +477,160 @@ class _Simplex:
         self.hi = hi
         self.x = x
         self.basis = basis
+        # 1.0 (-1.0) on nonbasic columns, 0.0 on basic ones.
+        self.nonbasic = np.ones(x.size)
+        self.nonbasic[basis] = 0.0
+        self.nonbasic_neg = -self.nonbasic
+        self.factorizations = 0
+        self._moves = np.empty((x.size, 2))
+        self._no_block = np.full(basis.size, np.inf)
         self.refactor()
 
+    def enter(self, slot: int, j: int) -> None:
+        """Column ``j`` takes basis slot ``slot`` (the kernel is updated
+        separately)."""
+        out = self.basis[slot]
+        self.nonbasic[out], self.nonbasic_neg[out] = 1.0, -1.0
+        self.nonbasic[j] = self.nonbasic_neg[j] = 0.0
+        self.basis[slot] = j
+
     def refactor(self) -> None:
-        """Fresh factors for the basis plus the re-derived basic point."""
+        """A fresh kernel for the basis plus the re-derived basic point."""
         try:
-            self.factors = self.cols.factor(self.basis)
+            self.kernel = self.cols.kernel(self.basis)
         except (RuntimeError, np.linalg.LinAlgError) as exc:
             raise _NumericalTrouble(
                 f"refactorization failed: {exc}"
             ) from exc
+        self.factorizations += 1
+        incr("lp.revised.factorizations")
         self.recompute()
 
     def recompute(self) -> None:
         """Basic values from pristine data: ``B^-1 (b - A_N x_N)``."""
-        x_n = self.x.copy()
-        x_n[self.basis] = 0.0
-        x_b = self.factors.ftran(self.b - self.cols.matvec(x_n))
+        x_b = self.kernel.ftran(
+            self.b - self.cols.matvec(self.x * self.nonbasic))
         x_b[np.abs(x_b) < 1e-12] = 0.0
         self.x[self.basis] = x_b
 
     def worst_violation(self) -> float:
         """Largest distance of a basic value outside its bounds."""
         x_b = self.x[self.basis]
-        return float(max(np.max(self.lo[self.basis] - x_b, initial=0.0),
-                         np.max(x_b - self.hi[self.basis], initial=0.0)))
+        return max(0.0, float(_max(np.maximum(self.lo[self.basis] - x_b,
+                                              x_b - self.hi[self.basis]))))
 
-    def optimize(self, obj: np.ndarray) -> Tuple[str, int]:
-        """Maximize ``obj . x`` in place; ``(status, pivots)``."""
-        cols, lo, hi, x, basis = (self.cols, self.lo, self.hi, self.x,
-                                  self.basis)
+    def optimize(self, obj: np.ndarray,
+                 d: Optional[np.ndarray] = None) -> Tuple[str, int]:
+        """Maximize ``obj . x`` in place; ``(status, iterations)``.
+
+        ``d``, when given, is ``obj``'s reduced costs at the current
+        basis (the caller priced it already); it is consumed.
+        """
+        kernel, lo, hi, x, basis = (self.kernel, self.lo, self.hi, self.x,
+                                    self.basis)
+        nonbasic, nonbasic_neg = self.nonbasic, self.nonbasic_neg
+        d, x_b, lo_b, hi_b = kernel.start(obj, x, lo, hi, d)
+        # Per column: 1.0 where it is nonbasic and may rise, else 0.0;
+        # -1.0 where it is nonbasic and may fall, else 0.0.  Its gain is
+        # the larger of d times each, and the two sit side by side so
+        # one argmax over both finds the smallest column of largest
+        # gain.  Kept up to date for the columns a step moves.
+        moves = self._moves
+        np.multiply(x < hi, nonbasic, out=moves[:, 0])
+        np.multiply(x > lo, nonbasic_neg, out=moves[:, 1])
+        d_col = d[:, None]
+        m = basis.size
+        no_block = self._no_block
         degenerate_run = 0
         bland = False
-        # 1.0 where a nonbasic column may rise (fall), else 0.0; kept up
-        # to date for the columns a pivot moves (a basic column's d is 0).
-        can_rise = (x < hi).astype(float)
-        can_fall = (x > lo).astype(float)
-        lo_b, hi_b = lo[basis], hi[basis]
-        for iteration in range(500 * (cols.m + cols.total + 1)):
-            d = obj - cols.price(self.factors.btran(obj[basis]))
-            d[basis] = 0.0
-            # |d| where the column may move in d's direction, else <= 0.
-            gain = np.maximum(d * can_rise, -d * can_fall)
+        for iteration in range(500 * (m + x.size + 1)):
+            gain = d_col * moves
             if bland:
-                movable = (gain > _EPS).nonzero()[0]
+                movable = (gain > _EPS).any(axis=1).nonzero()[0]
                 if movable.size == 0:
-                    return "optimal", iteration
+                    status = "optimal"
+                    break
                 entering = int(movable[0])
             else:
                 # Dantzig: largest |d|; argmax returns the smallest index
                 # among ties, keeping the choice deterministic.
-                entering = int(np.argmax(gain))
-                if gain[entering] <= _EPS:
-                    return "optimal", iteration
-            step = 1.0 if d[entering] > 0.0 else -1.0
-            w = self.factors.ftran(cols.dense_column(entering))
-            delta = w * -step  # change of x_B per unit move of entering
-            x_b = x[basis]
-            size = np.abs(delta)
-            # Room to the bound each basic value moves towards; a value
-            # the step leaves alone never blocks it.
-            ratios = np.where(delta < 0.0, x_b - lo_b, hi_b - x_b)
-            ratios[size <= _EPS] = np.inf
-            np.maximum(ratios, 0.0, out=ratios)
-            ratios /= size
-            best = float(ratios.min())
-            span_j = hi[entering] - lo[entering]
+                best_move = int(gain.argmax())
+                if gain.item(best_move) <= _EPS:
+                    status = "optimal"
+                    break
+                entering = best_move >> 1
+            up = d.item(entering) > 0.0
+            w_full = kernel.column(entering)
+            w = w_full[:m]
+            # Ratio to the bound each basic value moves towards (it
+            # falls by theta * w when the entering column rises, rises
+            # by theta * w when it falls); a value the step leaves alone
+            # never blocks it, and one past its bound by rounding blocks
+            # at a step of 0.
+            if up:
+                room = x_b - np.where(w > 0.0, lo_b, hi_b)
+            else:
+                room = np.where(w < 0.0, lo_b, hi_b) - x_b
+            ratios = no_block.copy()
+            np.divide(room, w, out=ratios, where=np.abs(w) > _EPS)
+            best = _min(ratios)
+            if best < 0.0:
+                np.maximum(ratios, 0.0, out=ratios)
+                best = 0.0
+            lo_e, hi_e = lo.item(entering), hi.item(entering)
+            span_j = hi_e - lo_e
             if span_j <= best:
                 if span_j == np.inf:
-                    return "unbounded", iteration
+                    status = "unbounded"
+                    break
                 # Bound flip: the entering column crosses its own range
                 # before any basic column meets a bound.
-                theta = float(span_j)
-                x[basis] = x_b + theta * delta
-                x[entering] = hi[entering] if step > 0.0 else lo[entering]
-                can_rise[entering] = step < 0.0
-                can_fall[entering] = step > 0.0
+                theta = span_j
+                x_b -= (theta if up else -theta) * w
+                x[entering] = hi_e if up else lo_e
+                moves[entering, 0] = 0.0 if up else 1.0
+                moves[entering, 1] = -1.0 if up else 0.0
             else:
-                band = np.flatnonzero(ratios <= best + _EPS)
-                leaving = int(band[np.argmin(basis[band])])
-                theta = float(ratios[leaving])
-                x_b = x_b + theta * delta
-                x_b[leaving] = x[entering] + step * theta
-                x_b[np.abs(x_b) < 1e-12] = 0.0
-                out = basis[leaving]
-                x[out] = lo[out] if delta[leaving] < 0.0 else hi[out]
-                can_rise[out] = x[out] < hi[out]
-                can_fall[out] = x[out] > lo[out]
+                band = (ratios <= best + _EPS).nonzero()[0]
+                leaving = int(band[0] if band.size == 1
+                              else band[basis[band].argmin()])
+                theta = ratios.item(leaving)
+                out = basis.item(leaving)
+                lo_o, hi_o = lo.item(out), hi.item(out)
+                x_o = lo_o if (w.item(leaving) > 0.0) == up else hi_o
+                x[out] = x_o
+                moves[out, 0] = x_o < hi_o
+                moves[out, 1] = -(x_o > lo_o)
+                nonbasic[out], nonbasic_neg[out] = 1.0, -1.0
+                moves[entering] = nonbasic[entering] = \
+                    nonbasic_neg[entering] = 0.0
+                basis[leaving] = entering
+                lo_b[leaving], hi_b[leaving] = lo_e, hi_e
+                move = theta if up else -theta
                 try:
-                    self.factors.update(leaving, w)
+                    kernel.pivot(leaving, entering, w_full, move,
+                                 x.item(entering) + move)
                 except np.linalg.LinAlgError as exc:  # pragma: no cover
                     raise _NumericalTrouble(str(exc)) from exc
-                basis[leaving] = entering
-                lo_b[leaving], hi_b[leaving] = lo[entering], hi[entering]
-                x[basis] = x_b
-                if self.factors.needs_refactor:
+                if kernel.needs_refactor:
+                    x[basis] = x_b
                     self.refactor()
-            if abs(theta) <= _EPS:
+                    kernel = self.kernel
+                    d, x_b, lo_b, hi_b = kernel.start(obj, x, lo, hi)
+                    d_col = d[:, None]
+            if theta <= _EPS:
                 degenerate_run += 1
                 if degenerate_run >= _DEGENERATE_SWITCH:
                     bland = True
             else:
                 degenerate_run = 0
                 bland = False
-        raise RuntimeError(
-            "revised simplex did not converge (cycling safeguard hit)"
-        )
+        else:
+            raise RuntimeError(
+                "revised simplex did not converge (cycling safeguard hit)"
+            )
+        x[basis] = x_b
+        return status, iteration
 
 
 class _StandardForm(_Columns):
@@ -448,11 +650,6 @@ class _StandardForm(_Columns):
         sign = np.where(ge, -1.0, 1.0)
         self.rhs0 = b_shift * sign
         self.ge_rows = ge
-
-        # Signed structural columns (CSC for pricing and gathers).
-        csc = a.to_csc()
-        signed = CSCMatrix(csc.num_rows, csc.num_cols, csc.indptr,
-                           csc.indices, csc.data * sign[csc.indices])
 
         num_slack = int(np.sum(~ge))
         num_surplus = int(np.sum(ge))
@@ -479,21 +676,22 @@ class _StandardForm(_Columns):
                 unit_sign[slack_j - n] = 1.0
                 self.initial_basis[i] = slack_j
                 slack_j += 1
-        super().__init__(signed, unit_row, unit_sign)
+        # Signed structural columns.
+        rows = np.repeat(np.arange(m), np.diff(a.indptr))
+        super().__init__(m, n, rows, a.indices, a.data * sign[rows],
+                         unit_row, unit_sign)
 
 
 def _drive_out_artificials(sf: _StandardForm, simplex: _Simplex) -> None:
     """Pivot zero-valued basic artificials out, dense-solver order."""
-    basis, factors = simplex.basis, simplex.factors
+    basis, kernel = simplex.basis, simplex.kernel
     for i in range(sf.m):
         if basis[i] >= sf.art_start:
-            e_i = np.zeros(sf.m)
-            e_i[i] = 1.0
-            row = sf.price(factors.btran(e_i))
+            row = kernel.row(i)
             for j in range(sf.art_start):
                 if abs(row[j]) > _EPS:
-                    factors.update(i, factors.ftran(sf.dense_column(j)))
-                    basis[i] = j
+                    simplex.enter(i, j)
+                    kernel.pivot(i, j, kernel.column(j))
                     break
             # All-zero row: redundant constraint; the artificial stays
             # basic at zero and is excluded from phase-2 pivoting.
@@ -501,20 +699,20 @@ def _drive_out_artificials(sf: _StandardForm, simplex: _Simplex) -> None:
 
 def _revised_leq(
     sp: SparseLP,
-) -> Tuple[str, Optional[np.ndarray], int, Optional[Pricer]]:
+) -> Tuple[str, Optional[np.ndarray], int, Optional[Pricer], int]:
     """Maximize ``c'y`` s.t. ``A y <= b_shifted``, ``y >= 0``.
 
-    Same return contract as the dense ``_simplex_leq``: ``(status, y,
-    pivots, pricer)``.
+    Same return contract as the dense ``_simplex_leq`` — ``(status, y,
+    pivots, pricer)`` — plus the number of fresh factorizations.
     """
     pivots = 0
     m, n = sp.a.shape
     if m == 0:
         if np.any(sp.c > _EPS):
-            return "unbounded", None, pivots, None
+            return "unbounded", None, pivots, None, 0
         return "optimal", np.zeros(n), pivots, partial(
             _unconstrained_prices, sp.c
-        )
+        ), 0
 
     sf = _StandardForm(sp)
     simplex = _Simplex(sf, sf.rhs0, np.zeros(sf.total),
@@ -526,12 +724,12 @@ def _revised_leq(
         status, iters = simplex.optimize(obj1)
         pivots += iters
         if status == "unbounded":  # pragma: no cover - bounded
-            return "infeasible", None, pivots, None
+            return "infeasible", None, pivots, None, simplex.factorizations
         phase1_obj = float(sum(
             simplex.x[j] for j in simplex.basis if j >= sf.art_start
         ))
         if phase1_obj > 1e-7:
-            return "infeasible", None, pivots, None
+            return "infeasible", None, pivots, None, simplex.factorizations
         _drive_out_artificials(sf, simplex)
         # Artificial columns are frozen at zero: they never re-enter.
         simplex.hi[sf.art_start:] = 0.0
@@ -541,7 +739,7 @@ def _revised_leq(
     status, iters = simplex.optimize(obj2)
     pivots += iters
     if status == "unbounded":
-        return "unbounded", None, pivots, None
+        return "unbounded", None, pivots, None, simplex.factorizations
 
     # Basis-pure final values and prices: recompute from pristine data
     # so the reported point, duals and reduced costs depend only on the
@@ -551,19 +749,15 @@ def _revised_leq(
     except _NumericalTrouble:  # pragma: no cover
         pass
     return "optimal", simplex.x[:n].copy(), pivots, partial(
-        _basis_prices, sf, simplex.factors, obj2, simplex.basis
-    )
+        _basis_prices, sf, simplex.kernel, obj2, simplex.basis
+    ), simplex.factorizations
 
 
-def _basis_prices(
-    sf: _StandardForm,
-    factors: BasisFactors,
-    obj: np.ndarray,
-    basis: np.ndarray,
-) -> Prices:
+def _basis_prices(sf: _StandardForm, kernel, obj: np.ndarray,
+                  basis: np.ndarray) -> Prices:
     """Duals and structural reduced costs: one ``btran`` plus ``price``
-    on the final factors, finished exactly like the dense solver's."""
-    pi = factors.btran(obj[basis])
+    on the final kernel, finished exactly like the dense solver's."""
+    pi = kernel.btran(obj[basis])
     reduced = obj[:sf.n] - sf.price(pi)[:sf.n]
     return _finish_prices(pi, reduced, basis, sf.n, sf.ge_rows)
 
@@ -580,10 +774,12 @@ def solve_revised(lp: LinearProgram) -> LPSolution:
     with span("lp.solve", vars=len(names), rows=len(lp.constraints),
               backend="revised") as solve_span:
         sp = SparseLP.from_problem(lp)
-        status, y, pivots, pricer = _revised_leq(sp)
-        solve_span.tag(status=status, pivots=pivots)
+        status, y, pivots, pricer, factorizations = _revised_leq(sp)
+        solve_span.tag(status=status, pivots=pivots,
+                       factorizations=factorizations)
     incr("lp.revised.solves")
     incr("lp.revised.pivots", pivots)
+    _account(1, pivots, factorizations)
     if status != "optimal":
         return LPSolution(status, {}, float("nan"))
     x = y + sp.lb
@@ -602,13 +798,13 @@ class SessionFallback(RuntimeError):
 class MaxminSession:
     """One bounded-variable standard form for a whole max-min call.
 
-    Columns: the LP's variables ``x`` (lower bound = the LP's lower
-    bound, the basic share), the ladder level ``t``, and one slack per
-    row.  Rows: the LP's rows, the objective pin ``-c.x <= -T*``, and
-    one floor row ``w_v t - x_v <= 0`` per variable.  The methods are
-    the ladder's steps, each an edit of bounds or objective that keeps
-    the current point feasible, so only the base solve starts from the
-    slack basis:
+    Opened straight from the LP's arrays (:class:`SparseLP`).  Columns:
+    the LP's variables ``x`` (lower bound = the LP's lower bound, the
+    basic share), the ladder level ``t``, and one slack per row.  Rows:
+    the LP's rows, the objective pin ``-c.x <= -T*``, and one floor row
+    ``w_v t - x_v <= 0`` per variable.  The methods are the ladder's
+    steps, each an edit of bounds or objective that keeps the current
+    point feasible, so only the base solve starts from the slack basis:
 
     * :meth:`solve_base` — maximize ``c.x`` with ``t`` fixed at 0 and
       the pin row's slack free;
@@ -621,14 +817,16 @@ class MaxminSession:
       row's slack, and bound ``t`` below by the level.
 
     Each optimization counts one ``lp.solves`` and opens one
-    ``lp.solve`` span tagged with its ``session`` step.  A step that
-    pivoted ends with a refactorization, so its values, level and
-    prices depend on the final basis only.
+    ``lp.solve`` span tagged with its ``session`` step, its pivots and
+    its fresh factorizations (the base step's include the slack basis
+    the session opens on).  A step that pivoted ends with a
+    refactorization, so its values, level and prices depend on the
+    final basis only.  A round's prices also seed the next round's first
+    pricing when no probe pivoted in between: same basis, same
+    objective ``t``.
     """
 
-    def __init__(self, lp: LinearProgram, weights: Sequence[float]) -> None:
-        sp = SparseLP.from_problem(lp)
-        self.lp = lp
+    def __init__(self, sp: SparseLP, weights: Sequence[float]) -> None:
         self.names = sp.names
         self.index = {v: j for j, v in enumerate(sp.names)}
         n, (m, _) = len(sp.names), sp.a.shape
@@ -638,9 +836,10 @@ class MaxminSession:
         self._pin = n + 1 + m  # the pin row's slack column
         a = sp.a
         obj_cols = np.flatnonzero(sp.c)
+        self._objective = [(sp.names[j], float(sp.c[j])) for j in obj_cols]
         k = np.arange(n, dtype=np.int64)
         floor_rows = self._floor_row + k
-        csc = CSCMatrix.from_coo(
+        cols = _Columns(
             rows, n + 1,
             np.concatenate([np.repeat(np.arange(m), np.diff(a.indptr)),
                             np.full(obj_cols.size, m), floor_rows,
@@ -648,9 +847,8 @@ class MaxminSession:
             np.concatenate([a.indices, obj_cols, k, np.full(n, n)]),
             np.concatenate([a.data, -sp.c[obj_cols], -np.ones(n),
                             np.asarray(weights, dtype=float)]),
+            np.arange(rows, dtype=np.int64), np.ones(rows),
         )
-        cols = _Columns(csc, np.arange(rows, dtype=np.int64),
-                        np.ones(rows))
         total = cols.total
         lo = np.zeros(total)
         hi = np.full(total, np.inf)
@@ -661,39 +859,56 @@ class MaxminSession:
         x[:n] = sp.lb
         self._c = np.zeros(total)
         self._c[:n] = sp.c
-        self._w = np.asarray(weights, dtype=float)
         self._simplex = _Simplex(
             cols, np.concatenate([sp.b, np.zeros(1 + n)]), lo, hi, x,
             np.arange(n + 1, total, dtype=np.int64),
         )
+        self._accounted = 0  # factorizations already tagged on a step
+        self._seed: Optional[np.ndarray] = None  # reduced costs of t
         # A clique row the basic floors alone overfill needs phase 1,
         # which only the cold two-phase solve runs.
         self._needs_phase1 = bool(np.any(
             self._simplex.x[n + 1:n + 1 + m] < -_EPS
         ))
 
+    @property
+    def has_objective(self) -> bool:
+        return bool(self._objective)
+
+    def objective_value(self, values: Dict[str, float]) -> float:
+        """``c.x`` at ``values``, summed like
+        :meth:`LinearProgram.objective_value`."""
+        return float(sum(c * values[v] for v, c in self._objective))
+
     # ------------------------------------------------------------------
-    def _solve(self, obj: np.ndarray, step: str) -> str:
+    def _solve(self, obj: np.ndarray, step: str,
+               d: Optional[np.ndarray] = None) -> str:
         simplex = self._simplex
         with span("lp.solve", vars=len(self.names),
                   rows=simplex.cols.m, backend="revised",
                   session=step) as solve_span:
             try:
-                status, pivots = simplex.optimize(obj)
+                status, pivots = simplex.optimize(obj, d)
                 if step == "probe":
                     # A peak only feeds a verdict: re-derive it from
-                    # pristine data on the round's factors.
+                    # pristine data on the round's kernel.
                     if pivots:
                         simplex.recompute()
-                elif simplex.factors.updates:
+                elif simplex.kernel.updates:
                     simplex.refactor()  # basis-pure reads
             except RuntimeError as exc:
                 raise SessionFallback(str(exc)) from exc
-            solve_span.tag(status=status, pivots=pivots)
+            if pivots:
+                self._seed = None
+            factorizations = simplex.factorizations - self._accounted
+            self._accounted = simplex.factorizations
+            solve_span.tag(status=status, pivots=pivots,
+                           factorizations=factorizations)
         incr("lp.solves")
         incr("lp.solves.revised")
         incr("lp.revised.solves")
         incr("lp.revised.pivots", pivots)
+        _account(1, pivots, factorizations)
         if status != "optimal":
             incr(f"lp.solves.{status}")
         return status
@@ -726,8 +941,7 @@ class MaxminSession:
         if status != "optimal":
             return LPSolution(status, {}, float("nan"))
         values = self._values()
-        return LPSolution("optimal", values,
-                          self.lp.objective_value(values))
+        return LPSolution("optimal", values, self.objective_value(values))
 
     def pin(self, hold: bool) -> None:
         """Hold ``c.x`` at the base optimum (``False``: leave the pin
@@ -752,16 +966,19 @@ class MaxminSession:
         costs)``, the last two for each ``free`` variable in order, or
         ``None`` when the LP is not optimal."""
         obj = self._unit(self._t)
-        if self._solve(obj, "round") != "optimal":
+        seed, self._seed = self._seed, None
+        if self._solve(obj, "round", seed) != "optimal":
             return None
         simplex = self._simplex
-        pi = simplex.factors.btran(obj[simplex.basis])
+        pi = simplex.kernel.btran(obj[simplex.basis])
         reduced = obj - simplex.cols.price(pi)
         reduced[simplex.basis] = 0.0
         cols = np.array([self.index[v] for v in free], dtype=np.int64)
-        return (float(simplex.x[self._t]), self._values(),
-                pi[self._floor_row + cols].tolist(),
-                reduced[cols].tolist())
+        found = (float(simplex.x[self._t]), self._values(),
+                 pi[self._floor_row + cols].tolist(),
+                 reduced[cols].tolist())
+        self._seed = reduced
+        return found
 
     def probe(self, level: float,
               targets: Sequence[str]) -> Dict[str, Optional[float]]:
@@ -783,12 +1000,10 @@ class MaxminSession:
         """Fix each ``(v, value)`` and drop its floor row; ``t`` keeps
         ``level`` as its lower bound."""
         simplex = self._simplex
-        basic = np.zeros(simplex.cols.total, dtype=bool)
-        basic[simplex.basis] = True
         for v, value in values:
             j = self.index[v]
             simplex.lo[j] = simplex.hi[j] = value
-            if not basic[j]:
+            if simplex.nonbasic[j]:
                 simplex.x[j] = value
             simplex.lo[self._pin + 1 + j] = -np.inf
         simplex.lo[self._t] = level
@@ -814,14 +1029,14 @@ class RevisedBackend:
         return solve_revised(lp)
 
     @staticmethod
-    def maxmin_session(lp: LinearProgram, weights: Sequence[float]
+    def maxmin_session(sp: SparseLP, weights: Sequence[float]
                        ) -> Optional[MaxminSession]:
-        """The warm session a whole max-min call on ``lp`` runs on, or
+        """The warm session a whole max-min call on ``sp`` runs on, or
         ``None`` when its form would have more than
         ``SESSION_MAX_ROWS`` rows."""
-        if len(lp.constraints) + 1 + len(lp.variables) > SESSION_MAX_ROWS:
+        if sp.a.shape[0] + 1 + len(sp.names) > SESSION_MAX_ROWS:
             return None
-        return MaxminSession(lp, weights)
+        return MaxminSession(sp, weights)
 
     def probe_max_values(
         self, lp: LinearProgram, targets: Sequence[str]
@@ -873,4 +1088,5 @@ class RevisedBackend:
         incr("lp.revised.probe_batches")
         incr("lp.revised.probes", len(targets))
         incr("lp.revised.pivots", pivots)
+        _account(len(targets), pivots, simplex.factorizations)
         return out

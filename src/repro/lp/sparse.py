@@ -29,7 +29,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .problem import LinearProgram
+from .problem import Constraint, LinearProgram
 
 __all__ = ["CSRMatrix", "CSCMatrix", "SparseLP"]
 
@@ -172,13 +172,6 @@ class CSCMatrix:
         lo, hi = int(self.indptr[j]), int(self.indptr[j + 1])
         return self.indices[lo:hi], self.data[lo:hi]
 
-    def to_dense(self) -> np.ndarray:
-        """The dense matrix (the revised backend prices small forms
-        densely)."""
-        out = np.zeros((self.num_rows, self.num_cols))
-        out[self.indices, self._col_of] = self.data
-        return out
-
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """``A @ x`` via one pass over the nonzeros."""
         return np.bincount(self.indices,
@@ -224,3 +217,22 @@ class SparseLP:
         b = np.array([con.bound for con in lp.constraints], dtype=float)
         lb = np.array([lp.lower_bounds.get(v, 0.0) for v in names])
         return cls(tuple(names), c, a, b, lb)
+
+    def to_problem(self) -> LinearProgram:
+        """The :class:`LinearProgram` of these arrays (constraints
+        unlabelled): :meth:`from_problem` of it gives them back."""
+        names = list(self.names)
+        a = self.a
+        return LinearProgram(
+            _order=names,
+            objective={names[j]: float(self.c[j])
+                       for j in np.flatnonzero(self.c)},
+            constraints=[
+                Constraint({names[j]: v for j, v in zip(
+                    a.indices[a.indptr[i]:a.indptr[i + 1]].tolist(),
+                    a.data[a.indptr[i]:a.indptr[i + 1]].tolist())},
+                    bound)
+                for i, bound in enumerate(self.b.tolist())
+            ],
+            lower_bounds=dict(zip(names, self.lb.tolist())),
+        )

@@ -53,10 +53,12 @@ from typing import (
     Dict, Iterable, List, Optional, Sequence, Set, Tuple,
 )
 
+import numpy as np
+
 from ..core.contention import ContentionAnalysis, restricted_analysis
 from ..core.fairness_defs import basic_shares
 from ..core.model import Flow
-from ..lp import LinearProgram, lexicographic_maxmin
+from ..lp import CSRMatrix, LinearProgram, SparseLP, lexicographic_maxmin
 from ..lp.problem import Constraint
 from ..obs.registry import incr, observe
 from ..obs.trace import span
@@ -76,8 +78,9 @@ class ComponentProblem:
 
     ``weights`` maps LP variable names to flow weights for the
     lexicographic max-min refinement; ``fingerprint`` keys the
-    per-component memo.  The LP is built on first access, so a memo hit
-    never builds it.
+    per-component memo.  The solve reads the LP's arrays straight off
+    the clique rows (:meth:`sparse`); the :class:`LinearProgram` is
+    built on first access, which only the failure text does.
     """
 
     group_ids: Tuple[str, ...]
@@ -101,6 +104,25 @@ class ComponentProblem:
                 for k, coeffs, label in self.rows
             ],
             lower_bounds=dict(zip(names, self.lower)),
+        )
+
+    def sparse(self) -> SparseLP:
+        """The LP's ``(c, A, b, lb)`` arrays, equal to
+        ``SparseLP.from_problem(self.lp)`` without building the LP."""
+        n = len(self.group_ids)
+        column = {fid: j for j, fid in enumerate(self.group_ids)}
+        rows: List[int] = []
+        cols: List[int] = []
+        vals: List[float] = []
+        for i, (_k, coeffs, _label) in enumerate(self.rows):
+            for fid, count in coeffs.items():
+                rows.append(i)
+                cols.append(column[fid])
+                vals.append(float(count))
+        return SparseLP(
+            tuple(self.weights), np.ones(n),
+            CSRMatrix.from_coo(len(self.rows), n, rows, cols, vals),
+            np.full(len(self.rows), self.bound), np.array(self.lower),
         )
 
 
@@ -202,7 +224,7 @@ def _solve_component(problem: ComponentProblem) -> List[float]:
     sharded run raises exactly where the monolithic reference would.
     """
     sol = lexicographic_maxmin(
-        problem.lp, problem.weights, fix_objective=True,
+        problem.sparse(), problem.weights, fix_objective=True,
         backend=problem.backend,
     )
     if not sol.is_optimal:

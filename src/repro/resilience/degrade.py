@@ -104,8 +104,7 @@ def enforce_clique_capacity(
     b = capacity if capacity is not None else analysis.scenario.capacity
     if floors is None:
         factor: Dict[str, float] = {fid: 1.0 for fid in shares}
-        for clique in analysis.cliques:
-            coeffs = analysis.clique_coefficients(clique)
+        for coeffs in analysis.all_coefficients():
             load = sum(n * shares.get(fid, 0.0)
                        for fid, n in coeffs.items())
             if load > b + _GOVERNOR_TOL:
@@ -127,8 +126,7 @@ def enforce_clique_capacity(
     for _ in range(len(current) + 1):
         factor = {fid: 1.0 for fid in current}
         overloaded = False
-        for clique in analysis.cliques:
-            coeffs = analysis.clique_coefficients(clique)
+        for coeffs in analysis.all_coefficients():
             load = sum(n * current.get(fid, 0.0)
                        for fid, n in coeffs.items())
             if load <= b + _GOVERNOR_TOL:

@@ -81,8 +81,8 @@ def check_clique_capacity(
     """Eq. (6): every maximal clique's load fits within B."""
     b = capacity if capacity is not None else analysis.scenario.capacity
     violations: List[str] = []
-    for k, clique in enumerate(analysis.cliques):
-        coeffs = analysis.clique_coefficients(clique)
+    for k, (clique, coeffs) in enumerate(zip(analysis.cliques,
+                                             analysis.all_coefficients())):
         load = sum(n * shares.get(fid, 0.0) for fid, n in coeffs.items())
         if load > b + tol:
             members = "+".join(sorted(str(s) for s in clique))

@@ -427,8 +427,8 @@ def maxmin_reference(
     """:func:`~repro.lp.lexicographic_maxmin` by the cold ladder on
     ``backend`` (default: the dense tableau), probing every target."""
     w = _weights(lp.variables, weights)
-    return _ladder(_ProbeEveryTarget(lp, w, backend), lp, w,
-                   fix_objective, NULL_SPAN)
+    return _ladder(_ProbeEveryTarget(lp, w, backend), w, fix_objective,
+                   NULL_SPAN)
 
 
 def maxmin_session_mismatches(

@@ -25,6 +25,7 @@ from repro.core.contention import ContentionAnalysis
 from repro.lp import (
     LinearProgram,
     RevisedBackend,
+    SparseLP,
     lexicographic_maxmin,
     solve,
     solve_revised,
@@ -285,7 +286,8 @@ class TestBackendSpanTag:
 
 def open_session(lp, weights=None):
     return RevisedBackend.maxmin_session(
-        lp, [float((weights or {}).get(v, 1.0)) for v in lp.variables])
+        SparseLP.from_problem(lp),
+        [float((weights or {}).get(v, 1.0)) for v in lp.variables])
 
 
 class TestBatchedProbes:
@@ -492,18 +494,23 @@ class TestMaxminSession:
 
     @pytest.mark.parametrize("name", sorted(LIBRARY))
     def test_kernel_inverse_inverts_the_basis(self, name):
-        """The dense path inverts only the structural kernel of a basis;
-        the result is the basis matrix's inverse."""
+        """A fresh tableau solves only the structural kernel of a basis;
+        its unit-column block is the basis matrix's inverse, and the
+        whole tableau is that inverse times the form's matrix."""
         for lp in group_lps(LIBRARY[name]()):
             session = open_session(lp)
             try:
                 session.solve_base()
             except SessionFallback:
                 continue
-            cols, basis = session._simplex.cols, session._simplex.basis
-            inverse = cols.basis_inverse(basis)
+            simplex = session._simplex
+            cols, basis = simplex.cols, simplex.basis
+            kernel = revised_module._Tableau(cols, basis)
+            inverse = kernel.inverse
             assert np.allclose(inverse @ cols.full[:, basis],
                                np.eye(cols.m), atol=1e-12)
+            assert np.allclose(kernel.t[:cols.m, :-1],
+                               inverse @ cols.full, atol=1e-12)
 
     def test_session_serves_forms_up_to_the_row_gate(self):
         lp = self._three_rounds()  # 3 rows + pin + 3 floor rows

@@ -9,12 +9,13 @@ here against dense numpy reference implementations:
 * ``SparseLP.from_problem`` is bit-identical to
   ``LinearProgram.to_dense()`` — the revised backend provably solves
   the same LP the dense backend sees;
-* ``BasisFactors`` stays numerically faithful to the exact basis
-  inverse under random pivot (column-replacement) sequences, and a
-  fresh refactorization agrees with the accumulated eta file.
-"""
+* both basis kernels stay numerically faithful to the exact basis
+  inverse under random pivot (column-replacement) sequences — the
+  ``BasisFactors`` eta file of large forms and the tableau of small
+  ones — and a fresh refactorization agrees with the updated one.
 
-from unittest import mock
+``SparseLP.to_problem`` round-trips through ``from_problem`` exactly.
+"""
 
 import numpy as np
 import pytest
@@ -131,7 +132,10 @@ class TestSlicingVsDense:
     @given(dense=dense_matrices())
     def test_to_csc_transposes_faithfully(self, dense):
         csc = csr_reference(dense).to_csc()
-        assert np.array_equal(csc.to_dense(), dense)
+        back = np.zeros(dense.shape)
+        back[csc.indices, np.repeat(np.arange(csc.num_cols),
+                                    np.diff(csc.indptr))] = csc.data
+        assert np.array_equal(back, dense)
         for j in range(dense.shape[1]):
             rows, vals = csc.column(j)
             assert np.array_equal(rows, np.flatnonzero(dense[:, j]))
@@ -171,6 +175,17 @@ class TestSparseLPFromProblem:
         assert np.array_equal(dense_of(sp.a), a_ref)
         assert np.array_equal(sp.b, b_ref)
         assert np.array_equal(sp.lb, lb_ref)
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(lp=random_lps())
+    def test_to_problem_round_trips(self, lp):
+        sp = SparseLP.from_problem(lp)
+        back = SparseLP.from_problem(sp.to_problem())
+        assert back.names == sp.names
+        for field in ("c", "b", "lb"):
+            assert np.array_equal(getattr(back, field), getattr(sp, field))
+        assert_same_csr(back.a, sp.a)
 
 
 # ----------------------------------------------------------------------
@@ -224,23 +239,52 @@ class TestBasisFactorsStability:
         rhs = np.array(data.draw(st.lists(
             st.integers(-3, 3).map(float), min_size=m, max_size=m,
         )))
-        # Both representations: the explicit inverse small bases keep,
-        # and splu plus an eta file (forced with a zero row threshold).
-        for dense_max in (revised.DENSE_MAX_ROWS, 0):
-            with mock.patch.object(revised, "DENSE_MAX_ROWS", dense_max):
-                dense_b = start.copy()
-                factors = BasisFactors(start)
-                _check_against_dense(factors, dense_b, rhs)
-                for r, col in steps:
-                    w = factors.ftran(col)
-                    assume(abs(w[r]) > 1e-6)  # never pivots on ~0
-                    factors.update(r, w)
-                    dense_b[:, r] = col
-                    _check_against_dense(factors, dense_b, rhs)
-                    # A fresh refactorization of the same basis agrees
-                    # with the updated one up to fp noise.
-                    _check_against_dense(BasisFactors(dense_b), dense_b,
-                                         rhs)
+        dense_b = start.copy()
+        factors = BasisFactors(start)
+        _check_against_dense(factors, dense_b, rhs)
+        for r, col in steps:
+            w = factors.ftran(col)
+            assume(abs(w[r]) > 1e-6)  # never pivots on ~0
+            factors.update(r, w)
+            dense_b[:, r] = col
+            _check_against_dense(factors, dense_b, rhs)
+            # A fresh refactorization of the same basis agrees with
+            # the updated one up to fp noise.
+            _check_against_dense(BasisFactors(dense_b), dense_b, rhs)
+
+    @settings(max_examples=50, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(walk=pivot_walks(), data=st.data())
+    def test_tableau_tracks_dense_inverse(self, walk, data):
+        """The small-form kernel under the same walks: its tableau's
+        unit block stays the basis inverse through rank-one pivots, and
+        a fresh tableau of the same basis agrees."""
+        start, steps = walk
+        m = start.shape[0]
+        rhs = np.array(data.draw(st.lists(
+            st.integers(-3, 3).map(float), min_size=m, max_size=m,
+        )))
+        # Structural columns: the start basis, then each step's column;
+        # one slack per row after them.
+        struct = np.hstack([start] + [col[:, None] for _r, col in steps])
+        rows, cols = np.nonzero(struct)
+        form = revised._Columns(m, struct.shape[1], rows, cols,
+                                struct[rows, cols], np.arange(m),
+                                np.ones(m))
+        basis = np.arange(m)
+        kernel = revised._Tableau(form, basis)
+        dense_b = start.copy()
+        _check_against_dense(kernel, dense_b, rhs)
+        for k, (r, col) in enumerate(steps):
+            q = m + k
+            w = kernel.column(q)
+            assume(abs(w[r]) > 1e-6)  # never pivots on ~0
+            basis[r] = q
+            kernel.pivot(r, q, w)
+            dense_b[:, r] = col
+            _check_against_dense(kernel, dense_b, rhs)
+            _check_against_dense(revised._Tableau(form, basis), dense_b,
+                                 rhs)
 
     @settings(max_examples=25, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])

@@ -9,18 +9,26 @@ shares within 1e-9, on the scenario library, on random Prop. 2-shaped
 LPs (non-unit weights, with and without the objective pin), and on the
 corners: infeasible floors (phase 1), unbounded LPs, fully degenerate
 ties and the one-ulp borderline reproducer.
+
+The small-form tableau kernel is also checked against splu plus an eta
+file (``DENSE_MAX_ROWS`` patched to 0) on the same calls, round by
+round, and each call's ``lp.maxmin`` span against its ``lp.solve``
+children.
 """
 
 import json
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core.contention import ContentionAnalysis
-from repro.lp import LinearProgram, lexicographic_maxmin
+from repro.lp import LinearProgram, lexicographic_maxmin, maxmin, revised
 from repro.obs.registry import MetricsRegistry, using_registry
+from repro.obs.trace import using_tracer
+from repro.scenarios import fig6
 from repro.scenarios.io import scenario_from_dict
 from repro.verify import maxmin_reference, maxmin_session_mismatches
 from tests.test_lp import random_clique_lp
@@ -166,3 +174,72 @@ class TestCorners:
         assert ref.values == pytest.approx(
             {"r11": 0.75, "r12": 0.25, "r21": 0.375, "r22": 0.375})
         assert registry.counters["lp.solves.simplex"].value >= 1 + 2 + 4
+
+
+def kernel_run(lp, weights, fix_objective):
+    """``(solution, frozen names per round, kernels used, fallbacks)``
+    of one session call."""
+    rounds, kernels = [], set()
+    freeze = maxmin._SessionSteps.freeze
+
+    def record(steps, level, values):
+        rounds.append(sorted(v for v, _value in values))
+        kernels.add(type(steps.session._simplex.kernel).__name__)
+        return freeze(steps, level, values)
+
+    with mock.patch.object(maxmin._SessionSteps, "freeze", record):
+        sol, counters = session_and_counters(lp, weights, fix_objective)
+    return sol, rounds, kernels, counters.get(FALLBACKS, 0)
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(
+    n=st.integers(1, 50),
+    m=st.integers(1, 70),
+    seed=st.integers(0, 10_000),
+    weighted=st.booleans(),
+    fix_objective=st.booleans(),
+    unit_weights=st.booleans(),
+)
+def test_tableau_kernel_matches_splu_eta(n, m, seed, weighted,
+                                         fix_objective, unit_weights):
+    """Session forms of up to ``SESSION_MAX_ROWS`` rows, once on the
+    tableau kernel and once on splu plus an eta file: the same status,
+    the same flows frozen in each round, shares within 1e-9."""
+    assume(m + 1 + n <= revised.SESSION_MAX_ROWS)
+    lp = random_clique_lp(n, m, seed, weighted, pinned=False)
+    weights = None if unit_weights else {
+        v: 1.0 + (k % 3) * 0.5 for k, v in enumerate(lp.variables)}
+    sol, rounds, kernels, fallbacks = kernel_run(lp, weights,
+                                                 fix_objective)
+    with mock.patch.object(revised, "DENSE_MAX_ROWS", 0):
+        ref, ref_rounds, ref_kernels, ref_fallbacks = kernel_run(
+            lp, weights, fix_objective)
+    assert kernels <= {"_Tableau"} and ref_kernels <= {"_Factored"}
+    assert (sol.status, fallbacks) == (ref.status, ref_fallbacks)
+    assert rounds == ref_rounds
+    for v, share in ref.values.items():
+        assert abs(sol.values[v] - share) <= 1e-9
+
+
+def test_maxmin_span_tags_sum_its_lp_solves():
+    """Each ``lp.maxmin`` span reports the LP work of its call: the
+    count of its ``lp.solve`` children and the sums of their pivots and
+    fresh factorizations."""
+    analysis = ContentionAnalysis(fig6.make_scenario())
+    with using_tracer() as tracer:
+        for lp, weights in group_ladders(fig6.make_scenario()):
+            lexicographic_maxmin(lp, weights)
+    records = tracer.to_records()
+    calls = [r for r in records if r["name"] == "lp.maxmin"]
+    assert len(calls) == len(analysis.groups)
+    for call in calls:
+        solves = [r for r in records if r["name"] == "lp.solve"
+                  and r["parent"] == call["span"]]
+        tags = call["tags"]
+        assert solves and tags["solves"] == len(solves)
+        assert tags["pivots"] == sum(r["tags"]["pivots"] for r in solves)
+        assert tags["factorizations"] == sum(
+            r["tags"]["factorizations"] for r in solves)
+        assert tags["factorizations"] >= 1

@@ -17,6 +17,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.core.allocation import (
@@ -25,6 +26,7 @@ from repro.core.allocation import (
 )
 from repro.core.contention import ContentionAnalysis
 from repro.core.model import Flow, Network, Scenario
+from repro.lp import SparseLP
 from repro.obs import registry as obs
 from repro.obs.registry import MetricsRegistry
 from repro.perf.shard import (
@@ -129,6 +131,25 @@ class TestLibraryDifferential:
             assert problem.group_ids == tuple(
                 f.flow_id for f in group
             )
+
+    @pytest.mark.parametrize("name", sorted(LIBRARY))
+    def test_component_arrays_equal_the_lp_round_trip(self, name):
+        """The solve reads each component's arrays straight off its
+        clique rows; they equal ``SparseLP.from_problem`` of its LP bit
+        for bit, so skipping the LP changes no solve."""
+        for problem in component_problems(
+                ContentionAnalysis(LIBRARY[name]())):
+            mine, reference = problem.sparse(), SparseLP.from_problem(
+                problem.lp)
+            assert mine.names == reference.names
+            for field in ("c", "b", "lb"):
+                got, want = getattr(mine, field), getattr(reference, field)
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want)
+            for field in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(mine.a, field),
+                                      getattr(reference.a, field))
+            assert mine.a.shape == reference.a.shape
 
 
 class TestShardedSolverMemo:
