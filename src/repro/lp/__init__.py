@@ -3,9 +3,8 @@
 from .problem import Constraint, LinearProgram, LPSolution
 from .revised import RevisedBackend, solve_revised
 from .simplex import solve_simplex
-from .solvers import (cross_check, register_backend, resolve_backend,
-                      solve, solve_scipy)
-from .sparse import CSCMatrix, CSRMatrix, SparseLP
+from .solvers import register_backend, resolve_backend, solve, solve_scipy
+from .sparse import CSRMatrix, SparseLP
 from .maxmin import lexicographic_maxmin
 
 __all__ = [
@@ -13,14 +12,12 @@ __all__ = [
     "LinearProgram",
     "LPSolution",
     "CSRMatrix",
-    "CSCMatrix",
     "SparseLP",
     "solve_simplex",
     "solve_revised",
     "RevisedBackend",
     "solve",
     "solve_scipy",
-    "cross_check",
     "register_backend",
     "resolve_backend",
     "lexicographic_maxmin",

@@ -23,7 +23,7 @@ objective and bounds.  With the ``revised`` backend a call of up to
 ``SESSION_MAX_ROWS`` session rows runs on one
 :class:`~repro.lp.revised.MaxminSession`, which carries one basis from
 the base solve through every round and probe; it opens straight from
-the LP's :class:`~repro.lp.sparse.SparseLP` arrays, which a caller may
+the LP's :class:`~repro.lp.problem.DenseLP` arrays, which a caller may
 hand over in place of a :class:`~repro.lp.problem.LinearProgram`.
 Every other call runs the cold ladder — one LP built and solved from
 scratch per round, and per probe unless the backend batches a round's
@@ -42,10 +42,9 @@ from typing import (Callable, Collection, Dict, List, Mapping, Optional,
 
 from ..obs.registry import incr
 from ..obs.trace import span
-from .problem import LinearProgram, LPSolution
+from .problem import DenseLP, LinearProgram, LPSolution
 from .revised import WORK, MaxminSession, SessionFallback
 from .solvers import resolve_backend, solve
-from .sparse import SparseLP
 
 _TOL = 0.0
 #: Price magnitude a certificate needs: a dual above it (or a reduced
@@ -64,7 +63,7 @@ Round = Tuple[Optional[float], Mapping[str, float], Set[str]]
 
 
 def lexicographic_maxmin(
-    lp: Union[LinearProgram, SparseLP],
+    lp: Union[LinearProgram, DenseLP],
     weights: Optional[Mapping[str, float]] = None,
     fix_objective: bool = True,
     backend: str = "revised",
@@ -79,15 +78,15 @@ def lexicographic_maxmin(
 
     ``weights`` normalizes shares (share/weight comparisons); defaults to 1.
 
-    ``lp`` may also be given as its :class:`SparseLP` arrays: a session
+    ``lp`` may also be given as its :class:`DenseLP` arrays: a session
     then opens straight from them, and a :class:`LinearProgram` is built
-    (:meth:`SparseLP.to_problem`) only for the cold ladder.
+    (:meth:`DenseLP.to_problem`) only for the cold ladder.
 
     The ``lp.maxmin`` span is tagged with the call's ``rounds``, its
     ``certified`` and ``probed`` flows, and the revised-simplex work it
     took: ``solves``, ``pivots`` and ``factorizations``.
     """
-    names = list(lp.names) if isinstance(lp, SparseLP) else lp.variables
+    names = list(lp.names) if isinstance(lp, DenseLP) else lp.variables
     w = _weights(names, weights)
     before = dict(WORK)
     with span("lp.maxmin", vars=len(names),
@@ -98,22 +97,21 @@ def lexicographic_maxmin(
             maxmin_span.tag(**{k: WORK[k] - before[k] for k in WORK})
 
 
-def _maxmin(lp: Union[LinearProgram, SparseLP], w: Mapping[str, float],
+def _maxmin(lp: Union[LinearProgram, DenseLP], w: Mapping[str, float],
             fix_objective: bool, backend, maxmin_span) -> LPSolution:
     """The call on the backend's session when it opens one, else (and
     when the session gives up) on the cold ladder."""
     fn, _ = resolve_backend(backend)
     open_session = getattr(fn, "maxmin_session", None)
     if open_session is not None:
-        sp = lp if isinstance(lp, SparseLP) else SparseLP.from_problem(lp)
-        session = open_session(sp, list(w.values()))
+        session = open_session(lp, list(w.values()))
         if session is not None:
             try:
                 return _ladder(_SessionSteps(session, w), w,
                                fix_objective, maxmin_span)
             except SessionFallback:
                 incr("lp.maxmin.session_fallbacks")
-    if isinstance(lp, SparseLP):
+    if isinstance(lp, DenseLP):
         lp = lp.to_problem()
     return _ladder(_ColdSteps(lp, w, backend), w, fix_objective,
                    maxmin_span)
@@ -344,23 +342,6 @@ def _certificate(
             and values[v] <= level * w[v] + _FLOOR_TOL
         )
     }
-
-
-def _saturated(
-    lp: LinearProgram,
-    free: List[str],
-    w: Mapping[str, float],
-    frozen: Mapping[str, float],
-    level: float,
-    backend: str,
-    hint: Optional[Mapping[str, float]] = None,
-    certified: Collection[str] = (),
-) -> Tuple[List[str], int]:
-    """:func:`_select` with cold probes over the optimal face ``lp``."""
-    return _select(
-        free, w, level, hint, certified,
-        lambda probes: _probe(lp, free, w, frozen, level, backend, probes),
-    )
 
 
 def _select(

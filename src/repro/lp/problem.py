@@ -185,8 +185,65 @@ class LinearProgram:
         return "\n".join(lines)
 
 
+@dataclass(frozen=True)
+class DenseLP:
+    """``maximize c'x s.t. A x <= b, x >= lb`` as dense arrays in
+    variable order (:meth:`LinearProgram.to_dense` plus the names): what
+    a max-min session opens from."""
+
+    names: Tuple[str, ...]
+    c: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    lb: np.ndarray
+
+    @classmethod
+    def from_problem(cls, lp: LinearProgram) -> "DenseLP":
+        return cls(tuple(lp.variables), *lp.to_dense())
+
+    def to_problem(self) -> LinearProgram:
+        """The :class:`LinearProgram` of these arrays (constraints
+        unlabelled): :meth:`from_problem` of it gives them back."""
+        names = list(self.names)
+        return LinearProgram(
+            _order=names,
+            objective={names[j]: float(self.c[j])
+                       for j in np.flatnonzero(self.c)},
+            constraints=[
+                Constraint({names[j]: row[j] for j in np.flatnonzero(row)},
+                           bound)
+                for row, bound in zip(self.a.tolist(), self.b.tolist())
+            ],
+            lower_bounds=dict(zip(names, self.lb.tolist())),
+        )
+
+
 #: ``(duals, reduced_costs)`` of an optimal basis (``None`` when unknown).
 Prices = Tuple[Optional[Tuple[float, ...]], Optional[Tuple[float, ...]]]
+#: Deferred ``(duals, reduced_costs)`` of a final basis.
+Pricer = Callable[[], Prices]
+
+
+def _finish_prices(
+    pi: np.ndarray,
+    reduced: np.ndarray,
+    basis: np.ndarray,
+    n: int,
+    ge_rows: np.ndarray,
+) -> Prices:
+    """Sweep dust, zero the basic reduced costs, and flip the duals of
+    rows the standard form negated into ``>=`` form back, so they price
+    the caller's ``<=`` rows.  Shared by both backends."""
+    pi[np.abs(pi) < 1e-12] = 0.0
+    reduced[np.abs(reduced) < 1e-12] = 0.0
+    reduced[basis[basis < n]] = 0.0
+    return (tuple(np.where(ge_rows, -pi, pi).tolist()),
+            tuple(reduced.tolist()))
+
+
+def _unconstrained_prices(c: np.ndarray) -> Prices:
+    """No rows: no duals, and every reduced cost is the objective's."""
+    return (), tuple(c.tolist())
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,8 @@ The dense tableau solver (:mod:`repro.lp.simplex`) carries the full
 ``m x (n + slacks)`` matrix through every pivot; at allocation-LP sizes
 the tableau is overwhelmingly zero (clique rows touch only their member
 flows, the max-min ladder's floor rows carry two nonzeros) and the
-tableau update dominates every benchmarked profile.  This module keeps
-the constraint matrix in the CSC form of :mod:`repro.lp.sparse` and
+tableau update dominates every benchmarked profile.  This module reads
+the constraint matrix from the CSR form of :mod:`repro.lp.sparse` and
 maintains only what a pivot needs, through one of two kernels chosen by
 row count:
 
@@ -17,8 +17,8 @@ row count:
   iteration is the number of numpy calls it makes, not its arithmetic.
 * **Large forms** keep an LU factorization
   (``scipy.sparse.linalg.splu``) plus a product-form eta file
-  (:class:`BasisFactors`), and price every iteration through the sparse
-  columns.
+  (:class:`BasisFactors`), and price every iteration through the
+  matrix's scipy CSC columns.
 
 Either kernel is rebuilt every ``REFACTOR_EVERY`` pivots, which also
 re-derives the basic solution from pristine data and so bounds
@@ -36,10 +36,12 @@ numerical drift.
   ratio test mirrors the dense solver's semantics: minimum ratio, ties
   within an ``_EPS`` band broken by the smallest basis column index.
 * **Determinism** — identical inputs produce identical pivot sequences
-  and therefore bitwise-identical results; the reported values are
-  recomputed from the final basis against the pristine system (exactly
-  like the dense solver's basis-pure recompute), so any path that lands
-  on a given basis reports the same values.
+  and therefore bitwise-identical results.  A cold solve's values and
+  prices are recomputed from the final basis against the pristine
+  system (the dense solver's basis-pure recompute), so any path that
+  lands on a given basis reports the same values; a session's are read
+  off the tableau it maintains, so they are a function of its
+  deterministic pivot path.
 * **Standard form** — a cold solve uses the dense solver's form: the
   same lower-bound shift and the same slack/surplus/artificial column
   layout, so the two backends agree on every status.
@@ -47,7 +49,11 @@ numerical drift.
   through a whole lexicographic max-min call: the base solve, the
   objective pin, every raise-floor round and every saturation probe
   edit only objectives and bounds, and each continues from the previous
-  optimal basis without a phase 1.  It serves forms of up to
+  optimal basis without a phase 1.  Its steps read the live kernel: the
+  basic values and reduced costs the pivots keep, and a freeze of a
+  nonbasic value moves the basic ones by one axpy of the kernel's
+  column, so a call with fewer than ``REFACTOR_EVERY`` pivots factors
+  only the slack basis it opens on.  It serves forms of up to
   ``SESSION_MAX_ROWS`` rows; a larger call runs the cold ladder, whose
   probes :meth:`RevisedBackend.probe_max_values` solves in one batch per
   round.
@@ -61,7 +67,7 @@ including the one-ulp borderline instances in ``tests/regressions/``.
 from __future__ import annotations
 
 from functools import partial
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy.linalg.blas import dger as _dger
@@ -71,12 +77,12 @@ from scipy.sparse.linalg import splu as _scipy_splu
 
 from ..obs.registry import incr
 from ..obs.trace import span
-from .problem import LinearProgram, LPSolution, Prices
-from .simplex import Pricer, _finish_prices, _unconstrained_prices
-from .sparse import CSCMatrix, SparseLP
+from .problem import (DenseLP, LinearProgram, LPSolution, Pricer, Prices,
+                      _finish_prices, _unconstrained_prices)
+from .sparse import SparseLP
 
 __all__ = ["BasisFactors", "MaxminSession", "RevisedBackend",
-           "SessionFallback", "WORK", "solve_revised"]
+           "SessionFallback", "WORK", "session_fits", "solve_revised"]
 
 _EPS = 1e-9
 #: Pivots between basis refactorizations (eta-file length bound).
@@ -84,21 +90,17 @@ REFACTOR_EVERY = 64
 #: Consecutive degenerate pivots before pricing falls back to Bland.
 _DEGENERATE_SWITCH = 40
 #: Forms up to this many rows keep their dense tableau (:class:`_Tableau`);
-#: larger ones keep splu factors plus an eta file.  One whole max-min
-#: call on the contention-ladder family by session rows, splu vs tableau,
-#: best of 3 on a 2-vCPU x86-64 VM: 61 rows 23.4 vs 6.5 ms, 121 rows 60.0
-#: vs 18.1, 131 rows 105.2 vs 35.6, 181 rows 98.0 vs 48.0.  The tableau
-#: wins past 128 rows too; the threshold stays at the session gate
-#: (below), and moving the two together is not measured yet.
-#: Mesh-openloop's session forms have 3-43 rows.
+#: larger ones keep splu factors plus an eta file.  Stays with the
+#: session gate (below).  Mesh-openloop's session forms have 3-43 rows.
 DENSE_MAX_ROWS = 128
 #: Max-min calls whose session form (rows + pin + one floor row per
 #: variable) has at most this many rows run on one warm session; larger
-#: ones run the cold ladder with batched probes.  The two cross where
-#: the session form leaves the tableau: one whole call on the
-#: contention-ladder family, session vs cold ladder, best of 3 on a
-#: 2-vCPU x86-64 VM, at 121 session rows 18.0 vs 26.2 ms, 131 rows 99.8
-#: vs 83.3, 181 rows 88.8 vs 71.7.
+#: ones run the cold ladder with batched probes.  Raising both gates to
+#: 256 wins on repeated calls (DESIGN 13.2 has the numbers), but a
+#: larger session inverts kernels of 100+ columns, where OpenBLAS runs
+#: ``getrf``/``getri`` on its thread pool and a fresh process's first
+#: call stalls (the 150-flow ``revised_lp`` BENCH point read 766-810 ms
+#: against 282-298 at 128).
 SESSION_MAX_ROWS = 128
 #: Most tableau entries one BLAS ``dger`` call updates, and most
 #: multiply-adds one matrix product of a fresh tableau makes.  OpenBLAS
@@ -220,7 +222,7 @@ class _Factored(BasisFactors):
     columns.  ``basis`` is the simplex's own array, read live."""
 
     def __init__(self, cols: "_Columns", basis: np.ndarray) -> None:
-        super().__init__(cols.basis_matrix(basis))
+        super().__init__(cols.basis_matrix(basis), REFACTOR_EVERY)
         self.cols, self.basis = cols, basis
         self._obj = self._d = self._x_b = None
 
@@ -237,12 +239,12 @@ class _Factored(BasisFactors):
     def _reduced(self, obj: np.ndarray) -> np.ndarray:
         return obj - self.cols.price(self.btran(obj[self.basis]))
 
-    def start(self, obj, x, lo, hi, d=None):
+    def start(self, obj, x, lo, hi):
         """``(d, x_B, lo_B, hi_B)`` for an optimization of ``obj``: its
-        reduced costs (``d`` when the caller priced them) and the basic
-        values and bounds by basis slot, kept current by :meth:`pivot`."""
+        reduced costs and the basic values and bounds by basis slot,
+        kept current by :meth:`pivot`."""
         self._obj = obj
-        self._d = self._reduced(obj) if d is None else d
+        self._d = self._reduced(obj)
         self._x_b = x[self.basis]
         return self._d, self._x_b, lo[self.basis], hi[self.basis]
 
@@ -273,10 +275,9 @@ class _Tableau:
     the basis' structural kernel (:meth:`_Columns.solve_basis`).
     """
 
-    def __init__(self, cols: "_Columns", basis: np.ndarray,
-                 refactor_every: int = REFACTOR_EVERY) -> None:
+    def __init__(self, cols: "_Columns", basis: np.ndarray) -> None:
         self.cols, self.basis = cols, basis
-        self.refactor_every = int(refactor_every)
+        self.refactor_every = REFACTOR_EVERY
         self.updates = 0
         m, total = cols.m, cols.total
         self.t = np.zeros((m + 1, total + 1), order="F")
@@ -306,11 +307,11 @@ class _Tableau:
     def row(self, i: int) -> np.ndarray:
         return self.t[i, :-1]
 
-    def start(self, obj, x, lo, hi, d=None):
+    def start(self, obj, x, lo, hi):
         """Views ``(d, x_B)`` plus ``(lo_B, hi_B)`` for an optimization
         of ``obj`` (see :meth:`_Factored.start`)."""
         m, t, basis = self.cols.m, self.t, self.basis
-        t[m, :-1] = obj - obj[basis] @ t[:m, :-1] if d is None else d
+        t[m, :-1] = obj - obj[basis] @ t[:m, :-1]
         t[:m, -1] = x[basis]
         return t[m, :-1], t[:m, -1], lo[basis], hi[basis]
 
@@ -341,14 +342,12 @@ class _Columns:
     artificial); :attr:`eye` indexes them by row (a slice when they are
     the unit columns in row order).  Up to ``DENSE_MAX_ROWS``
     rows the whole matrix is kept dense (``full``, the tableau kernel's
-    ``A``); above, the structural block is kept as CSC."""
+    ``A``); above, as scipy CSC (``csc``)."""
 
     def __init__(self, m: int, n: int, rows: np.ndarray, cols: np.ndarray,
                  vals: np.ndarray, unit_row: np.ndarray,
                  unit_sign: np.ndarray) -> None:
         self.m, self.n = m, n
-        self.unit_row = unit_row
-        self.unit_sign = unit_sign
         self.total = n + unit_row.size
         plus = np.flatnonzero(unit_sign > 0)
         eye = np.empty(m, dtype=np.int64)
@@ -366,7 +365,11 @@ class _Columns:
             self.negative_units = bool(np.any(unit_sign < 0))
             self._every_row = np.ones(m, dtype=bool)
         else:
-            self.csc = CSCMatrix.from_coo(m, n, rows, cols, vals)
+            self.csc = _scipy_csc((
+                np.concatenate([vals, unit_sign]),
+                (np.concatenate([rows, unit_row]),
+                 np.concatenate([cols, np.arange(n, self.total)]))),
+                shape=(m, self.total))
 
     def kernel(self, basis: np.ndarray):
         """A fresh kernel of the basis ``basis`` (read live)."""
@@ -375,30 +378,18 @@ class _Columns:
         return _Factored(self, basis)
 
     def dense_column(self, j: int) -> np.ndarray:
-        out = np.zeros(self.m)
-        if j < self.n:
-            rows, vals = self.csc.column(j)
-            out[rows] = vals
-        else:
-            out[self.unit_row[j - self.n]] = self.unit_sign[j - self.n]
+        a, out = self.csc, np.zeros(self.m)
+        lo, hi = a.indptr[j], a.indptr[j + 1]
+        out[a.indices[lo:hi]] = a.data[lo:hi]
         return out
 
     def price(self, y: np.ndarray) -> np.ndarray:
         """``z_j = y . a_j`` for every column."""
-        if self.full is not None:
-            return y @ self.full
-        z = np.empty(self.total)
-        z[:self.n] = self.csc.rmatvec(y)
-        z[self.n:] = self.unit_sign * y[self.unit_row]
-        return z
+        return y @ self.full if self.full is not None else self.csc.T @ y
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """``A @ x`` over every column."""
-        if self.full is not None:
-            return self.full @ x
-        return self.csc.matvec(x[:self.n]) + np.bincount(
-            self.unit_row, weights=self.unit_sign * x[self.n:],
-            minlength=self.m)
+        return self.full @ x if self.full is not None else self.csc @ x
 
     def solve_basis(self, basis: np.ndarray, out: np.ndarray) -> None:
         """``B^-1 A`` of a small form's basis ``B``, into ``out``.
@@ -428,32 +419,8 @@ class _Columns:
         out[unit] = t_u
 
     def basis_matrix(self, basis: np.ndarray):
-        """The basis matrix as scipy CSC.
-
-        Assembled with vectorized gathers — one ``np.repeat`` pass over
-        the structural columns' nonzero ranges plus a fancy-index for
-        the unit columns — because this runs on every refactorization.
-        """
-        struct = basis < self.n
-        slots_s = np.flatnonzero(struct)
-        slots_u = np.flatnonzero(~struct)
-        uj = basis[slots_u] - self.n
-        sj = basis[slots_s]
-        indptr = self.csc.indptr
-        counts = indptr[sj + 1] - indptr[sj]
-        total = int(counts.sum())
-        starts = np.zeros(slots_s.size, dtype=np.int64)
-        if slots_s.size:
-            np.cumsum(counts[:-1], out=starts[1:])
-        gather = (np.repeat(indptr[sj], counts)
-                  + np.arange(total, dtype=np.int64)
-                  - np.repeat(starts, counts))
-        rows = np.concatenate([self.csc.indices[gather],
-                               self.unit_row[uj]])
-        cols = np.concatenate([np.repeat(slots_s, counts), slots_u])
-        vals = np.concatenate([self.csc.data[gather],
-                               self.unit_sign[uj]])
-        return _scipy_csc((vals, (rows, cols)), shape=(self.m, self.m))
+        """The basis matrix as scipy CSC."""
+        return self.csc[:, basis]
 
 
 class _NumericalTrouble(RuntimeError):
@@ -482,17 +449,10 @@ class _Simplex:
         self.nonbasic[basis] = 0.0
         self.nonbasic_neg = -self.nonbasic
         self.factorizations = 0
+        self.d: Optional[np.ndarray] = None  # last optimization's costs
         self._moves = np.empty((x.size, 2))
         self._no_block = np.full(basis.size, np.inf)
         self.refactor()
-
-    def enter(self, slot: int, j: int) -> None:
-        """Column ``j`` takes basis slot ``slot`` (the kernel is updated
-        separately)."""
-        out = self.basis[slot]
-        self.nonbasic[out], self.nonbasic_neg[out] = 1.0, -1.0
-        self.nonbasic[j] = self.nonbasic_neg[j] = 0.0
-        self.basis[slot] = j
 
     def refactor(self) -> None:
         """A fresh kernel for the basis plus the re-derived basic point."""
@@ -519,17 +479,12 @@ class _Simplex:
         return max(0.0, float(_max(np.maximum(self.lo[self.basis] - x_b,
                                               x_b - self.hi[self.basis]))))
 
-    def optimize(self, obj: np.ndarray,
-                 d: Optional[np.ndarray] = None) -> Tuple[str, int]:
-        """Maximize ``obj . x`` in place; ``(status, iterations)``.
-
-        ``d``, when given, is ``obj``'s reduced costs at the current
-        basis (the caller priced it already); it is consumed.
-        """
+    def optimize(self, obj: np.ndarray) -> Tuple[str, int]:
+        """Maximize ``obj . x`` in place; ``(status, iterations)``."""
         kernel, lo, hi, x, basis = (self.kernel, self.lo, self.hi, self.x,
                                     self.basis)
         nonbasic, nonbasic_neg = self.nonbasic, self.nonbasic_neg
-        d, x_b, lo_b, hi_b = kernel.start(obj, x, lo, hi, d)
+        d, x_b, lo_b, hi_b = kernel.start(obj, x, lo, hi)
         # Per column: 1.0 where it is nonbasic and may rise, else 0.0;
         # -1.0 where it is nonbasic and may fall, else 0.0.  Its gain is
         # the larger of d times each, and the two sit side by side so
@@ -630,6 +585,7 @@ class _Simplex:
                 "revised simplex did not converge (cycling safeguard hit)"
             )
         x[basis] = x_b
+        self.d = d
         return status, iteration
 
 
@@ -651,31 +607,17 @@ class _StandardForm(_Columns):
         self.rhs0 = b_shift * sign
         self.ge_rows = ge
 
-        num_slack = int(np.sum(~ge))
-        num_surplus = int(np.sum(ge))
-        self.art_start = n + num_slack + num_surplus
-        units = num_slack + 2 * num_surplus
-        unit_row = np.zeros(units, dtype=np.int64)
-        unit_sign = np.zeros(units)
+        # Slacks of the <= rows, then a surplus and an artificial per
+        # >= row, each block in row order.
+        slack, surplus = np.flatnonzero(~ge), np.flatnonzero(ge)
+        self.art_start = n + m
         self.initial_basis = np.empty(m, dtype=np.int64)
-        self.art_cols: List[int] = []
-
-        slack_j, surplus_j, art_j = n, n + num_slack, self.art_start
-        for i in range(m):
-            if ge[i]:
-                unit_row[surplus_j - n] = i
-                unit_sign[surplus_j - n] = -1.0
-                unit_row[art_j - n] = i
-                unit_sign[art_j - n] = 1.0
-                self.initial_basis[i] = art_j
-                self.art_cols.append(art_j)
-                surplus_j += 1
-                art_j += 1
-            else:
-                unit_row[slack_j - n] = i
-                unit_sign[slack_j - n] = 1.0
-                self.initial_basis[i] = slack_j
-                slack_j += 1
+        self.initial_basis[slack] = n + np.arange(slack.size)
+        self.initial_basis[surplus] = n + m + np.arange(surplus.size)
+        unit_row = np.concatenate([slack, surplus, surplus])
+        unit_sign = np.concatenate([np.ones(slack.size),
+                                    np.full(surplus.size, -1.0),
+                                    np.ones(surplus.size)])
         # Signed structural columns.
         rows = np.repeat(np.arange(m), np.diff(a.indptr))
         super().__init__(m, n, rows, a.indices, a.data * sign[rows],
@@ -690,11 +632,35 @@ def _drive_out_artificials(sf: _StandardForm, simplex: _Simplex) -> None:
             row = kernel.row(i)
             for j in range(sf.art_start):
                 if abs(row[j]) > _EPS:
-                    simplex.enter(i, j)
+                    out = basis[i]
+                    simplex.nonbasic[out], simplex.nonbasic_neg[out] = 1, -1
+                    simplex.nonbasic[j] = simplex.nonbasic_neg[j] = 0.0
+                    basis[i] = j
                     kernel.pivot(i, j, kernel.column(j))
                     break
             # All-zero row: redundant constraint; the artificial stays
             # basic at zero and is excluded from phase-2 pivoting.
+
+
+def _phase_1(sp: SparseLP) -> Tuple[_StandardForm, _Simplex, bool, int]:
+    """The standard form of ``sp``, a simplex on it, whether phase 1
+    found a feasible basis, and its pivots.  Once feasible, artificial
+    columns are frozen at zero: they never re-enter."""
+    sf = _StandardForm(sp)
+    simplex = _Simplex(sf, sf.rhs0, np.zeros(sf.total),
+                       np.full(sf.total, np.inf), np.zeros(sf.total),
+                       sf.initial_basis.copy())
+    if sf.total == sf.art_start:
+        return sf, simplex, True, 0
+    obj = np.zeros(sf.total)
+    obj[sf.art_start:] = -1.0
+    status, pivots = simplex.optimize(obj)
+    if status != "optimal" or float(sum(
+            simplex.x[j] for j in simplex.basis if j >= sf.art_start)) > 1e-7:
+        return sf, simplex, False, pivots
+    _drive_out_artificials(sf, simplex)
+    simplex.hi[sf.art_start:] = 0.0
+    return sf, simplex, True, pivots
 
 
 def _revised_leq(
@@ -705,34 +671,17 @@ def _revised_leq(
     Same return contract as the dense ``_simplex_leq`` — ``(status, y,
     pivots, pricer)`` — plus the number of fresh factorizations.
     """
-    pivots = 0
     m, n = sp.a.shape
     if m == 0:
         if np.any(sp.c > _EPS):
-            return "unbounded", None, pivots, None, 0
-        return "optimal", np.zeros(n), pivots, partial(
+            return "unbounded", None, 0, None, 0
+        return "optimal", np.zeros(n), 0, partial(
             _unconstrained_prices, sp.c
         ), 0
 
-    sf = _StandardForm(sp)
-    simplex = _Simplex(sf, sf.rhs0, np.zeros(sf.total),
-                       np.full(sf.total, np.inf), np.zeros(sf.total),
-                       sf.initial_basis.copy())
-    if sf.art_cols:
-        obj1 = np.zeros(sf.total)
-        obj1[sf.art_cols] = -1.0
-        status, iters = simplex.optimize(obj1)
-        pivots += iters
-        if status == "unbounded":  # pragma: no cover - bounded
-            return "infeasible", None, pivots, None, simplex.factorizations
-        phase1_obj = float(sum(
-            simplex.x[j] for j in simplex.basis if j >= sf.art_start
-        ))
-        if phase1_obj > 1e-7:
-            return "infeasible", None, pivots, None, simplex.factorizations
-        _drive_out_artificials(sf, simplex)
-        # Artificial columns are frozen at zero: they never re-enter.
-        simplex.hi[sf.art_start:] = 0.0
+    sf, simplex, feasible, pivots = _phase_1(sp)
+    if not feasible:
+        return "infeasible", None, pivots, None, simplex.factorizations
 
     obj2 = np.zeros(sf.total)
     obj2[:n] = sp.c
@@ -789,6 +738,13 @@ def solve_revised(lp: LinearProgram) -> LPSolution:
     )
 
 
+def session_fits(m: int, n: int) -> bool:
+    """Whether an LP of ``m`` rows and ``n`` variables has a session
+    form (plus the pin and a floor row per variable) of at most
+    ``SESSION_MAX_ROWS`` rows."""
+    return m + 1 + n <= SESSION_MAX_ROWS
+
+
 class SessionFallback(RuntimeError):
     """A max-min session cannot continue from its basis: the basic
     floors need a phase 1, an edit left the point infeasible, or the
@@ -798,7 +754,7 @@ class SessionFallback(RuntimeError):
 class MaxminSession:
     """One bounded-variable standard form for a whole max-min call.
 
-    Opened straight from the LP's arrays (:class:`SparseLP`).  Columns:
+    Opened straight from the LP's arrays (:class:`DenseLP`).  Columns:
     the LP's variables ``x`` (lower bound = the LP's lower bound, the
     basic share), the ladder level ``t``, and one slack per row.  Rows:
     the LP's rows, the objective pin ``-c.x <= -T*``, and one floor row
@@ -819,52 +775,51 @@ class MaxminSession:
     Each optimization counts one ``lp.solves`` and opens one
     ``lp.solve`` span tagged with its ``session`` step, its pivots and
     its fresh factorizations (the base step's include the slack basis
-    the session opens on).  A step that pivoted ends with a
-    refactorization, so its values, level and prices depend on the
-    final basis only.  A round's prices also seed the next round's first
-    pricing when no probe pivoted in between: same basis, same
-    objective ``t``.
+    the session opens on).  Every read is live: values, levels and
+    peaks are the basic values the pivots kept, a round's prices are
+    the reduced costs its optimization kept, a freeze moves the basic
+    values by one axpy, and only the pin re-derives them from pristine
+    data.  The kernel is rebuilt only every
+    ``REFACTOR_EVERY`` pivots and when an edit seems to break
+    feasibility, so the results depend on the pivot path, which is
+    deterministic.
     """
 
-    def __init__(self, sp: SparseLP, weights: Sequence[float]) -> None:
-        self.names = sp.names
-        self.index = {v: j for j, v in enumerate(sp.names)}
-        n, (m, _) = len(sp.names), sp.a.shape
+    def __init__(self, lp: DenseLP, weights: Sequence[float]) -> None:
+        self.names = lp.names
+        self.index = {v: j for j, v in enumerate(lp.names)}
+        m, n = lp.a.shape
         rows = m + 1 + n
         self._t = n
-        self._pin_row, self._floor_row = m, m + 1
+        self._pin_row = m
         self._pin = n + 1 + m  # the pin row's slack column
-        a = sp.a
-        obj_cols = np.flatnonzero(sp.c)
-        self._objective = [(sp.names[j], float(sp.c[j])) for j in obj_cols]
-        k = np.arange(n, dtype=np.int64)
-        floor_rows = self._floor_row + k
-        cols = _Columns(
-            rows, n + 1,
-            np.concatenate([np.repeat(np.arange(m), np.diff(a.indptr)),
-                            np.full(obj_cols.size, m), floor_rows,
-                            floor_rows]),
-            np.concatenate([a.indices, obj_cols, k, np.full(n, n)]),
-            np.concatenate([a.data, -sp.c[obj_cols], -np.ones(n),
-                            np.asarray(weights, dtype=float)]),
-            np.arange(rows, dtype=np.int64), np.ones(rows),
-        )
+        self._objective = [(lp.names[j], float(lp.c[j]))
+                           for j in np.flatnonzero(lp.c)]
+        # The structural block by rows: the LP's rows, the pin -c.x and
+        # the floors w_v t - x_v; every row then gets its slack.
+        block = np.zeros((rows, n + 1))
+        block[:m, :n] = lp.a
+        block[m, :n] = -lp.c
+        block[m + 1 + np.arange(n), np.arange(n)] = -1.0
+        block[m + 1:, n] = weights
+        nonzero = block.nonzero()
+        cols = _Columns(rows, n + 1, *nonzero, block[nonzero],
+                        np.arange(rows, dtype=np.int64), np.ones(rows))
         total = cols.total
         lo = np.zeros(total)
         hi = np.full(total, np.inf)
-        lo[:n] = sp.lb
+        lo[:n] = lp.lb
         hi[n] = 0.0  # t is fixed at 0 for the base solve
         lo[self._pin] = -np.inf  # the pin row is inert until pin()
         x = np.zeros(total)
-        x[:n] = sp.lb
+        x[:n] = lp.lb
         self._c = np.zeros(total)
-        self._c[:n] = sp.c
+        self._c[:n] = lp.c
         self._simplex = _Simplex(
-            cols, np.concatenate([sp.b, np.zeros(1 + n)]), lo, hi, x,
+            cols, np.concatenate([lp.b, np.zeros(1 + n)]), lo, hi, x,
             np.arange(n + 1, total, dtype=np.int64),
         )
         self._accounted = 0  # factorizations already tagged on a step
-        self._seed: Optional[np.ndarray] = None  # reduced costs of t
         # A clique row the basic floors alone overfill needs phase 1,
         # which only the cold two-phase solve runs.
         self._needs_phase1 = bool(np.any(
@@ -881,25 +836,15 @@ class MaxminSession:
         return float(sum(c * values[v] for v, c in self._objective))
 
     # ------------------------------------------------------------------
-    def _solve(self, obj: np.ndarray, step: str,
-               d: Optional[np.ndarray] = None) -> str:
+    def _solve(self, obj: np.ndarray, step: str) -> str:
         simplex = self._simplex
         with span("lp.solve", vars=len(self.names),
                   rows=simplex.cols.m, backend="revised",
                   session=step) as solve_span:
             try:
-                status, pivots = simplex.optimize(obj, d)
-                if step == "probe":
-                    # A peak only feeds a verdict: re-derive it from
-                    # pristine data on the round's kernel.
-                    if pivots:
-                        simplex.recompute()
-                elif simplex.kernel.updates:
-                    simplex.refactor()  # basis-pure reads
+                status, pivots = simplex.optimize(obj)
             except RuntimeError as exc:
                 raise SessionFallback(str(exc)) from exc
-            if pivots:
-                self._seed = None
             factorizations = simplex.factorizations - self._accounted
             self._accounted = simplex.factorizations
             solve_span.tag(status=status, pivots=pivots,
@@ -919,10 +864,16 @@ class MaxminSession:
         return obj
 
     def _edited(self) -> None:
-        """Re-derive the basic point after an edit; it must stay
-        feasible within ``_FEAS_TOL``."""
-        self._simplex.recompute()
-        worst = self._simplex.worst_violation()
+        """An edit must leave every basic value within ``_FEAS_TOL`` of
+        its bounds, on the live kernel or else on a fresh one."""
+        simplex = self._simplex
+        if simplex.worst_violation() <= _FEAS_TOL:
+            return
+        try:
+            simplex.refactor()
+        except RuntimeError as exc:
+            raise SessionFallback(str(exc)) from exc
+        worst = simplex.worst_violation()
         if worst > _FEAS_TOL:
             raise SessionFallback(
                 f"an edit left a basic value {worst!r} outside its bounds"
@@ -957,6 +908,11 @@ class MaxminSession:
             simplex.b[self._pin_row] = -simplex.x[self._pin]
             simplex.lo[self._pin] = 0.0
         simplex.hi[self._t] = np.inf
+        # The one read from pristine data in a call: degenerate base
+        # pivots can leave a basic value an ulp off the base vertex (a
+        # clique the basic floors fill to its last ulp), and every later
+        # step starts from this point.
+        simplex.recompute()
         self._edited()
 
     def raise_floor(
@@ -965,20 +921,15 @@ class MaxminSession:
         """Maximize ``t``: ``(level, values, floor duals, reduced
         costs)``, the last two for each ``free`` variable in order, or
         ``None`` when the LP is not optimal."""
-        obj = self._unit(self._t)
-        seed, self._seed = self._seed, None
-        if self._solve(obj, "round", seed) != "optimal":
+        if self._solve(self._unit(self._t), "round") != "optimal":
             return None
         simplex = self._simplex
-        pi = simplex.kernel.btran(obj[simplex.basis])
-        reduced = obj - simplex.cols.price(pi)
-        reduced[simplex.basis] = 0.0
+        # The reduced costs the optimization kept price the round: a
+        # floor row's dual is minus its slack's reduced cost.
+        d = simplex.d
         cols = np.array([self.index[v] for v in free], dtype=np.int64)
-        found = (float(simplex.x[self._t]), self._values(),
-                 pi[self._floor_row + cols].tolist(),
-                 reduced[cols].tolist())
-        self._seed = reduced
-        return found
+        return (float(simplex.x[self._t]), self._values(),
+                (-d[self._pin + 1 + cols]).tolist(), d[cols].tolist())
 
     def probe(self, level: float,
               targets: Sequence[str]) -> Dict[str, Optional[float]]:
@@ -1004,6 +955,9 @@ class MaxminSession:
             j = self.index[v]
             simplex.lo[j] = simplex.hi[j] = value
             if simplex.nonbasic[j]:
+                # x_v moves by delta: x_B -= delta * B^-1 a_v.
+                simplex.x[simplex.basis] -= (value - simplex.x[j]) * \
+                    simplex.kernel.column(j)[:simplex.cols.m]
                 simplex.x[j] = value
             simplex.lo[self._pin + 1 + j] = -np.inf
         simplex.lo[self._t] = level
@@ -1029,14 +983,17 @@ class RevisedBackend:
         return solve_revised(lp)
 
     @staticmethod
-    def maxmin_session(sp: SparseLP, weights: Sequence[float]
-                       ) -> Optional[MaxminSession]:
-        """The warm session a whole max-min call on ``sp`` runs on, or
+    def maxmin_session(lp: Union[LinearProgram, DenseLP],
+                       weights: Sequence[float]) -> Optional[MaxminSession]:
+        """The warm session a whole max-min call on ``lp`` runs on, or
         ``None`` when its form would have more than
         ``SESSION_MAX_ROWS`` rows."""
-        if sp.a.shape[0] + 1 + len(sp.names) > SESSION_MAX_ROWS:
+        dense = isinstance(lp, DenseLP)
+        if not session_fits(*(lp.a.shape if dense else (
+                len(lp.constraints), len(lp.variables)))):
             return None
-        return MaxminSession(sp, weights)
+        return MaxminSession(lp if dense else DenseLP.from_problem(lp),
+                             weights)
 
     def probe_max_values(
         self, lp: LinearProgram, targets: Sequence[str]
@@ -1061,21 +1018,9 @@ class RevisedBackend:
             if sp.a.shape[0] == 0:
                 # Unconstrained: every probe maximization is unbounded.
                 return {t: None for t in targets}
-            sf = _StandardForm(sp)
-            simplex = _Simplex(sf, sf.rhs0, np.zeros(sf.total),
-                               np.full(sf.total, np.inf),
-                               np.zeros(sf.total), sf.initial_basis.copy())
-            pivots = 0
-            if sf.art_cols:
-                obj = np.zeros(sf.total)
-                obj[sf.art_cols] = -1.0
-                status, pivots = simplex.optimize(obj)
-                if status != "optimal" or sum(
-                        simplex.x[j] for j in simplex.basis
-                        if j >= sf.art_start) > 1e-7:
-                    return {t: None for t in targets}
-                _drive_out_artificials(sf, simplex)
-                simplex.hi[sf.art_start:] = 0.0
+            sf, simplex, feasible, pivots = _phase_1(sp)
+            if not feasible:
+                return {t: None for t in targets}
             out: Dict[str, Optional[float]] = {}
             for target in targets:
                 j = index[target]

@@ -28,13 +28,14 @@ replaced.
 from __future__ import annotations
 
 from functools import partial
-from typing import Callable, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from ..obs.registry import incr
 from ..obs.trace import span
-from .problem import LinearProgram, LPSolution, Prices
+from .problem import (LinearProgram, LPSolution, Pricer, Prices,
+                      _finish_prices, _unconstrained_prices)
 
 _EPS = 1e-9
 
@@ -65,10 +66,6 @@ def solve_simplex(lp: LinearProgram) -> LPSolution:
     return LPSolution(
         "optimal", values, lp.objective_value(values), pricer=pricer,
     )
-
-
-#: Deferred ``(duals, reduced_costs)`` of a final basis.
-Pricer = Callable[[], Prices]
 
 
 def _simplex_leq(
@@ -202,28 +199,6 @@ def _basis_prices(
     except np.linalg.LinAlgError:  # pragma: no cover - defensive
         return None, None
     return _finish_prices(pi, obj[:n] - pi @ a0[:, :n], basis, n, ge_rows)
-
-
-def _finish_prices(
-    pi: np.ndarray,
-    reduced: np.ndarray,
-    basis: np.ndarray,
-    n: int,
-    ge_rows: np.ndarray,
-) -> Prices:
-    """Sweep dust, zero the basic reduced costs, and flip the duals of
-    rows the standard form negated into ``>=`` form back, so they price
-    the caller's ``<=`` rows.  Shared by both backends."""
-    pi[np.abs(pi) < 1e-12] = 0.0
-    reduced[np.abs(reduced) < 1e-12] = 0.0
-    reduced[basis[basis < n]] = 0.0
-    return (tuple(np.where(ge_rows, -pi, pi).tolist()),
-            tuple(reduced.tolist()))
-
-
-def _unconstrained_prices(c: np.ndarray) -> Prices:
-    """No rows: no duals, and every reduced cost is the objective's."""
-    return (), tuple(c.tolist())
 
 
 def _run_simplex(

@@ -99,27 +99,6 @@ def solve_scipy(lp: LinearProgram) -> LPSolution:
     return LPSolution("optimal", values, lp.objective_value(values))
 
 
-def cross_check(lp: LinearProgram, tol: float = 1e-7) -> LPSolution:
-    """Solve with both backends and assert objective agreement.
-
-    Returns the simplex solution.  Raises ``AssertionError`` on mismatch;
-    used heavily in tests to validate the from-scratch solver.
-    """
-    ours = solve(lp, "simplex")
-    theirs = solve(lp, "scipy")
-    if ours.status != theirs.status:
-        raise AssertionError(
-            f"backend status mismatch: simplex={ours.status} "
-            f"scipy={theirs.status}"
-        )
-    if ours.is_optimal and abs(ours.objective - theirs.objective) > tol:
-        raise AssertionError(
-            f"backend objective mismatch: simplex={ours.objective} "
-            f"scipy={theirs.objective}"
-        )
-    return ours
-
-
 register_backend("simplex", solve_simplex)
 register_backend("scipy", solve_scipy)
 # A RevisedBackend *instance* (not the bare function) so the capability

@@ -1,4 +1,4 @@
-"""Sparse (CSR/CSC) matrix layer for the revised-simplex backend.
+"""Sparse (CSR) matrix layer for the revised-simplex backend.
 
 Clique-constraint matrices are extremely sparse: a clique row touches
 only the flows crossing that clique, and the max-min ladder's floor rows
@@ -9,29 +9,26 @@ pivot sweeps mostly-zero columns).  This module provides the minimal
 index/value-array representation the revised simplex needs:
 
 * :class:`CSRMatrix` — compressed sparse rows (fast row access, matvec);
-* :class:`CSCMatrix` — compressed sparse columns (fast column gather and
-  the per-iteration ``A^T y`` pricing pass);
 * :class:`SparseLP` — ``(c, A, b, lb)`` extracted from a
   :class:`~repro.lp.problem.LinearProgram` without ever materializing
   the dense matrix.
 
-Everything is plain numpy; scipy is only touched by the LU
-factorization in :mod:`repro.lp.revised`.  The hypothesis suite in
-``tests/test_lp_sparse.py`` pins these classes against their dense numpy
-equivalents (builders, CSC conversion, matvec/rmatvec).
+Everything is plain numpy; :mod:`repro.lp.revised` keeps a large
+form's columns as scipy CSC for its LU factorization.  The hypothesis
+suite in ``tests/test_lp_sparse.py`` pins these classes against their
+dense numpy equivalents (builders, matvec/rmatvec).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .problem import Constraint, LinearProgram
+from .problem import LinearProgram
 
-__all__ = ["CSRMatrix", "CSCMatrix", "SparseLP"]
+__all__ = ["CSRMatrix", "SparseLP"]
 
 
 @dataclass(frozen=True)
@@ -93,13 +90,6 @@ class CSRMatrix:
     def nnz(self) -> int:
         return int(self.indices.size)
 
-    def to_csc(self) -> "CSCMatrix":
-        return CSCMatrix.from_coo(
-            self.num_rows, self.num_cols,
-            np.repeat(np.arange(self.num_rows), np.diff(self.indptr)),
-            self.indices, self.data,
-        )
-
     # ------------------------------------------------------------------
     # Kernels
     # ------------------------------------------------------------------
@@ -124,64 +114,6 @@ class CSRMatrix:
             np.arange(self.num_rows), np.diff(self.indptr)
         )
         return np.bincount(self.indices, weights=self.data * y[row_of],
-                           minlength=self.num_cols)
-
-
-@dataclass(frozen=True)
-class CSCMatrix:
-    """Compressed-sparse-column twin of :class:`CSRMatrix`.
-
-    Column ``j``'s nonzeros live at
-    ``indices[indptr[j]:indptr[j+1]]`` (row indices, ascending) /
-    ``data[indptr[j]:indptr[j+1]]``.  This is the pricing-side layout:
-    the revised simplex gathers one column per pivot (``B^-1 a_j``) and
-    runs ``A^T y`` over all nonzeros once per iteration.
-    """
-
-    num_rows: int
-    num_cols: int
-    indptr: np.ndarray
-    indices: np.ndarray
-    data: np.ndarray
-
-    @classmethod
-    def from_coo(cls, num_rows: int, num_cols: int, rows: np.ndarray,
-                 cols: np.ndarray, data: np.ndarray) -> "CSCMatrix":
-        """Build from coordinate triples (at most one per position)."""
-        order = np.lexsort((rows, cols))
-        indptr = np.zeros(num_cols + 1, dtype=np.int64)
-        np.cumsum(np.bincount(cols, minlength=num_cols), out=indptr[1:])
-        return cls(num_rows, num_cols, indptr,
-                   np.asarray(rows, dtype=np.int64)[order],
-                   np.asarray(data, dtype=float)[order])
-
-    @property
-    def shape(self) -> Tuple[int, int]:
-        return (self.num_rows, self.num_cols)
-
-    @property
-    def nnz(self) -> int:
-        return int(self.indices.size)
-
-    @cached_property
-    def _col_of(self) -> np.ndarray:
-        return np.repeat(np.arange(self.num_cols), np.diff(self.indptr))
-
-    def column(self, j: int) -> Tuple[np.ndarray, np.ndarray]:
-        """``(row indices, values)`` of column ``j`` (views, not copies)."""
-        lo, hi = int(self.indptr[j]), int(self.indptr[j + 1])
-        return self.indices[lo:hi], self.data[lo:hi]
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        """``A @ x`` via one pass over the nonzeros."""
-        return np.bincount(self.indices,
-                           weights=self.data * np.asarray(x)[self._col_of],
-                           minlength=self.num_rows)
-
-    def rmatvec(self, y: np.ndarray) -> np.ndarray:
-        """``A.T @ y``: the per-iteration pricing pass."""
-        return np.bincount(self._col_of,
-                           weights=self.data * np.asarray(y)[self.indices],
                            minlength=self.num_cols)
 
 
@@ -217,22 +149,3 @@ class SparseLP:
         b = np.array([con.bound for con in lp.constraints], dtype=float)
         lb = np.array([lp.lower_bounds.get(v, 0.0) for v in names])
         return cls(tuple(names), c, a, b, lb)
-
-    def to_problem(self) -> LinearProgram:
-        """The :class:`LinearProgram` of these arrays (constraints
-        unlabelled): :meth:`from_problem` of it gives them back."""
-        names = list(self.names)
-        a = self.a
-        return LinearProgram(
-            _order=names,
-            objective={names[j]: float(self.c[j])
-                       for j in np.flatnonzero(self.c)},
-            constraints=[
-                Constraint({names[j]: v for j, v in zip(
-                    a.indices[a.indptr[i]:a.indptr[i + 1]].tolist(),
-                    a.data[a.indptr[i]:a.indptr[i + 1]].tolist())},
-                    bound)
-                for i, bound in enumerate(self.b.tolist())
-            ],
-            lower_bounds=dict(zip(names, self.lb.tolist())),
-        )

@@ -58,8 +58,9 @@ import numpy as np
 from ..core.contention import ContentionAnalysis, restricted_analysis
 from ..core.fairness_defs import basic_shares
 from ..core.model import Flow
-from ..lp import CSRMatrix, LinearProgram, SparseLP, lexicographic_maxmin
-from ..lp.problem import Constraint
+from ..lp import LinearProgram, lexicographic_maxmin
+from ..lp.problem import Constraint, DenseLP
+from ..lp.revised import session_fits
 from ..obs.registry import incr, observe
 from ..obs.trace import span
 
@@ -79,8 +80,9 @@ class ComponentProblem:
     ``weights`` maps LP variable names to flow weights for the
     lexicographic max-min refinement; ``fingerprint`` keys the
     per-component memo.  The solve reads the LP's arrays straight off
-    the clique rows (:meth:`sparse`); the :class:`LinearProgram` is
-    built on first access, which only the failure text does.
+    the clique rows (:meth:`dense`) when they fit one max-min session;
+    the :class:`LinearProgram` is built for a larger one and for the
+    failure text.
     """
 
     group_ids: Tuple[str, ...]
@@ -106,24 +108,17 @@ class ComponentProblem:
             lower_bounds=dict(zip(names, self.lower)),
         )
 
-    def sparse(self) -> SparseLP:
-        """The LP's ``(c, A, b, lb)`` arrays, equal to
-        ``SparseLP.from_problem(self.lp)`` without building the LP."""
-        n = len(self.group_ids)
+    def dense(self) -> DenseLP:
+        """The LP's arrays, equal to ``DenseLP.from_problem(self.lp)``
+        without building the LP."""
         column = {fid: j for j, fid in enumerate(self.group_ids)}
-        rows: List[int] = []
-        cols: List[int] = []
-        vals: List[float] = []
+        a = np.zeros((len(self.rows), len(column)))
         for i, (_k, coeffs, _label) in enumerate(self.rows):
             for fid, count in coeffs.items():
-                rows.append(i)
-                cols.append(column[fid])
-                vals.append(float(count))
-        return SparseLP(
-            tuple(self.weights), np.ones(n),
-            CSRMatrix.from_coo(len(self.rows), n, rows, cols, vals),
-            np.full(len(self.rows), self.bound), np.array(self.lower),
-        )
+                a[i, column[fid]] = count
+        return DenseLP(tuple(self.weights), np.ones(len(column)), a,
+                       np.full(len(self.rows), self.bound),
+                       np.array(self.lower))
 
 
 def shape_key(backend: str, group_ids: Sequence[str],
@@ -223,9 +218,10 @@ def _solve_component(problem: ComponentProblem) -> List[float]:
     :func:`~repro.core.allocation.basic_fairness_lp_allocation` so a
     sharded run raises exactly where the monolithic reference would.
     """
+    small = session_fits(len(problem.rows), len(problem.group_ids))
     sol = lexicographic_maxmin(
-        problem.sparse(), problem.weights, fix_objective=True,
-        backend=problem.backend,
+        problem.dense() if small else problem.lp, problem.weights,
+        fix_objective=True, backend=problem.backend,
     )
     if not sol.is_optimal:
         raise RuntimeError(

@@ -39,6 +39,7 @@ from .oracles import (
     cold_journal_mismatches,
     lp_objective_matches,
     maxmin_certificate_mismatches,
+    maxmin_exact,
     maxmin_reference,
     maxmin_session_mismatches,
 )
@@ -69,6 +70,7 @@ __all__ = [
     "cliques_agree",
     "lp_objective_matches",
     "maxmin_certificate_mismatches",
+    "maxmin_exact",
     "maxmin_reference",
     "maxmin_session_mismatches",
     "check_2pad_against_centralized",

@@ -33,6 +33,7 @@ One oracle per from-scratch algorithm the reproduction's claims rest on:
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set
 
 from ..core.allocation import basic_fairness_lp_allocation
@@ -42,12 +43,13 @@ from ..core.model import Scenario
 from ..graphs import Graph, maximal_cliques
 from ..graphs.cliques import clique_vertex_order, sort_cliques
 from ..graphs.graph import Vertex
-from ..lp.maxmin import (_ColdSteps, _ladder, _optimal_face, _raise_floor,
-                         _saturated, _weights, lexicographic_maxmin)
-from ..lp.problem import LinearProgram, LPSolution
+from ..lp.maxmin import (_ColdSteps, _ladder, _optimal_face, _probe,
+                         _raise_floor, _select, _weights,
+                         lexicographic_maxmin)
+from ..lp.problem import Constraint, LinearProgram, LPSolution
 from ..lp.solvers import solve
 from ..obs.trace import NULL_SPAN
-from .exact_lp import solve_exact
+from .exact_lp import ExactSolution, solve_exact
 
 __all__ = [
     "BruteForceLimit",
@@ -56,6 +58,7 @@ __all__ = [
     "lp_objective_matches",
     "check_2pad_against_centralized",
     "maxmin_certificate_mismatches",
+    "maxmin_exact",
     "maxmin_reference",
     "maxmin_session_mismatches",
     "cold_journal_mismatches",
@@ -366,8 +369,8 @@ def maxmin_certificate_mismatches(
 
     Replays :func:`repro.lp.maxmin.lexicographic_maxmin` (objective
     pinned at its optimum) and, in every round, also runs the
-    probe-everything verdict — ``_saturated`` with an empty certified
-    set, so every target is probed, certified ones included.  Reports
+    probe-everything verdict — ``_select`` with an empty certified set,
+    so every target is probed, certified ones included.  Reports
     each certified flow its probe finds unsaturated, and each round
     whose frozen list (with the certificate) differs from the probes'.
     The ladder advances on the probes' verdict.  Empty: the certificate
@@ -388,15 +391,17 @@ def maxmin_certificate_mismatches(
                                                 backend)
         if level is None:
             break
-        by_probe, _ = _saturated(work, remaining, w, frozen, level,
-                                 backend, hint=values)
+
+        def probe(probes):
+            return _probe(work, remaining, w, frozen, level, backend, probes)
+
+        by_probe, _ = _select(remaining, w, level, values, (), probe)
         out.extend(
             f"round {rnd}: {v} certified saturated, but its probe "
             f"raises it above {level * w[v]!r}"
             for v in remaining if v in certified and v not in by_probe
         )
-        newly, _ = _saturated(work, remaining, w, frozen, level, backend,
-                              hint=values, certified=certified)
+        newly, _ = _select(remaining, w, level, values, certified, probe)
         if newly != by_probe:
             out.append(f"round {rnd}: frozen {newly} with the "
                        f"certificate != {by_probe} by probes")
@@ -455,6 +460,74 @@ def maxmin_session_mismatches(
         for v, ref in want.values.items()
         if shares.get(v) is None or abs(shares[v] - ref) > tol
     ]
+
+
+def maxmin_exact(
+    lp: LinearProgram,
+    weights: Optional[Mapping[str, float]] = None,
+    fix_objective: bool = True,
+) -> ExactSolution:
+    """:func:`~repro.lp.lexicographic_maxmin` in exact ``Fraction``
+    arithmetic.
+
+    The pin ``c.x >= T*`` carries the rational optimum of an exact base
+    solve, so the face it cuts is exactly the LP's optimal face.  Each
+    round maximizes the level over it with the free flows floored at
+    ``level * w`` and the frozen ones substituted out; a free flow
+    freezes when its exact probe maximum equals its floor (a flow some
+    round or probe optimum already places above its floor needs no
+    probe).  Levels and frozen values stay rational.  A round or probe
+    that is not optimal reads like the float ladder's.
+    """
+    w = {v: Fraction(x) for v, x in _weights(lp.variables, weights).items()}
+    base = solve_exact(lp)
+    if not base.is_optimal:
+        return base
+    rows = [(con.coeffs, Fraction(con.bound)) for con in lp.constraints]
+    if fix_objective and lp.objective:
+        rows.append(({v: -c for v, c in lp.objective.items()},
+                     -base.objective))
+    basic = {v: Fraction(lp.lower_bounds.get(v, 0.0)) for v in lp.variables}
+    frozen: Dict[str, Fraction] = {}
+    free = list(lp.variables)
+
+    def region(objective, floors, extra=()) -> LinearProgram:
+        """The round's LP over the free flows (and ``extra`` rows)."""
+        constraints = [Constraint(
+            {v: Fraction(c) for v, c in coeffs.items() if v not in frozen},
+            bound - sum(Fraction(c) * frozen[v] for v, c in coeffs.items()
+                        if v in frozen)) for coeffs, bound in rows]
+        return LinearProgram(
+            _order=free + [v for v in objective if v not in free],
+            objective=objective, constraints=constraints + list(extra),
+            lower_bounds={v: max(basic[v], floors.get(v, 0)) for v in free})
+
+    while free:
+        t = "__maxmin_t__"
+        rnd = solve_exact(region({t: 1}, {}, [
+            Constraint({t: w[v], v: -1}, Fraction(0)) for v in free]))
+        if not rnd.is_optimal:
+            frozen.update((v, Fraction(0)) for v in free)
+            break
+        level = rnd.values[t]
+        floors = {v: level * w[v] for v in free}
+        raised = {v for v in free if rnd.values[v] > floors[v]}
+        newly = []
+        for v in free:
+            if v in raised:
+                continue
+            peak = solve_exact(region({v: 1}, floors))
+            if peak.is_optimal and peak.values[v] > floors[v]:
+                raised.update(u for u in free
+                              if peak.values[u] > floors[u])
+            else:
+                newly.append(v)
+        for v in newly or [min(free)]:
+            frozen[v] = floors[v]
+        free = [v for v in free if v not in frozen]
+    values = {v: frozen[v] for v in lp.variables}
+    return ExactSolution("optimal", values, sum(
+        Fraction(c) * values[v] for v, c in lp.objective.items()))
 
 
 # ----------------------------------------------------------------------

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from repro.lp import (
     LinearProgram,
-    cross_check,
     lexicographic_maxmin,
     solve,
     solve_scipy,
@@ -146,6 +145,16 @@ class TestSimplexBasics:
                      [({"x": 1.0}, 2.0), ({"x": 2.0}, 4.0)])
         sol = solve_simplex(lp)
         assert sol["x"] == pytest.approx(2.0)
+
+
+def cross_check(lp, tol=1e-7):
+    """The dense simplex's solution of ``lp``, asserted to agree with
+    scipy's on status and objective."""
+    ours, theirs = solve(lp, "simplex"), solve(lp, "scipy")
+    assert ours.status == theirs.status, (ours.status, theirs.status)
+    if ours.is_optimal:
+        assert abs(ours.objective - theirs.objective) <= tol
+    return ours
 
 
 class TestScipyBackend:

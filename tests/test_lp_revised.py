@@ -25,13 +25,13 @@ from repro.core.contention import ContentionAnalysis
 from repro.lp import (
     LinearProgram,
     RevisedBackend,
-    SparseLP,
     lexicographic_maxmin,
     solve,
     solve_revised,
     solve_simplex,
 )
 from repro.lp import revised as revised_module
+from repro.lp.problem import DenseLP
 from repro.lp.revised import SessionFallback
 from repro.obs.registry import using_registry
 from repro.obs.trace import using_tracer
@@ -286,7 +286,7 @@ class TestBackendSpanTag:
 
 def open_session(lp, weights=None):
     return RevisedBackend.maxmin_session(
-        SparseLP.from_problem(lp),
+        DenseLP.from_problem(lp),
         [float((weights or {}).get(v, 1.0)) for v in lp.variables])
 
 

@@ -12,11 +12,18 @@ ties and the one-ulp borderline reproducer.
 
 The small-form tableau kernel is also checked against splu plus an eta
 file (``DENSE_MAX_ROWS`` patched to 0) on the same calls, round by
-round, and each call's ``lp.maxmin`` span against its ``lp.solve``
-children.
+round; the session's live reads (values, prices and edits off the
+tableau it maintains) against a fresh factorization after every pivot
+(``REFACTOR_EVERY`` patched to 1); each call's ``lp.maxmin`` span
+against its ``lp.solve`` children; and the session's shares against the
+exact-``Fraction`` ladder (:func:`repro.verify.maxmin_exact`) on the
+scenario library and on mesh-openloop calls of the allocator benchmark.
 """
 
+import importlib.util
 import json
+import sys
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -30,7 +37,9 @@ from repro.obs.registry import MetricsRegistry, using_registry
 from repro.obs.trace import using_tracer
 from repro.scenarios import fig6
 from repro.scenarios.io import scenario_from_dict
-from repro.verify import maxmin_reference, maxmin_session_mismatches
+from repro.perf import shard
+from repro.verify import (lp_objective_matches, maxmin_exact,
+                          maxmin_reference, maxmin_session_mismatches)
 from tests.test_lp import random_clique_lp
 from tests.test_lp_revised import BORDERLINE, LIBRARY, group_lps
 
@@ -176,6 +185,77 @@ class TestCorners:
         assert registry.counters["lp.solves.simplex"].value >= 1 + 2 + 4
 
 
+def exact_mismatches(lp, weights, fix_objective=True, rel=1e-12):
+    """Where the session's call differs from :func:`maxmin_exact`: a
+    status, or a share off by more than ``rel`` relative.  Basic floors
+    that overfill a clique by one ulp in rationals (``lp_objective_matches``
+    flags them ``borderline``) have no exact ladder to compare with."""
+    got = lexicographic_maxmin(lp, weights, fix_objective)
+    want = maxmin_exact(lp, weights, fix_objective)
+    if got.status != want.status:
+        if lp_objective_matches(lp).get("borderline"):
+            return []
+        return [f"status {got.status} != exact {want.status}"]
+    return [f"{v}: {got.values[v]!r} != {float(x)!r}"
+            for v, x in want.values.items()
+            if abs(got.values[v] - x) > rel * abs(x)]
+
+
+class TestExactOracle:
+    @pytest.mark.parametrize("fix_objective", [True, False])
+    @pytest.mark.parametrize("name", sorted(LIBRARY))
+    def test_session_holds_the_exact_ladder(self, name, fix_objective):
+        for lp, weights in group_ladders(LIBRARY[name]()):
+            assert exact_mismatches(lp, weights, fix_objective) == [], name
+
+    def test_mesh_openloop_calls_hold_the_exact_ladder(self):
+        """Five max-min calls of the allocator benchmark's mesh-openloop
+        workload (seed 1), rebuilt by running its first epochs."""
+        problems = mesh_openloop_calls(5)
+        assert len(problems) == 5
+        for problem in problems:
+            assert len(problem.group_ids) >= 8
+            assert exact_mismatches(problem.lp, problem.weights) == []
+
+    def test_exact_pin_is_rational(self):
+        """Three flows sharing a unit clique: the optimum 1 is pinned
+        exactly and every level is a third, in rationals."""
+        lp = LinearProgram()
+        lp.maximize({"a": 1.0, "b": 1.0, "c": 1.0})
+        lp.add_constraint({"a": 1.0, "b": 1.0, "c": 1.0}, 1.0)
+        sol = maxmin_exact(lp)
+        assert sol.values == dict.fromkeys("abc", Fraction(1, 3))
+        assert sol.objective == 1
+
+
+def mesh_openloop_calls(count):
+    """The first ``count`` component problems the mesh-openloop workload
+    of ``allocbench/`` solves after its set-up (seed 1)."""
+    root = Path(__file__).resolve().parent.parent / "allocbench"
+    sys.path.insert(0, str(root))
+    try:
+        spec = importlib.util.spec_from_file_location(
+            "allocbench_workloads", root / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = workloads
+        spec.loader.exec_module(workloads)
+    finally:
+        sys.path.remove(str(root))
+    session, _times = workloads.setup(
+        workloads.WORKLOADS["mesh-openloop"], 1)
+    problems = []
+    solve = shard._solve_component
+
+    def record(problem):
+        problems.append(problem)
+        return solve(problem)
+
+    with mock.patch.object(shard, "_solve_component", record):
+        while len(problems) < count:
+            session.step()
+    return problems[:count]
+
+
 def kernel_run(lp, weights, fix_objective):
     """``(solution, frozen names per round, kernels used, fallbacks)``
     of one session call."""
@@ -221,6 +301,52 @@ def test_tableau_kernel_matches_splu_eta(n, m, seed, weighted,
     assert rounds == ref_rounds
     for v, share in ref.values.items():
         assert abs(sol.values[v] - share) <= 1e-9
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(
+    n=st.integers(1, 30),
+    m=st.integers(1, 40),
+    seed=st.integers(0, 10_000),
+    weighted=st.booleans(),
+    fix_objective=st.booleans(),
+    unit_weights=st.booleans(),
+)
+def test_live_reads_match_fresh_factors(n, m, seed, weighted,
+                                        fix_objective, unit_weights):
+    """Session forms on the tableau, once reading the tableau they
+    maintain and once refactored after every pivot (``REFACTOR_EVERY``
+    patched to 1): the same status, the same flows frozen in each
+    round, shares within 1e-9."""
+    assume(m + 1 + n <= revised.SESSION_MAX_ROWS)
+    lp = random_clique_lp(n, m, seed, weighted, pinned=False)
+    weights = None if unit_weights else {
+        v: 1.0 + (k % 3) * 0.5 for k, v in enumerate(lp.variables)}
+    sol, rounds, _kernels, fallbacks = kernel_run(lp, weights,
+                                                  fix_objective)
+    with mock.patch.object(revised, "REFACTOR_EVERY", 1):
+        ref, ref_rounds, _ref_kernels, ref_fallbacks = kernel_run(
+            lp, weights, fix_objective)
+    assert (sol.status, fallbacks) == (ref.status, ref_fallbacks)
+    assert rounds == ref_rounds
+    for v, share in ref.values.items():
+        assert abs(sol.values[v] - share) <= 1e-9
+
+
+def test_short_call_factors_once():
+    """A fig6 call whose pivots stay below ``REFACTOR_EVERY`` factors
+    only the slack basis it opens on: every later step reads the
+    tableau it maintains."""
+    with using_tracer() as tracer:
+        for lp, weights in group_ladders(fig6.make_scenario()):
+            lexicographic_maxmin(lp, weights)
+    calls = [r["tags"] for r in tracer.to_records()
+             if r["name"] == "lp.maxmin"]
+    short = [tags for tags in calls
+             if 0 < tags["pivots"] < revised.REFACTOR_EVERY]
+    assert short
+    assert all(tags["factorizations"] == 1 for tags in short)
 
 
 def test_maxmin_span_tags_sum_its_lp_solves():

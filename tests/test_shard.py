@@ -26,7 +26,7 @@ from repro.core.allocation import (
 )
 from repro.core.contention import ContentionAnalysis
 from repro.core.model import Flow, Network, Scenario
-from repro.lp import SparseLP
+from repro.lp.problem import DenseLP
 from repro.obs import registry as obs
 from repro.obs.registry import MetricsRegistry
 from repro.perf.shard import (
@@ -135,21 +135,18 @@ class TestLibraryDifferential:
     @pytest.mark.parametrize("name", sorted(LIBRARY))
     def test_component_arrays_equal_the_lp_round_trip(self, name):
         """The solve reads each component's arrays straight off its
-        clique rows; they equal ``SparseLP.from_problem`` of its LP bit
+        clique rows; they equal ``DenseLP.from_problem`` of its LP bit
         for bit, so skipping the LP changes no solve."""
         for problem in component_problems(
                 ContentionAnalysis(LIBRARY[name]())):
-            mine, reference = problem.sparse(), SparseLP.from_problem(
+            mine, reference = problem.dense(), DenseLP.from_problem(
                 problem.lp)
             assert mine.names == reference.names
-            for field in ("c", "b", "lb"):
+            for field in ("c", "a", "b", "lb"):
                 got, want = getattr(mine, field), getattr(reference, field)
                 assert got.dtype == want.dtype
+                assert got.shape == want.shape
                 assert np.array_equal(got, want)
-            for field in ("indptr", "indices", "data"):
-                assert np.array_equal(getattr(mine.a, field),
-                                      getattr(reference.a, field))
-            assert mine.a.shape == reference.a.shape
 
 
 class TestShardedSolverMemo:
