@@ -316,7 +316,9 @@ class DistributedAllocator:
         constraint_rows = []
         for k, clique in enumerate(cliques):
             counts: Dict[str, int] = {}
-            for sid in clique:
+            # In subflow order, not the frozenset's hash order: the
+            # bound scale sums each clique's load over these counts.
+            for sid in sorted(clique):
                 counts[sid.flow] = counts.get(sid.flow, 0) + 1
             constraint_rows.append((k, counts))
 

@@ -16,7 +16,10 @@ A variable "cannot be raised further" when the probe LP maximizing it
 over the round's optimal face finds nothing above its floor.  Most of
 those probes are answered without solving anything: the raise-floor
 LP's own duals certify saturation (see :func:`_certificate`), and only
-the flows left uncertified are probed.
+the flows left uncertified are probed.  On a session, the flows that
+step 1's optimum already fixes on the whole optimal face start frozen
+(:meth:`~repro.lp.revised.MaxminSession.fix_face`), so rounds and
+probes run only for flows that can still move.
 
 Every step is an LP over one constraint system that changes only in
 objective and bounds.  With the ``revised`` backend a call of up to
@@ -83,8 +86,9 @@ def lexicographic_maxmin(
     (:meth:`DenseLP.to_problem`) only for the cold ladder.
 
     The ``lp.maxmin`` span is tagged with the call's ``rounds``, its
-    ``certified`` and ``probed`` flows, and the revised-simplex work it
-    took: ``solves``, ``pivots`` and ``factorizations``.
+    flows ``fixed`` by the optimal face, ``certified`` and ``probed``,
+    and the revised-simplex work it took: ``solves``, ``pivots`` and
+    ``factorizations``.
     """
     names = list(lp.names) if isinstance(lp, DenseLP) else lp.variables
     w = _weights(names, weights)
@@ -124,10 +128,10 @@ def _ladder(steps, w: Mapping[str, float], fix_objective: bool,
     if not base.is_optimal:
         maxmin_span.tag(status=base.status)
         return base
-    steps.pin(base, fix_objective)
-
-    frozen: Dict[str, float] = {}
-    remaining = list(w)
+    # Flows the pinned optimal face already fixes start frozen.
+    frozen = steps.pin(base, fix_objective)
+    fixed = len(frozen)
+    remaining = [v for v in w if v not in frozen]
     guard = len(remaining) + 2
     rounds = certified_total = probed_total = 0
     while remaining and guard:
@@ -150,7 +154,7 @@ def _ladder(steps, w: Mapping[str, float], fix_objective: bool,
         steps.freeze(level, [(v, frozen[v]) for v in newly])
         remaining = [v for v in remaining if v not in newly]
 
-    maxmin_span.tag(status="optimal", rounds=rounds,
+    maxmin_span.tag(status="optimal", rounds=rounds, fixed=fixed,
                     certified=certified_total, probed=probed_total)
     solution = dict(frozen)
     return LPSolution("optimal", solution, steps.objective_value(solution))
@@ -168,8 +172,9 @@ class _ColdSteps:
     def solve_base(self) -> LPSolution:
         return solve(self.lp, self.backend)
 
-    def pin(self, base: LPSolution, fix_objective: bool) -> None:
+    def pin(self, base: LPSolution, fix_objective: bool) -> Dict[str, float]:
         self.work = _optimal_face(self.lp, base, fix_objective)
+        return {}
 
     def raise_floor(self, free: List[str],
                     frozen: Mapping[str, float]) -> Round:
@@ -197,8 +202,9 @@ class _SessionSteps:
     def solve_base(self) -> LPSolution:
         return self.session.solve_base()
 
-    def pin(self, base: LPSolution, fix_objective: bool) -> None:
+    def pin(self, base: LPSolution, fix_objective: bool) -> Dict[str, float]:
         self.session.pin(fix_objective and self.session.has_objective)
+        return self.session.fix_face()
 
     def raise_floor(self, free: List[str],
                     frozen: Mapping[str, float]) -> Round:

@@ -49,14 +49,15 @@ numerical drift.
   through a whole lexicographic max-min call: the base solve, the
   objective pin, every raise-floor round and every saturation probe
   edit only objectives and bounds, and each continues from the previous
-  optimal basis without a phase 1.  Its steps read the live kernel: the
-  basic values and reduced costs the pivots keep, and a freeze of a
-  nonbasic value moves the basic ones by one axpy of the kernel's
-  column, so a call with fewer than ``REFACTOR_EVERY`` pivots factors
-  only the slack basis it opens on.  It serves forms of up to
-  ``SESSION_MAX_ROWS`` rows; a larger call runs the cold ladder, whose
-  probes :meth:`RevisedBackend.probe_max_values` solves in one batch per
-  round.
+  optimal basis without a phase 1; the flows the pinned optimal face
+  fixes start frozen, so rounds run only for the others.  Its steps
+  read the live kernel: the basic values and reduced costs the pivots
+  keep, and a freeze of a nonbasic value moves the basic ones by one
+  axpy of the kernel's column, so a call with fewer than
+  ``REFACTOR_EVERY`` pivots factors only the slack basis it opens on.
+  It serves forms of up to ``SESSION_MAX_ROWS`` rows; a larger call runs
+  the cold ladder, whose probes :meth:`RevisedBackend.probe_max_values`
+  solves in one batch per round.
 
 Status semantics (``optimal`` / ``infeasible`` / ``unbounded``) and the
 phase-1 infeasibility threshold match the dense solver exactly, so the
@@ -767,6 +768,8 @@ class MaxminSession:
     * :meth:`pin` — the pin row gets right-hand side ``-T*`` (its own
       activity at the base optimum) and its slack lower bound 0 (or
       stays free), and ``t`` is released;
+    * :meth:`fix_face` — freeze, at their values, the variables the
+      base optimum fixes on the whole pinned optimal face;
     * :meth:`raise_floor` — maximize ``t``;
     * :meth:`probe` — fix ``t`` at the level and maximize one ``x_v``;
     * :meth:`freeze` — fix ``x_v`` at its frozen value, free its floor
@@ -820,6 +823,10 @@ class MaxminSession:
             np.arange(n + 1, total, dtype=np.int64),
         )
         self._accounted = 0  # factorizations already tagged on a step
+        # Every variable priced: the pinned face is then bounded, so the
+        # face step (:meth:`fix_face`) leaves no later round unbounded.
+        self._priced = bool(n) and bool(np.all(lp.c > 0.0))
+        self._held = False  # whether the pin holds c.x at T*
         # A clique row the basic floors alone overfill needs phase 1,
         # which only the cold two-phase solve runs.
         self._needs_phase1 = bool(np.any(
@@ -914,6 +921,49 @@ class MaxminSession:
         # step starts from this point.
         simplex.recompute()
         self._edited()
+        self._held = hold
+
+    def fix_face(self) -> Dict[str, float]:
+        """Freeze every variable that is constant on the pinned optimal
+        face, and return them with their values.  Only after a
+        :meth:`pin` that holds, and only when every variable has a
+        positive objective coefficient, so the face is bounded and no
+        later round can turn unbounded; otherwise nothing is fixed.
+
+        Any point of the pinned region, with ``t`` set to 0 and the
+        floor slacks to ``x``, is an optimum of the base solve.  There
+        ``c.x = T* + sum_N d_j (x_j - x_j*)`` over the nonbasic columns,
+        and the optimal reduced costs make every term ``<= 0``; so each
+        column with a nonzero reduced cost sits at its bound
+        (complementary slackness), and ``x_B = x_B* - sum T_j (x_j -
+        x_j*)`` over the other nonbasic columns.  A nonbasic ``x_v`` is
+        fixed when every move its bounds allow lowers ``c.x`` by more
+        than ``_EPS`` per unit; a basic one when its tableau row is zero
+        (``<= _EPS``) on every movable nonbasic column.  ``t`` counts as
+        movable: the base solve held it at 0, so its reduced cost proves
+        nothing.  Each fixed variable is frozen at its live value and
+        its floor row's slack freed: :meth:`freeze` without the level
+        bound.
+        """
+        if not (self._held and self._priced):
+            return {}
+        simplex = self._simplex
+        n, m = len(self.names), simplex.cols.m
+        x, lo, hi, d = simplex.x, simplex.lo, simplex.hi, simplex.d
+        nonbasic = simplex.nonbasic > 0.0
+        movable = nonbasic & (((x < hi) & (d > -_EPS))
+                              | ((x > lo) & (d < _EPS)))
+        movable[self._t] = True
+        kernel = simplex.kernel
+        moves = np.column_stack([kernel.column(j)[:m]
+                                 for j in np.flatnonzero(movable)])
+        free = movable[:n]
+        slots = np.flatnonzero(simplex.basis < n)
+        free[simplex.basis[slots]] = (np.abs(moves[slots]) > _EPS).any(axis=1)
+        fixed = np.flatnonzero(~free)
+        lo[fixed] = hi[fixed] = x[fixed]
+        lo[self._pin + 1 + fixed] = -np.inf
+        return dict(zip([self.names[j] for j in fixed], x[fixed].tolist()))
 
     def raise_floor(
         self, free: Sequence[str],

@@ -10,16 +10,17 @@ tooling never reads a half-written file.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, Mapping, Optional
 
 from .jsonl import atomic_write_text, dump_jsonl, load_jsonl, trace_to_records
 from .registry import MetricsRegistry
 from .schema import SCHEMA_NAME, SCHEMA_VERSION, validate_artifact
 
-__all__ = ["RunArtifact"]
+__all__ = ["RunArtifact", "ShareDigest"]
 
 
 def _package_version() -> str:
@@ -31,6 +32,25 @@ def _package_version() -> str:
         return __version__
     except Exception:  # pragma: no cover - partial-init edge
         return "unknown"
+
+
+class ShareDigest:
+    """A running SHA-256 over committed allocations, in the order they
+    are added, each as key-sorted compact JSON (floats by ``repr``, so a
+    share that moves by one bit changes it).  Campaign and verify
+    reports carry it in their results as ``shares_sha256``."""
+
+    def __init__(self) -> None:
+        self._sha = hashlib.sha256()
+
+    def add(self, allocations: Iterable[Mapping[str, float]]) -> None:
+        for shares in allocations:
+            self._sha.update(json.dumps(
+                shares, sort_keys=True, separators=(",", ":")).encode())
+            self._sha.update(b"\n")
+
+    def hexdigest(self) -> str:
+        return self._sha.hexdigest()
 
 
 @dataclass

@@ -47,6 +47,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 from ..core.contention import ContentionAnalysis
 from ..core.distributed import DistributedAllocator
 from ..core.model import Scenario
+from ..obs.artifact import ShareDigest
 from ..obs.registry import incr
 from ..obs.trace import span
 from ..perf.parallel import ParallelSweep
@@ -106,12 +107,15 @@ class CaseChecks:
     ``statuses`` counts the statuses the case adds to its report (one
     convergence status per chaos case, one per committed epoch
     otherwise); ``tallies`` holds the mode's other aggregates, of which
-    the report sums those it keeps totals for.
+    the report sums those it keeps totals for.  ``committed`` lists every
+    allocation the case committed, in order (the chaos run's, or each
+    runtime epoch's), which the report's share digest covers.
     """
 
     status: str
     checks: List[Check]
     shares: Dict[str, float] = field(default_factory=dict)
+    committed: List[Dict[str, float]] = field(default_factory=list)
     statuses: Dict[str, int] = field(default_factory=dict)
     tallies: Dict[str, object] = field(default_factory=dict)
 
@@ -170,7 +174,8 @@ class CampaignReport:
 
     ``params`` are the mode's configuration keys and ``totals`` its
     summed tallies (counts, count maps and row lists), each in artifact
-    order.
+    order; ``shares_sha256`` digests every case's committed allocations
+    in case order (:class:`~repro.obs.artifact.ShareDigest`).
     """
 
     mode: str
@@ -181,6 +186,8 @@ class CampaignReport:
     checks: Dict[str, Dict[str, int]] = field(default_factory=dict)
     totals: Dict[str, object] = field(init=False)
     violations: List[Violation] = field(default_factory=list)
+    shares: ShareDigest = field(default_factory=ShareDigest, compare=False,
+                                repr=False)
 
     def __post_init__(self) -> None:
         self.totals = {key: zero() for key, zero in _MODES[self.mode].totals}
@@ -191,6 +198,7 @@ class CampaignReport:
 
     def tally(self, case: CaseChecks) -> None:
         self.statuses += case.statuses
+        self.shares.add(case.committed)
         for key in self.totals:
             if key in case.tallies:
                 self.totals[key] += case.tallies[key]
@@ -211,6 +219,7 @@ class CampaignReport:
         for key, total in self.totals.items():
             doc[key] = (dict(sorted(total.items()))
                         if isinstance(total, Counter) else total)
+        doc["shares_sha256"] = self.shares.hexdigest()
         doc["violations"] = [v.to_dict() for v in self.violations]
         return doc
 
@@ -443,6 +452,7 @@ def run_chaos_case(
         status=status,
         checks=checks,
         shares=shares,
+        committed=[dict(result.shares)],
         statuses={status: 1},
         tallies={"degraded_flows": degraded},
     )
@@ -751,6 +761,7 @@ def run_churn_case(
         status=_worst_epoch_status([r.status for r in runtime.journal]),
         checks=checks,
         shares=dict(runtime.shares),
+        committed=[dict(r.shares) for r in runtime.journal],
         statuses=tallies.pop("statuses"),
         tallies=tallies,
     )
@@ -915,6 +926,7 @@ def run_overload_case(
         status=_worst_epoch_status([r.status for r in runtime.journal]),
         checks=checks,
         shares=dict(runtime.shares),
+        committed=[dict(r.shares) for r in runtime.journal],
         statuses=tallies.pop("statuses"),
         tallies=tallies,
     )

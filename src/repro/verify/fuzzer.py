@@ -35,6 +35,7 @@ from ..core.allocation import (
 from ..core.bounds import bound_vs_basic_consistency
 from ..core.contention import ContentionAnalysis
 from ..core.model import Flow, Network, Scenario
+from ..obs.artifact import ShareDigest
 from ..obs.registry import incr
 from ..obs.trace import span
 from ..scenarios.io import scenario_to_dict
@@ -175,8 +176,11 @@ class VerificationSuite:
         self.backend = backend
 
     # ------------------------------------------------------------------
-    def run(self, scenario: Scenario) -> List[CheckOutcome]:
-        """All checks on ``scenario``; never raises on check failure."""
+    def run(self, scenario: Scenario,
+            committed: Optional[List[Dict[str, float]]] = None,
+            ) -> List[CheckOutcome]:
+        """All checks on ``scenario``; never raises on check failure.
+        The phase-1 LP allocation is appended to ``committed``."""
         out: List[CheckOutcome] = []
         analysis = ContentionAnalysis(scenario)
         b = scenario.capacity
@@ -224,6 +228,8 @@ class VerificationSuite:
 
         lp_alloc, lp_checks = self._lp_stage(analysis, b)
         out.extend(lp_checks)
+        if committed is not None:
+            committed.append(dict(lp_alloc.shares))
 
         # Differential oracle: 2PA-D against 2PA-C.
         with span("verify.2pad"):
@@ -381,15 +387,19 @@ class VerificationSuite:
         payloads: Sequence[object],
         seed: int,
         index: int,
+        committed: Optional[List[Dict[str, float]]] = None,
     ) -> List[CheckOutcome]:
         """Run ``scenario`` with ``payloads`` through replay axis ``name``.
 
         The axis's campaign case checks come back relabelled under the
         axis name (``chaos.*`` becomes ``faults.*``), so the fuzz report
-        separates them from the fault-free differential oracles.
+        separates them from the fault-free differential oracles; the
+        allocations the case committed are appended to ``committed``.
         """
         with span(f"verify.{name}"):
             case = AXES[name].run(self, scenario, payloads, seed, index)
+        if committed is not None:
+            committed.extend(case.committed)
         return [
             CheckOutcome(f"{name}.{check.split('.', 1)[1]}",
                          PASS if ok else FAIL, details)
@@ -778,6 +788,10 @@ class FuzzReport:
     sharded: bool = False
     checks: Dict[str, Dict[str, int]] = field(default_factory=dict)
     failures: List[FuzzFailure] = field(default_factory=list)
+    #: Every case's committed allocations (the phase-1 LP's, then each
+    #: replay axis's), in case order.
+    shares: ShareDigest = field(default_factory=ShareDigest, compare=False,
+                                repr=False)
 
     @property
     def ok(self) -> bool:
@@ -803,6 +817,7 @@ class FuzzReport:
             "sharded": self.sharded,
             "ok": self.ok,
             "checks": {k: dict(v) for k, v in sorted(self.checks.items())},
+            "shares_sha256": self.shares.hexdigest(),
             "failures": [f.to_dict() for f in self.failures],
         }
 
@@ -843,8 +858,10 @@ def _run_case(
     index: int,
     seed: int,
     suite: VerificationSuite,
-) -> Tuple[List[CheckOutcome], Optional[FuzzFailure]]:
-    """Generate, check, and (on failure) shrink case ``index`` of ``seed``.
+) -> Tuple[List[CheckOutcome], Optional[FuzzFailure],
+           List[Dict[str, float]]]:
+    """Generate, check, and (on failure) shrink case ``index`` of ``seed``;
+    also returns the allocations the case committed.
 
     Self-contained and deterministic: all randomness comes from the
     ``("verify", index)`` stream of a fresh registry, so the result is a
@@ -853,19 +870,20 @@ def _run_case(
     bit-identical report.
     """
     registry = RngRegistry(seed)
+    committed: List[Dict[str, float]] = []
     with span("verify.case"):
         scenario = generate_scenario(registry, index)
-        outcomes = suite.run(scenario)
+        outcomes = suite.run(scenario, committed)
         payloads: Dict[str, Tuple[object, ...]] = {}
         for name in suite.axes:
             payloads[name] = AXES[name].draw(registry, index, scenario)
             outcomes = outcomes + suite.run_axis(
-                name, scenario, payloads[name], seed, index
+                name, scenario, payloads[name], seed, index, committed
             )
     incr("verify.cases")
     failed = [o for o in outcomes if o.failed]
     if not failed:
-        return outcomes, None
+        return outcomes, None, committed
     first = failed[0]
     axis = first.name.split(".", 1)[0]
     replay = list(payloads.get(axis, ()))
@@ -905,7 +923,7 @@ def _run_case(
                 for name, p in zip(AXES[axis].fields, replay)}
         if axis in payloads else {},
     )
-    return outcomes, failure
+    return outcomes, failure, committed
 
 
 def _run_case_task(payload: Tuple[int, int, VerificationSuite]):
@@ -992,9 +1010,10 @@ def run_fuzz(
             _run_case_task, [(i, seed, suite) for i in range(cases)]
         ))
 
-    for outcomes, failure in results:
+    for outcomes, failure, committed in results:
         for outcome in outcomes:
             report.tally(outcome)
+        report.shares.add(committed)
         if failure is None:
             continue
         if reproducer_dir is not None:

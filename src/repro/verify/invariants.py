@@ -81,18 +81,19 @@ def check_clique_capacity(
     """Eq. (6): every maximal clique's load fits within B."""
     b = capacity if capacity is not None else analysis.scenario.capacity
     violations: List[str] = []
-    for k, (clique, coeffs) in enumerate(zip(analysis.cliques,
-                                             analysis.all_coefficients())):
+    # Each term's label is its members' sorted names joined by "+", so
+    # no clique's subflow set is built to name it.
+    terms = analysis.clique_terms
+    for k, (coeffs, members) in enumerate(terms):
         load = sum(n * shares.get(fid, 0.0) for fid, n in coeffs.items())
         if load > b + tol:
-            members = "+".join(sorted(str(s) for s in clique))
             violations.append(
                 f"clique {k} ({members}): load {load:.9g} > B={b:g}"
             )
     return CheckResult(
         "clique_capacity",
         not violations,
-        f"{len(violations)}/{len(analysis.cliques)} cliques overloaded"
+        f"{len(violations)}/{len(terms)} cliques overloaded"
         if violations else "",
         violations,
     )

@@ -343,9 +343,13 @@ class TestLexicographicMaxmin:
 
     @pytest.mark.parametrize("backend", PRICED_BACKENDS)
     def test_dual_certificate_replaces_probes(self, backend):
-        """The two-tier split: the raise-floor duals certify four of the
-        five saturations, so one probe LP is left; scipy, which reports
-        no prices, probes all five and lands on the same split."""
+        """The two-tier split.  On the cold ladder (``simplex``) the
+        raise-floor duals certify four of the five saturations, so one
+        probe LP is left.  The revised session's optimal face already
+        fixes ``r11 = 0.75`` and ``r12 = 0.25``, and its one round
+        certifies ``r21 = r22 = 0.375`` with no probe.  scipy, which
+        reports no prices, probes all five and lands on the same
+        split."""
         lp = make_lp(
             {"r11": 1.0, "r12": 1.0, "r21": 1.0, "r22": 1.0},
             [({"r11": 1.0, "r12": 1.0}, 1.0),
@@ -361,8 +365,13 @@ class TestLexicographicMaxmin:
             tags[name] = span["tags"]
             assert sol["r11"] == pytest.approx(0.75, abs=1e-9)
             assert sol["r21"] == pytest.approx(0.375, abs=1e-9)
-        assert (tags[backend]["certified"], tags[backend]["probed"]) == (4, 1)
-        assert (tags["scipy"]["certified"], tags["scipy"]["probed"]) == (0, 5)
+            assert sol["r22"] == pytest.approx(0.375, abs=1e-9)
+        proof = {name: (t["fixed"], t["certified"], t["probed"])
+                 for name, t in tags.items()}
+        assert proof[backend] == {"simplex": (0, 4, 1),
+                                  "revised": (2, 2, 0)}[backend]
+        assert proof[backend][2] <= 1  # the face step adds no probe
+        assert proof["scipy"] == (0, 0, 5)
 
     def test_pure_maxmin_without_objective_pin(self):
         lp = make_lp({"x": 1.0, "y": 1.0},

@@ -18,6 +18,9 @@ tableau it maintains) against a fresh factorization after every pivot
 against its ``lp.solve`` children; and the session's shares against the
 exact-``Fraction`` ladder (:func:`repro.verify.maxmin_exact`) on the
 scenario library and on mesh-openloop calls of the allocator benchmark.
+The face step (flows the pinned optimal face fixes start frozen) is
+checked on its corners, across both kernels and against the exact
+ladder.
 """
 
 import importlib.util
@@ -41,7 +44,8 @@ from repro.perf import shard
 from repro.verify import (lp_objective_matches, maxmin_exact,
                           maxmin_reference, maxmin_session_mismatches)
 from tests.test_lp import random_clique_lp
-from tests.test_lp_revised import BORDERLINE, LIBRARY, group_lps
+from tests.test_lp_revised import (BORDERLINE, LIBRARY, group_lps,
+                                   open_session)
 
 FALLBACKS = "lp.maxmin.session_fallbacks"
 
@@ -231,6 +235,13 @@ class TestExactOracle:
 def mesh_openloop_calls(count):
     """The first ``count`` component problems the mesh-openloop workload
     of ``allocbench/`` solves after its set-up (seed 1)."""
+    return [problem for problem, _shares in mesh_openloop_solves(count)]
+
+
+def mesh_openloop_solves(count):
+    """``(problem, committed shares)`` of the first ``count`` component
+    solves the mesh-openloop workload of ``allocbench/`` runs after its
+    set-up (seed 1)."""
     root = Path(__file__).resolve().parent.parent / "allocbench"
     sys.path.insert(0, str(root))
     try:
@@ -243,17 +254,116 @@ def mesh_openloop_calls(count):
         sys.path.remove(str(root))
     session, _times = workloads.setup(
         workloads.WORKLOADS["mesh-openloop"], 1)
-    problems = []
+    solves = []
     solve = shard._solve_component
 
     def record(problem):
-        problems.append(problem)
-        return solve(problem)
+        shares = solve(problem)
+        solves.append((problem, shares))
+        return shares
 
     with mock.patch.object(shard, "_solve_component", record):
-        while len(problems) < count:
+        while len(solves) < count:
             session.step()
-    return problems[:count]
+    return solves[:count]
+
+
+class TestFaceStep:
+    """The flows the pinned optimal face fixes start frozen
+    (:meth:`~repro.lp.revised.MaxminSession.fix_face`)."""
+
+    @staticmethod
+    def _maxmin_tags(lp):
+        with using_tracer() as tracer:
+            sol = lexicographic_maxmin(lp)
+        (call,) = [r["tags"] for r in tracer.to_records()
+                   if r["name"] == "lp.maxmin"]
+        return sol, call
+
+    def test_a_point_optimum_runs_no_round(self):
+        """A unique optimum fixes every flow: one solve, zero rounds."""
+        lp = LinearProgram()
+        lp.maximize({"x": 1.0, "y": 2.0})
+        lp.add_constraint({"x": 1.0, "y": 1.0}, 3.0)
+        lp.add_constraint({"y": 1.0}, 2.0)
+        lp.set_lower_bound("x", 0.5)
+        sol, tags = self._maxmin_tags(lp)
+        assert sol.values == {"x": 1.0, "y": 2.0}
+        assert (tags["solves"], tags["rounds"], tags["fixed"]) == (1, 0, 2)
+        assert (tags["certified"], tags["probed"]) == (0, 0)
+
+    def test_two_tier_example_fixes_f1(self):
+        """Sec. III: the face fixes ``r11 = 0.75`` and ``r12 = 0.25``,
+        and the ladder still certifies ``r21 = r22 = 0.375``."""
+        lp = LinearProgram()
+        lp.maximize({"r11": 1.0, "r12": 1.0, "r21": 1.0, "r22": 1.0})
+        lp.add_constraint({"r11": 1.0, "r12": 1.0}, 1.0)
+        lp.add_constraint({"r12": 1.0, "r21": 1.0, "r22": 1.0}, 1.0)
+        for v in ("r11", "r12", "r21", "r22"):
+            lp.set_lower_bound(v, 0.25)
+        session = open_session(lp)
+        session.solve_base()
+        session.pin(True)
+        assert session.fix_face() == {"r11": 0.75, "r12": 0.25}
+        # The certificate count is checked in tests/test_lp.py.
+        assert lexicographic_maxmin(lp).values == {
+            "r11": 0.75, "r12": 0.25, "r21": 0.375, "r22": 0.375}
+
+    def test_no_face_step_without_a_held_pin_or_a_full_objective(self):
+        """Nothing is fixed when the pin does not hold, or when a
+        variable has no objective coefficient (its face may be
+        unbounded)."""
+        for objective, hold in (({"x": 1.0, "y": 1.0}, False),
+                                ({"x": 1.0}, True)):
+            lp = LinearProgram()
+            lp.maximize(objective)
+            lp.add_constraint({"x": 1.0}, 1.0)
+            lp.add_constraint({"y": 1.0}, 2.0)
+            session = open_session(lp)
+            session.solve_base()
+            session.pin(hold)
+            assert session.fix_face() == {}
+
+
+def face_run(lp, weights):
+    """``(solution, flows fixed by the face step)`` of one session
+    call."""
+    fixed = []
+    fix_face = revised.MaxminSession.fix_face
+
+    def record(session):
+        found = fix_face(session)
+        fixed.append(sorted(found))
+        return found
+
+    with mock.patch.object(revised.MaxminSession, "fix_face", record):
+        sol = lexicographic_maxmin(lp, weights)
+    return sol, fixed
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(
+    n=st.integers(1, 8),
+    m=st.integers(1, 6),
+    seed=st.integers(0, 10_000),
+    weighted=st.booleans(),
+    unit_weights=st.booleans(),
+)
+def test_face_step_is_kernel_free_and_exact(n, m, seed, weighted,
+                                            unit_weights):
+    """The tableau and splu kernels fix the same flows on the pinned
+    face, and the session's shares stay within 1e-12 relative of the
+    exact ladder."""
+    lp = random_clique_lp(n, m, seed, weighted, pinned=False)
+    weights = None if unit_weights else {
+        v: 1.0 + (k % 3) * 0.5 for k, v in enumerate(lp.variables)}
+    sol, fixed = face_run(lp, weights)
+    with mock.patch.object(revised, "DENSE_MAX_ROWS", 0):
+        ref, ref_fixed = face_run(lp, weights)
+    assert sol.status == ref.status
+    assert fixed == ref_fixed
+    assert exact_mismatches(lp, weights) == []
 
 
 def kernel_run(lp, weights, fix_objective):

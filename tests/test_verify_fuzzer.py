@@ -295,10 +295,10 @@ class _AxisFaultOnly(VerificationSuite):
     """Perturb allocations only on the replay axes, so the first failing
     check is the axis's own (the static suite stays clean)."""
 
-    def run(self, scenario):
+    def run(self, scenario, committed=None):
         fault, self.fault = self.fault, None
         try:
-            return super().run(scenario)
+            return super().run(scenario, committed)
         finally:
             self.fault = fault
 
@@ -352,7 +352,7 @@ class TestReplayAxes:
         payloads, each no bigger than a fresh draw for the case."""
         from repro.verify.fuzzer import _run_case, _write_reproducer
 
-        _outcomes, failure = _run_case(0, 0, axis_suite(axis))
+        _outcomes, failure, _committed = _run_case(0, 0, axis_suite(axis))
         assert failure is not None
         assert failure.check.startswith(axis + ".")
         doc = failure.to_dict()
@@ -379,7 +379,7 @@ class TestReplayAxes:
         recorded check: the reproducer is self-contained."""
         from repro.verify.fuzzer import _run_case
 
-        _outcomes, failure = _run_case(1, 0, axis_suite(axis))
+        _outcomes, failure, _committed = _run_case(1, 0, axis_suite(axis))
         assert failure is not None
         doc = failure.to_dict()
         payloads = {name: _load_payload(name, doc[name])

@@ -7,6 +7,7 @@ from repro.core import (
     basic_allocation,
     basic_fairness_lp_allocation,
 )
+from repro.core.contention import restricted_analysis
 from repro.scenarios import fig1, fig2, fig6
 from repro.verify import (
     CheckResult,
@@ -109,3 +110,40 @@ class TestVirtualLength:
         scenario = fig2.make_multi_hop_scenario()
         for flow in scenario.flows:
             assert flow.virtual_length == min(flow.length, 3)
+
+
+def clique_capacity_by_cliques(analysis, shares, tol=1e-9):
+    """The capacity check as it read before it walked ``clique_terms``:
+    members named off the analysis' clique subflow sets."""
+    b = analysis.scenario.capacity
+    violations = []
+    for k, (clique, coeffs) in enumerate(zip(analysis.cliques,
+                                             analysis.all_coefficients())):
+        load = sum(n * shares.get(fid, 0.0) for fid, n in coeffs.items())
+        if load > b + tol:
+            members = "+".join(sorted(str(s) for s in clique))
+            violations.append(
+                f"clique {k} ({members}): load {load:.9g} > B={b:g}")
+    return CheckResult(
+        "clique_capacity", not violations,
+        f"{len(violations)}/{len(analysis.cliques)} cliques overloaded"
+        if violations else "", violations)
+
+
+class TestCliqueCapacityReadsTerms:
+    @pytest.mark.parametrize("make", [fig1.make_scenario, fig6.make_scenario])
+    def test_restricted_analysis_builds_no_cliques(self, make):
+        """The check names an overloaded clique from its term's label:
+        a restricted analysis' subflow cliques stay unbuilt, and the
+        result is the one naming them off the cliques gave."""
+        universe = ContentionAnalysis(make())
+        flows = universe.scenario.flows[1:]
+        analysis = restricted_analysis(universe, flows, "restricted")
+        b = analysis.scenario.capacity
+        shares = {f.flow_id: 0.6 * b for f in flows}
+        shares[flows[0].flow_id] = 2.0 * b
+        result = check_clique_capacity(analysis, shares)
+        assert "cliques" not in analysis.__dict__
+        assert not result and result.violations
+        assert result == clique_capacity_by_cliques(analysis, shares)
+        assert "cliques" in analysis.__dict__
